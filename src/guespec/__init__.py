@@ -21,6 +21,7 @@ from .gegenbauer import (
 )
 from .hermite import (
     DensityProfile,
+    christoffel_sum,
     density,
     density_derivatives,
     density_profile,
@@ -73,6 +74,7 @@ __all__ = [
     "TaylorSeries",
     "basis_to_taylor",
     "basis_values",
+    "christoffel_sum",
     "correction",
     "correction_functionals",
     "density",

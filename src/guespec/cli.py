@@ -314,8 +314,7 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    batch = montecarlo.sample_spectra(args.n, args.count, args.seed,
-                                      threads=args.threads)
+    batch = montecarlo.sample_spectra(args.n, args.count, args.seed)
     fmt = args.format
     if fmt == "auto":
         fmt = "csv" if args.out.endswith(".csv") else "binary"
@@ -411,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("auto", "csv", "binary"), default="auto",
                    help="auto picks csv for .csv paths, binary otherwise")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: ${montecarlo.THREADS_ENV_VAR} or 1)")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("verify", help="run self-check suites")

@@ -8,12 +8,18 @@ tails, on [-2, 2] and is expressed through the orthonormal functions
     psi_k(x) = htilde_k(x) * exp(-N x^2 / 4),
 
 where htilde_k is the degree-k Hermite polynomial orthonormal for the
-weight exp(-N x^2 / 2).  All evaluations use the stable three-term
+weight exp(-N x^2 / 2).  All evaluations use one stable three-term
 recurrence; no factorials or unnormalized polynomial values appear
-anywhere on the floating-point path.
+anywhere on the floating-point path.  Sums over k (kernel diagonal,
+density derivatives, Christoffel sums) hold two rows at a time, so their
+memory is O(points); only ``normalized_hermite`` and ``weighted_frame``
+build (k_max + 1, points) frames.
 
-Supported range: 1 <= N <= 256.  Evaluations are accurate for |x| <= 12;
-beyond that the weighted values underflow harmlessly to zero.
+Supported range: 1 <= N <= 256, any finite x.  The weighted recurrence
+starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
+e^L back out at the end, so a value is lost to underflow only where it
+lies below the smallest subnormal anyway: where the clip binds
+(N x^2/4 >= 1050), p_N < 1e-500 and every psi_k < 1e-249 for N <= 256.
 """
 
 from __future__ import annotations
@@ -33,55 +39,118 @@ def _check_size(n: int) -> None:
         raise ValueError(f"ensemble size {n} above supported maximum {MAX_ENSEMBLE_SIZE}")
 
 
-def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
-    """Values htilde_0(x) .. htilde_{k_max}(x), vectorized over x.
-
-    Recurrence: htilde_{k+1} = x sqrt(n/(k+1)) htilde_k - sqrt(k/(k+1)) htilde_{k-1},
-    htilde_0 = (2 pi / n)^(-1/4).  Orthonormal for the weight exp(-n x^2 / 2).
-    """
+def _points(n: int, k_max: int, x) -> np.ndarray:
     _check_size(n)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
-    out = np.zeros((k_max + 1,) + x.shape)
-    out[0] = (2.0 * math.pi / n) ** -0.25
-    if k_max >= 1:
-        out[1] = x * math.sqrt(n) * out[0]
-    for k in range(1, k_max):
-        out[k + 1] = x * math.sqrt(n / (k + 1.0)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    return x
+
+
+def _rows(n: int, k_max: int, x: np.ndarray, start):
+    """The one float copy of the recurrence: yields (h_{k-1}, h_k) for
+    k = 0..k_max, h_{-1} = None, from the row h_0 = ``start``.
+
+    h_{k+1} = x sqrt(n/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} (DLMF 18.9.1) is
+    linear, so a start carrying a weight or a scale carries it to every row.
+    Only two rows are alive at a time.
+    """
+    prev, cur = None, start
+    yield prev, cur
+    for k in range(k_max):
+        nxt = x * math.sqrt(n / (k + 1.0)) * cur
+        if k:
+            nxt = nxt - math.sqrt(k / (k + 1.0)) * prev
+        prev, cur = cur, nxt
+        yield prev, cur
+
+
+def _start(n: int, x: np.ndarray) -> np.ndarray:
+    """The row htilde_0 = (2 pi / n)^(-1/4), shaped like x."""
+    return np.full(x.shape, (2.0 * math.pi / n) ** -0.25)
+
+
+def _weighted_start(n: int, x: np.ndarray):
+    """psi_0 e^L and L, with L = clip(n x^2/4 - 700, 0, 350).
+
+    The lift keeps e^{-n x^2/4} from underflowing before the recurrence has
+    raised it; rows carry e^L and quadratic sums e^{2L}.  The cap keeps
+    e^{-2L} a normal double.  L = 0 (n x^2/4 <= 700) changes no bit.
+    """
+    q = n * x * x / 4.0
+    lift = np.clip(q - 700.0, 0.0, 350.0)
+    return _start(n, x) * np.exp(lift - q), lift
+
+
+def _ladder(n: int, k: int, half_nx, prev, cur):
+    """psi_k' = sqrt(n k) psi_{k-1} - (n x / 2) psi_k."""
+    if prev is None:
+        return -half_nx * cur
+    return math.sqrt(n * k) * prev - half_nx * cur
+
+
+def _square_sum(rows):
+    """Sum of squared rows, accumulated from 0.0 in row order: the order of
+    numpy's axis-0 reduction of the stacked frame, so the bits agree."""
+    total = 0.0
+    for _, row in rows:
+        total = total + row * row
+    return total
+
+
+def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
+    """Values htilde_0(x) .. htilde_{k_max}(x), vectorized over x.
+
+    Recurrence: htilde_{k+1} = x sqrt(n/(k+1)) htilde_k - sqrt(k/(k+1)) htilde_{k-1},
+    htilde_0 = (2 pi / n)^(-1/4).  Orthonormal for the weight exp(-n x^2 / 2).
+    Builds the whole (k_max + 1, points) frame; sums over k belong in
+    ``christoffel_sum``.
+    """
+    x = _points(n, k_max, x)
+    out = np.empty((k_max + 1,) + x.shape)
+    for k, (_, row) in enumerate(_rows(n, k_max, x, _start(n, x))):
+        out[k] = row
     return out
+
+
+def christoffel_sum(n: int, k_max: int, x) -> np.ndarray:
+    """sum_{k <= k_max} htilde_k(x)^2, vectorized over x in O(points) memory.
+
+    Its reciprocal is the Gauss weight at a node of the (k_max + 1)-point
+    rule; times exp(-n x^2 / 2) / n at k_max = n - 1 it is p_N(x).
+    """
+    x = _points(n, k_max, x)
+    return _square_sum(_rows(n, k_max, x, _start(n, x)))
 
 
 def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     """psi_k(x) and psi_k'(x) for k = 0..k_max, vectorized over x.
 
     psi' follows the ladder psi_k' = sqrt(n k) psi_{k-1} - (n x / 2) psi_k.
+    Builds two (k_max + 1, points) frames; sums over k belong in
+    ``kernel_diag`` and ``density_derivatives``.
     """
-    _check_size(n)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation points must be finite")
-    psi = np.zeros((k_max + 1,) + x.shape)
-    psi[0] = (2.0 * math.pi / n) ** -0.25 * np.exp(-n * x * x / 4.0)
-    if k_max >= 1:
-        psi[1] = x * math.sqrt(n) * psi[0]
-    for k in range(1, k_max):
-        psi[k + 1] = x * math.sqrt(n / (k + 1.0)) * psi[k] - math.sqrt(k / (k + 1.0)) * psi[k - 1]
-    dpsi = np.zeros_like(psi)
-    dpsi[0] = -(n * x / 2.0) * psi[0]
-    for k in range(1, k_max + 1):
-        dpsi[k] = math.sqrt(n * k) * psi[k - 1] - (n * x / 2.0) * psi[k]
+    x = _points(n, k_max, x)
+    start, lift = _weighted_start(n, x)
+    half_nx = n * x / 2.0
+    psi = np.empty((k_max + 1,) + x.shape)
+    dpsi = np.empty_like(psi)
+    for k, (prev, cur) in enumerate(_rows(n, k_max, x, start)):
+        psi[k] = cur
+        dpsi[k] = _ladder(n, k, half_nx, prev, cur)
+    unlift = np.exp(-lift)
+    psi *= unlift
+    dpsi *= unlift
     return psi, dpsi
 
 
 def kernel_diag(n: int, x) -> np.ndarray:
-    """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x."""
-    psi, _ = weighted_frame(n, n - 1, x)
-    return (psi * psi).sum(axis=0)
+    """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
+    x = _points(n, n - 1, x)
+    start, lift = _weighted_start(n, x)
+    return _square_sum(_rows(n, n - 1, x, start)) * np.exp(-2.0 * lift)
 
 
 def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
@@ -118,20 +187,25 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
     Uses psi_k'' = (n^2 x^2/4 - n(k + 1/2)) psi_k together with the first
     derivative ladder; the third derivative differentiates that relation
-    once more.
+    once more.  The four sums over k stream in O(points) memory.
     """
-    _check_size(n)
-    x = np.asarray(x, dtype=float)
-    psi, dpsi = weighted_frame(n, n - 1, x)
-    k = np.arange(n, dtype=float).reshape((n,) + (1,) * x.ndim)
-    osc = n * n * x * x / 4.0 - n * (k + 0.5)
-    d2psi = osc * psi
-    d3psi = (n * n * x / 2.0) * psi + osc * dpsi
-    p0 = (psi * psi).sum(axis=0) / n
-    p1 = 2.0 * (psi * dpsi).sum(axis=0) / n
-    p2 = 2.0 * (dpsi * dpsi + psi * d2psi).sum(axis=0) / n
-    p3 = 2.0 * (3.0 * dpsi * d2psi + psi * d3psi).sum(axis=0) / n
-    return p0, p1, p2, p3
+    x = _points(n, n - 1, x)
+    start, lift = _weighted_start(n, x)
+    half_nx = n * x / 2.0
+    quad = n * n * x * x / 4.0
+    slope = n * n * x / 2.0
+    sums = [0.0] * 4
+    for k, (prev, psi) in enumerate(_rows(n, n - 1, x, start)):
+        dpsi = _ladder(n, k, half_nx, prev, psi)
+        osc = quad - n * (k + 0.5)
+        d2psi = osc * psi
+        d3psi = slope * psi + osc * dpsi
+        terms = (psi * psi, psi * dpsi, dpsi * dpsi + psi * d2psi,
+                 3.0 * dpsi * d2psi + psi * d3psi)
+        sums = [s + t for s, t in zip(sums, terms)]
+    unlift = np.exp(-2.0 * lift)
+    s0, s1, s2, s3 = (s * unlift for s in sums)
+    return s0 / n, 2.0 * s1 / n, 2.0 * s2 / n, 2.0 * s3 / n
 
 
 def ode_residual(n: int, x) -> np.ndarray:

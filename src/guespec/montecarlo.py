@@ -11,7 +11,7 @@ the scaling on faith.
 Reproducibility contract (pinned, do not change without a format bump):
 
 * per-row substream: Philox counter-based generator keyed by the 64-bit
-  pair (seed, row_index), so parallel and serial sampling agree bitwise;
+  pair (seed, row_index), so row i does not depend on count or on other rows;
 * Gaussians by Box-Muller on that stream: a block of m uniforms u1, then
   a block of m uniforms u2 (m = pairs needed); with r_j = sqrt(-2 log(1 - u1_j))
   the j-th pair is (r_j cos(2 pi u2_j), r_j sin(2 pi u2_j)), pairs
@@ -27,16 +27,12 @@ of N little-endian float64 eigenvalues.
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tridiagonal import ConvergenceError, tridiagonal_eigenvalues
-
-THREADS_ENV_VAR = "GUESPEC_THREADS"
 
 _MAGIC = b"GUE1"
 _HEADER = struct.Struct("<4sIQQ")
@@ -89,11 +85,11 @@ def _sample_row(n: int, seed: int, row: int) -> list[float]:
     return [v / scale for v in eigs]
 
 
-def sample_spectra(n: int, count: int, seed: int, threads: int | None = None) -> SampleBatch:
+def sample_spectra(n: int, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` independent ordered GUE(n) spectra.
 
-    ``threads`` defaults to the GUESPEC_THREADS environment variable, else 1.
-    The thread count never changes the result, only how rows are scheduled.
+    Row i depends only on (n, seed, i), so a batch is a prefix of every
+    larger batch drawn with the same seed.
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -101,20 +97,9 @@ def sample_spectra(n: int, count: int, seed: int, threads: int | None = None) ->
         raise ValueError("count must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     out = np.empty((count, n))
-    if threads == 1:
-        for row in range(count):
-            out[row] = _sample_row(n, seed, row)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(lambda r: _sample_row(n, seed, r), range(count),
-                            chunksize=max(1, count // (8 * threads)))
-            for row, values in enumerate(rows):
-                out[row] = values
+    for row in range(count):
+        out[row] = _sample_row(n, seed, row)
     return SampleBatch(n=n, count=count, seed=seed, eigenvalues=out)
 
 

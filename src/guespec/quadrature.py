@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import normalized_hermite, _check_size
+from .hermite import christoffel_sum, _check_size
 from .tridiagonal import tridiagonal_eigenvalues
 
 
@@ -82,8 +82,7 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
     else:
         sub = [math.sqrt(k / n) for k in range(1, count)]
         nodes = np.array(tridiagonal_eigenvalues([0.0] * count, sub))
-    h = normalized_hermite(n, count - 1, nodes)
-    weights = 1.0 / (h * h).sum(axis=0)
+    weights = 1.0 / christoffel_sum(n, count - 1, nodes)
     return QuadratureRule(nodes, weights, 2 * count - 1, "gaussian")
 
 
@@ -97,8 +96,7 @@ def density_polynomial_integral(n: int, f, degree: int) -> float:
         raise ValueError("degree must be >= 0")
     count = (degree + 2 * (n - 1)) // 2 + 1
     rule = gaussian_rule(n, count)
-    h = normalized_hermite(n, n - 1, rule.nodes)
-    unweighted_diag = (h * h).sum(axis=0) / n
+    unweighted_diag = christoffel_sum(n, n - 1, rule.nodes) / n
     return float((rule.weights * f(rule.nodes) * unweighted_diag).sum())
 
 

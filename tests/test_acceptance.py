@@ -39,8 +39,7 @@ def test_criterion_1_density_mass_and_ode():
     worst_mass = 0.0
     for n in range(1, 33):
         rule = quadrature.gaussian_rule(n, n)
-        h = hermite.normalized_hermite(n, n - 1, rule.nodes)
-        mass = float((rule.weights * (h * h).sum(axis=0)).sum()) / n
+        mass = float((rule.weights * hermite.christoffel_sum(n, n - 1, rule.nodes)).sum()) / n
         worst_mass = max(worst_mass, abs(mass - 1.0))
 
     grid = np.linspace(-4.0, 4.0, 401)

@@ -178,6 +178,19 @@ def test_sample_binary_round_trip(tmp_path, capsys):
     assert np.array_equal(batch.eigenvalues, direct.eigenvalues)
 
 
+def test_sample_file_is_prefix_of_larger_batch(tmp_path, capsys):
+    paths = [tmp_path / "small.bin", tmp_path / "big.bin"]
+    for count, path in zip(("64", "100"), paths):
+        code, _, _ = run(capsys, "sample", "--n", "4", "--count", count, "--seed", "5",
+                         "--out", str(path))
+        assert code == 0
+    small, big = (montecarlo.read_binary(p) for p in paths)
+    assert np.array_equal(small.eigenvalues, big.eigenvalues[:64])
+    # --threads is gone, so passing it is a usage error
+    assert main(["sample", "--n", "4", "--count", "2", "--seed", "5",
+                 "--out", str(paths[0]), "--threads", "2"]) == 2
+
+
 def test_sample_csv_by_extension(tmp_path, capsys):
     out_path = tmp_path / "spectra.csv"
     code, out, _ = run(capsys, "sample", "--n", "3", "--count", "5", "--seed", "2",

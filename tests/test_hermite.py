@@ -1,8 +1,10 @@
 """Tests for the weighted oscillator frame, kernel, and density."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -106,6 +108,72 @@ def test_frame_boundedness_small_n():
     for n in range(1, 9):
         psi, _ = hermite.weighted_frame(n, n, x)
         assert np.max(np.abs(psi)) <= 1.1
+
+
+def _mp_density(n, x):
+    """p_N(x) from the orthonormal recurrence in extended precision."""
+    prev, cur = mp.mpf(0), (2 * mp.pi / n) ** mp.mpf(-0.25)
+    total = cur * cur
+    for k in range(n - 1):
+        prev, cur = cur, x * mp.sqrt(mp.mpf(n) / (k + 1)) * cur - mp.sqrt(mp.mpf(k) / (k + 1)) * prev
+        total += cur * cur
+    return total * mp.exp(-n * x * x / 2) / n
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
+def test_density_and_derivatives_match_mpmath(n):
+    """p_N, p_N' and p_N''' against mpmath at 40 digits (derivatives by
+    mpmath's own differencing) at the centre, in the bulk, at the edges and
+    beyond; at N=256, x=3.5 the Gaussian factor alone underflows a double."""
+    xs = np.array([0.0, 0.7, -1.3, 2.0, -2.0, 2.6, 3.5])
+    p0, p1, _, p3 = hermite.density_derivatives(n, xs)
+    psi, _ = hermite.weighted_frame(n, n - 1, xs)
+    by_order = {0: [hermite.density(n, xs), (psi * psi).sum(axis=0) / n, p0], 1: [p1], 3: [p3]}
+    with mp.workdps(40):
+        for i, x in enumerate(xs):
+            for order, values in by_order.items():
+                if x == 0.0 and order % 2:
+                    assert all(v[i] == 0.0 for v in values)  # odd by symmetry
+                    continue
+                ref = mp.diff(lambda t: _mp_density(n, t), mp.mpf(x), order)
+                for v in values:
+                    assert abs(v[i] - ref) <= 1e-12 * abs(ref), (x, order, v[i], ref)
+
+
+def test_density_subnormal_tail_through_lifted_start():
+    # N x^2/4 = 722 lifts the start; the true p_N (mpmath) is subnormal,
+    # where a double holds only about 16 significant bits
+    assert float(hermite.density(200, 3.8)) == pytest.approx(1.1068e-319, rel=1e-3, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
+@pytest.mark.parametrize("points", [2, 7, 1001])
+def test_streamed_sums_equal_frame_sums_bitwise(n, points):
+    """Streaming adds rows in the order of numpy's axis-0 reduction, so on
+    multi-point grids it reproduces the frame sums bit for bit."""
+    grid = np.linspace(-3.0, 3.0, points)  # n x^2 / 4 <= 700: no lift
+    psi, dpsi = hermite.weighted_frame(n, n - 1, grid)
+    assert np.array_equal(hermite.density(n, grid), (psi ** 2).sum(axis=0) / n)
+    assert np.array_equal(hermite.density_derivatives(n, grid)[1],
+                          2.0 * (psi * dpsi).sum(axis=0) / n)
+    nodes = grid / 1.5  # where the unweighted sum stays finite at N=256
+    h = hermite.normalized_hermite(n, n - 1, nodes)
+    assert np.array_equal(hermite.christoffel_sum(n, n - 1, nodes), (h ** 2).sum(axis=0))
+
+
+@pytest.mark.parametrize("func,points", [(hermite.density, 100_000),
+                                         (hermite.density_derivatives, 10_000)])
+def test_sums_over_k_stream_in_output_sized_memory(func, points):
+    grid = np.linspace(-4.0, 4.0, points)
+    tracemalloc.start()
+    try:
+        out = func(256, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(a.nbytes for a in out) if isinstance(out, tuple) else out.nbytes
+    # one (256, points) frame alone would be 256 output rows
+    assert peak <= 16 * out_bytes, (peak, out_bytes)
 
 
 def test_unnormalized_hermite_translation_exact():
