@@ -9,9 +9,15 @@ These rescaled Gegenbauer polynomials diagonalize the operator calculus in
                  int_{-2}^{2} f_n f_m (4 - t^2)^{3/2} dt = 2 pi (n+1)(n+3) delta_{nm}
     semicircle averages
                  (1/2pi) int_{-2}^{2} f_n sqrt(4 - t^2) dt = 1 (n even), 0 (n odd)
+    explicit sums (DLMF 18.5.10, and the connection formula of DLMF 18.18)
+                 f_n(t) = sum_k (-1)^k (n-k+1)! / (k! (n-2k)!) t^{n-2k}
+                 t^m = m! sum_l (m-2l+2) / (l! (m-l+2)!) f_{m-2l}
 
 so the semicircle average of a series is simply the sum of its
-even-indexed coefficients.
+even-indexed coefficients.  ``taylor_to_basis`` and ``basis_to_taylor``
+take each coefficient as one of these sums, accumulated exactly over
+integers and rounded once: exact Fractions or correctly rounded floats
+at any degree.
 
 Entire functions of order <= 2 and finite type sigma admit rapidly
 decaying expansions in this basis; ``expand_entire`` converts truncated
@@ -29,9 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-#: Degree up to which Taylor <-> basis conversion runs in exact rationals.
-EXACT_CONVERSION_DEGREE = 40
 
 #: Slack constant absorbed into the coefficient growth check (enters as
 #: GROWTH_SLACK**(2/n), which tends to 1).
@@ -110,80 +113,65 @@ def normalization_check(n: int, m: int) -> float:
     return float(integrate_gegenbauer2(integrand, count))
 
 
-def _monomial_columns(degree: int) -> list[list[Fraction]]:
-    """cols[n] = exact monomial coefficients of f_n (length n+1)."""
-    cols = [[Fraction(1)]]
-    if degree >= 1:
-        cols.append([Fraction(0), Fraction(2)])
-    for n in range(1, degree):
-        nxt = [Fraction(0)] * (n + 2)
-        for j, c in enumerate(cols[n]):
-            nxt[j + 1] += Fraction(n + 2) * c
-        for j, c in enumerate(cols[n - 1]):
-            nxt[j] -= Fraction(n + 3) * c
-        cols.append([c / (n + 1) for c in nxt])
-    return cols
+def _over_common_denominator(coefficients) -> tuple[list[int], int]:
+    """Integers m_j and one d > 0 with coefficients[j] == m_j / d exactly
+    (floats are dyadic rationals, Fractions are exact)."""
+    coeffs = [Fraction(c) for c in coefficients]
+    if not coeffs:
+        raise ValueError("empty coefficient vector")
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _round_once(quotients, exact: bool):
+    """(numerator, denominator) pairs as Fractions, or as correctly rounded
+    floats: int / int true division rounds once (and raises OverflowError
+    past the double range, as float() of a Fraction does)."""
+    if exact:
+        return [Fraction(num, den) for num, den in quotients]
+    return np.array([num / den for num, den in quotients])
 
 
 def taylor_to_basis(coefficients, exact: bool = False):
-    """Basis coefficients of the polynomial sum_j alpha_j t^j.
+    """Basis coefficients a_n of the polynomial sum_j alpha_j t^j.
 
-    Triangular back-substitution; exact rationals through degree
-    EXACT_CONVERSION_DEGREE, float64 beyond (verified adequate for the
-    slowly growing inputs this package feeds it).  With exact=True the
-    rationals are returned as a Fraction list instead of being rounded.
+    a_n = sum_l alpha_{n+2l} (n+2l)! (n+2) / (l! (n+l+2)!), a sum with
+    positive weights, exact before its one rounding: the float result is
+    correctly rounded at every degree, and exact=True returns Fractions.
     """
-    coeffs = list(coefficients)
-    if not coeffs:
-        raise ValueError("empty coefficient vector")
-    degree = len(coeffs) - 1
-    if degree <= EXACT_CONVERSION_DEGREE:
-        cols = _monomial_columns(degree)
-        rem = [Fraction(c) for c in coeffs]
-        out = [Fraction(0)] * (degree + 1)
-        for n in range(degree, -1, -1):
-            out[n] = rem[n] / cols[n][n]
-            for j, c in enumerate(cols[n]):
-                rem[j] -= out[n] * c
-        if exact:
-            return out
-        return np.array([float(v) for v in out])
-    if exact:
-        raise ValueError(f"exact conversion capped at degree {EXACT_CONVERSION_DEGREE}")
-    cols = [[float(c) for c in col] for col in _monomial_columns(degree)]
-    rem = [float(c) for c in coeffs]
-    out = [0.0] * (degree + 1)
-    for n in range(degree, -1, -1):
-        out[n] = rem[n] / cols[n][n]
-        for j, c in enumerate(cols[n]):
-            rem[j] -= out[n] * c
-    return np.array(out)
+    nums, den = _over_common_denominator(coefficients)
+    degree = len(nums) - 1
+    fact = [math.factorial(j) for j in range(degree + 3)]
+    weighted = [m * fact[j] for j, m in enumerate(nums)]
+    quotients = []
+    for n in range(degree + 1):
+        top = (degree - n) // 2
+        # Horner over l on the denominator top! (n+top+2)!: the integer
+        # factor of alpha_{n+2l} is prod_{i=l+1}^{top} i (n+i+2).
+        acc = 0
+        for l in range(top + 1):
+            acc = acc * (l * (n + l + 2)) + weighted[n + 2 * l]
+        quotients.append(((n + 2) * acc, den * fact[top] * fact[n + top + 2]))
+    return _round_once(quotients, exact)
 
 
 def basis_to_taylor(coefficients, exact: bool = False):
-    """Monomial coefficients of sum_n a_n f_n (inverse of taylor_to_basis)."""
-    coeffs = list(coefficients)
-    if not coeffs:
-        raise ValueError("empty coefficient vector")
-    degree = len(coeffs) - 1
-    if degree <= EXACT_CONVERSION_DEGREE:
-        cols = _monomial_columns(degree)
-        out = [Fraction(0)] * (degree + 1)
-        for n, a in enumerate(coeffs):
-            fa = Fraction(a)
-            for j, c in enumerate(cols[n]):
-                out[j] += fa * c
-        if exact:
-            return out
-        return np.array([float(v) for v in out])
-    if exact:
-        raise ValueError(f"exact conversion capped at degree {EXACT_CONVERSION_DEGREE}")
-    cols = [[float(c) for c in col] for col in _monomial_columns(degree)]
-    out = np.zeros(degree + 1)
-    for n, a in enumerate(coeffs):
-        for j, c in enumerate(cols[n]):
-            out[j] += float(a) * c
-    return out
+    """Monomial coefficients b_j of sum_n a_n f_n (inverse of taylor_to_basis).
+
+    b_j = sum_k a_{j+2k} (-1)^k (j+k+1)! / (k! j!), integer weights, exact
+    before its one rounding like ``taylor_to_basis``.
+    """
+    nums, den = _over_common_denominator(coefficients)
+    degree = len(nums) - 1
+    quotients = []
+    for j in range(degree + 1):
+        acc = 0
+        weight = j + 1  # the k = 0 weight
+        for k in range((degree - j) // 2 + 1):
+            acc += weight * nums[j + 2 * k]
+            weight = -weight * (j + k + 2) // (k + 1)
+        quotients.append((acc, den))
+    return _round_once(quotients, exact)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
 e^L back out at the end, so a value is lost to underflow only where it
 lies below the smallest subnormal anyway: where the clip binds
 (N x^2/4 >= 1050), p_N < 1e-500 and every psi_k < 1e-249 for N <= 256.
+The unweighted ``normalized_hermite`` and ``christoffel_sum`` lack the
+factor exp(-N x^2/4) (squared in the sum) and pass the double range far
+sooner; they raise ValueError at the first point where a value does.
 """
 
 from __future__ import annotations
@@ -100,18 +103,37 @@ def _square_sum(rows):
     return total
 
 
+def _refuse_overflow(name: str, n: int, k_max: int, x: np.ndarray, finite) -> None:
+    """ValueError naming the first point of x (flat order) where ``finite``
+    is False."""
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ValueError(f"{name}(N={n}, k_max={k_max}) overflows the double range "
+                         f"at x = {float(x.flat[bad[0]])!r}")
+
+
+def _christoffel(n: int, k_max: int, x: np.ndarray) -> np.ndarray:
+    """sum_{k <= k_max} htilde_k(x)^2 with no overflow check: inf or nan
+    exactly where the true sum lies past the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _square_sum(_rows(n, k_max, x, _start(n, x)))
+
+
 def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
     """Values htilde_0(x) .. htilde_{k_max}(x), vectorized over x.
 
     Recurrence: htilde_{k+1} = x sqrt(n/(k+1)) htilde_k - sqrt(k/(k+1)) htilde_{k-1},
     htilde_0 = (2 pi / n)^(-1/4).  Orthonormal for the weight exp(-n x^2 / 2).
     Builds the whole (k_max + 1, points) frame; sums over k belong in
-    ``christoffel_sum``.
+    ``christoffel_sum``.  Raises ValueError at the first point where a value
+    overflows the double range (at N=256, k_max=255 from |x| ~ 2.66 on).
     """
     x = _points(n, k_max, x)
     out = np.empty((k_max + 1,) + x.shape)
-    for k, (_, row) in enumerate(_rows(n, k_max, x, _start(n, x))):
-        out[k] = row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (_, row) in enumerate(_rows(n, k_max, x, _start(n, x))):
+            out[k] = row
+    _refuse_overflow("normalized_hermite", n, k_max, x, np.isfinite(out).all(axis=0))
     return out
 
 
@@ -119,10 +141,14 @@ def christoffel_sum(n: int, k_max: int, x) -> np.ndarray:
     """sum_{k <= k_max} htilde_k(x)^2, vectorized over x in O(points) memory.
 
     Its reciprocal is the Gauss weight at a node of the (k_max + 1)-point
-    rule; times exp(-n x^2 / 2) / n at k_max = n - 1 it is p_N(x).
+    rule; times exp(-n x^2 / 2) / n at k_max = n - 1 it is p_N(x).  Raises
+    ValueError at the first point where the sum overflows the double range
+    (at N=256, k_max=255 from |x| ~ 2.656 on).
     """
     x = _points(n, k_max, x)
-    return _square_sum(_rows(n, k_max, x, _start(n, x)))
+    total = _christoffel(n, k_max, x)
+    _refuse_overflow("christoffel_sum", n, k_max, x, np.isfinite(total))
+    return total
 
 
 def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import christoffel_sum, _check_size
+from .hermite import christoffel_sum, _check_size, _christoffel
 from .tridiagonal import tridiagonal_eigenvalues
 
 
@@ -82,7 +82,9 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
     else:
         sub = [math.sqrt(k / n) for k in range(1, count)]
         nodes = np.array(tridiagonal_eigenvalues([0.0] * count, sub))
-    weights = 1.0 / christoffel_sum(n, count - 1, nodes)
+    # A Christoffel sum past the double range means a weight below it.
+    sums = _christoffel(n, count - 1, nodes)
+    weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)
     return QuadratureRule(nodes, weights, 2 * count - 1, "gaussian")
 
 

@@ -345,6 +345,20 @@ def suite_basis() -> list[CheckResult]:
     out.append(_check("exact conversion round trip, degree 30", ok_roundtrip,
                       "taylor -> basis -> taylor is the identity in rationals"))
 
+    # Values side of the same identity, with f_n from the recurrence rather
+    # than the closed-form conversion sums.
+    alpha = [Fraction(int(v), 7) for v in rng2.integers(-20, 21, size=25)]
+    a = gegenbauer.taylor_to_basis(alpha, exact=True)
+    ok_values = True
+    for t in (Fraction(1, 3), Fraction(-7, 4), Fraction(5, 2)):
+        f = [Fraction(1), 2 * t]
+        for n in range(1, 24):
+            f.append(((n + 2) * t * f[n] - (n + 3) * f[n - 1]) / (n + 1))
+        ok_values &= (sum(x * y for x, y in zip(a, f))
+                      == sum(c * t ** j for j, c in enumerate(alpha)))
+    out.append(_check("exact conversion vs recurrence, degree 24", ok_values,
+                      "sum a_n f_n(t) == sum alpha_j t^j in rationals at t = 1/3, -7/4, 5/2"))
+
     decay_ok = True
     worst_c = 0.0
     for sigma in (1.0 / 16.0, 1.0 / 8.0):

@@ -118,9 +118,56 @@ def test_exact_conversion_round_trip_rationals():
     assert back == poly
 
 
-def test_exact_flag_capped():
-    with pytest.raises(ValueError):
-        gegenbauer.taylor_to_basis([0.0] * 42, exact=True)
+def test_exact_conversion_any_degree():
+    for degree in (41, 80, 160):
+        poly = [Fraction(k - 3, k + 2) for k in range(degree + 1)]
+        a = gegenbauer.taylor_to_basis(poly, exact=True)
+        assert gegenbauer.basis_to_taylor(a, exact=True) == poly, degree
+
+
+def _conversion_inputs(degree):
+    """exp:a and cos:a Taylor data as the CLI builds them, and random data."""
+    rng = np.random.default_rng(degree)
+    for a in (1.5, 30.0):
+        yield [a ** k / math.factorial(k) for k in range(degree + 1)]
+        cos = [0.0] * (degree + 1)
+        for j in range(degree // 2 + 1):
+            cos[2 * j] = (-1) ** j * a ** (2 * j) / math.factorial(2 * j)
+        yield cos
+    yield rng.uniform(-1.0, 1.0, degree + 1)
+
+
+def test_float_conversion_is_the_rounded_exact_value():
+    """Each float coefficient is the exact one rounded once, bit for bit."""
+    for degree in range(161):
+        for data in _conversion_inputs(degree):
+            for convert in (gegenbauer.taylor_to_basis, gegenbauer.basis_to_taylor):
+                rounded = [float(v) for v in convert(data, exact=True)]
+                assert convert(data).tolist() == rounded, (degree, convert.__name__)
+
+
+def _exact_basis_values(order, t):
+    """f_0(t) .. f_order(t) in Fractions by the three-term recurrence."""
+    vals = [Fraction(1), 2 * t]
+    for n in range(1, order):
+        vals.append(((n + 2) * t * vals[n] - (n + 3) * vals[n - 1]) / (n + 1))
+    return vals[: order + 1]
+
+
+def test_exact_conversion_against_recurrence_values():
+    """sum_n a_n f_n(t) == sum_j alpha_j t^j exactly at rational t, with f_n
+    from the recurrence rather than the closed-form conversion sums."""
+    degree = 80
+    rng = np.random.default_rng(80)
+    alpha = [Fraction(int(p), int(q)) for p, q in
+             zip(rng.integers(-99, 100, degree + 1), rng.integers(1, 50, degree + 1))]
+    a = gegenbauer.taylor_to_basis(alpha, exact=True)
+    b = gegenbauer.basis_to_taylor(alpha, exact=True)
+    for t in (Fraction(0), Fraction(1, 3), Fraction(-7, 4), Fraction(5, 2), Fraction(-2)):
+        f = _exact_basis_values(degree, t)
+        powers = [t ** j for j in range(degree + 1)]
+        assert sum(x * y for x, y in zip(a, f)) == sum(x * y for x, y in zip(alpha, powers))
+        assert sum(x * y for x, y in zip(b, powers)) == sum(x * y for x, y in zip(alpha, f))
 
 
 def test_conversion_against_inner_product_route():

@@ -1,6 +1,7 @@
 """Tests for the weighted oscillator frame, kernel, and density."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -159,6 +160,25 @@ def test_streamed_sums_equal_frame_sums_bitwise(n, points):
     nodes = grid / 1.5  # where the unweighted sum stays finite at N=256
     h = hermite.normalized_hermite(n, n - 1, nodes)
     assert np.array_equal(hermite.christoffel_sum(n, n - 1, nodes), (h ** 2).sum(axis=0))
+
+
+def test_christoffel_sum_refuses_overflow():
+    # At N=256, k_max=255 the sum of htilde_k^2 passes the double range from
+    # |x| ~ 2.656 on; the first such point (flat order) is named.
+    assert np.all(np.isfinite(hermite.christoffel_sum(256, 255, np.array([0.0, 2.5, -2.6]))))
+    for x in (2.656, 3.0):
+        with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
+            hermite.christoffel_sum(256, 255, np.array([0.0, x, -x]))
+    with pytest.raises(ValueError, match=re.escape("x = -3.0")):
+        hermite.christoffel_sum(256, 255, np.array([[1.0, 2.0], [-3.0, 0.0]]))
+
+
+def test_normalized_hermite_refuses_overflow():
+    # The values themselves stay finite further out: htilde_255(3) ~ 1e169
+    assert np.all(np.isfinite(hermite.normalized_hermite(256, 255, np.array([3.0, -8.0]))))
+    for x in (10.0, 40.0):  # inf, and nan from inf - inf
+        with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
+            hermite.normalized_hermite(256, 255, np.array([0.0, x]))
 
 
 @pytest.mark.parametrize("func,points", [(hermite.density, 100_000),

@@ -153,3 +153,29 @@ def test_rule_argument_validation():
         quadrature.gaussian_rule(2, 0)
     with pytest.raises(ValueError):
         quadrature.density_polynomial_integral(2, lambda t: t, -1)
+
+
+def test_gaussian_rule_at_the_largest_size_keeps_its_weights():
+    """gaussian_rule(256, 300) is the frame-sum rule bit for bit, and
+    density_polynomial_integral(256, ...) gives the exact moments: the
+    overflow refusal of the public Christoffel sum does not reach them."""
+    rule = quadrature.gaussian_rule(256, 300)
+    h = hermite.normalized_hermite(256, 299, rule.nodes)
+    assert np.array_equal(rule.weights, 1.0 / (h ** 2).sum(axis=0))
+    assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / 256), rel=1e-13)
+    for p, want in [(0, 1.0), (2, 1.0), (4, 2.0 + 1.0 / 256 ** 2), (6, 5.0 + 10.0 / 256 ** 2)]:
+        got = quadrature.density_polynomial_integral(256, lambda t: t ** p, p)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_gaussian_rule_weights_below_the_double_range_are_zero():
+    # From 370 nodes on, the outermost Christoffel sums pass the double range
+    # (inf, or nan once inf - inf appears in the recurrence); the true weights
+    # there lie below it.
+    for count in (400, 1000):
+        rule = quadrature.gaussian_rule(256, count)
+        assert np.all(np.isfinite(rule.weights)) and np.any(rule.weights == 0.0)
+        assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / 256), rel=1e-13)
+    # degree 300 needs 406 nodes, some with zero weight
+    assert quadrature.density_polynomial_integral(256, lambda t: t ** 2, 300) == \
+        pytest.approx(1.0, rel=1e-13)
