@@ -428,7 +428,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, quadrature.QuadratureError,
+    except (ValueError, KeyError, OverflowError, OSError, quadrature.QuadratureError,
             ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

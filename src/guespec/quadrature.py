@@ -112,11 +112,22 @@ class LineIntegral:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+# Panels per integrand call: bounds the node arrays of one call at
+# 15 * _CHUNK_PANELS points whatever the width of a bisection level.
+_CHUNK_PANELS = 1024
 
-def _panel(f, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * (_GL_WEIGHTS * f(mid + half * _GL_NODES)).sum()
+
+def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """15-point Gauss-Legendre sums of f over the panels [lo[i], hi[i]]."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    sums = []
+    for start in range(0, len(lo), _CHUNK_PANELS):
+        m = mid[start:start + _CHUNK_PANELS]
+        h = half[start:start + _CHUNK_PANELS]
+        vals = np.reshape(f((m[:, None] + h[:, None] * _GL_NODES).ravel()), (len(m), -1))
+        sums.append(h * (_GL_WEIGHTS * vals).sum(axis=1))
+    return np.concatenate(sums)
 
 
 def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-10,
@@ -131,6 +142,14 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
     bisection with fixed 15-point Gauss-Legendre panels.  Returns the
     value, a conservative error estimate (sum of accepted panel defects
     plus the tail bound), the panel count, and the window.
+
+    f must act elementwise on 1-D arrays of any length.  The bisection
+    runs level by level: one call of f (more for very wide levels, in
+    chunks of bounded size) evaluates both halves of every pending
+    interval.  Accepted panels are summed in descending position, so the
+    result is that of a depth-first bisection and does not depend on how
+    a level was split into calls.  A level that would take the panel
+    count past panel_budget raises QuadratureError before it is evaluated.
     """
     if scale <= 0 or tol <= 0:
         raise ValueError("scale and tol must be positive")
@@ -151,25 +170,36 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
 
     # Seed with a modest uniform split so narrow features are not missed.
     seeds = np.linspace(a, b, 17)
-    stack = [(lo, hi, _panel(f, lo, hi), 0) for lo, hi in zip(seeds[:-1], seeds[1:])]
-    total = 0.0
-    defect = 0.0
+    lo, hi = seeds[:-1], seeds[1:]
+    whole = _panels(f, lo, hi)
+    accepted = []
     panels = 0
-    while stack:
-        lo, hi, whole, depth = stack.pop()
-        panels += 2
+    depth = 0
+    while len(lo):
+        panels += 2 * len(lo)
         if panels > panel_budget:
             raise QuadratureError(f"panel budget {panel_budget} exhausted")
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
-        err = abs(left + right - whole)
-        if err <= tol * (hi - lo) / (b - a) or depth >= max_depth:
-            total = total + left + right
-            defect += err
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
+        halves = _panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves[:len(lo)], halves[len(lo):]
+        diff = left + right - whole
+        # hypot is the scalar abs of a complex number; numpy's vectorised
+        # complex abs can differ from it in the last bit.
+        err = np.hypot(diff.real, diff.imag)
+        done = (err <= tol * (hi - lo) / (b - a)) | (depth >= max_depth)
+        accepted.append((lo[done], left[done], right[done], err[done]))
+        todo = ~done
+        lo, hi = (np.concatenate([lo[todo], mid[todo]]),
+                  np.concatenate([mid[todo], hi[todo]]))
+        whole = np.concatenate([left[todo], right[todo]])
+        depth += 1
+
+    starts, left, right, err = (np.concatenate(parts) for parts in zip(*accepted))
+    total = 0.0
+    defect = 0.0
+    for i in np.argsort(starts)[::-1]:
+        total = total + left[i] + right[i]
+        defect += err[i]
     value = complex(total)
     if value.imag == 0.0:
         value = value.real

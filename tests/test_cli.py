@@ -225,6 +225,14 @@ def test_numeric_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("function", ["gauss:50", "exp:1e200"])
+def test_taylor_data_past_the_double_range_is_numeric_error(capsys, function):
+    code, out, err = run(capsys, "resum", "--n", "8", "--terms", "3", "--function", function)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_gauss_compare_divergent_reference_is_error(capsys):
     code, _, err = run(capsys, "resum", "--n", "2", "--function", "gauss:1.6",
                        "--terms", "4", "--compare")

@@ -1,11 +1,12 @@
 """Quadrature tests: exactness degrees, frozen moments, adaptive integrator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from guespec import hermite, quadrature
+from guespec import cli, hermite, quadrature, verify
 
 CATALAN = [1, 1, 2, 5, 14]  # C_0..C_4
 
@@ -179,3 +180,163 @@ def test_gaussian_rule_weights_below_the_double_range_are_zero():
     # degree 300 needs 406 nodes, some with zero weight
     assert quadrature.density_polynomial_integral(256, lambda t: t ** 2, 300) == \
         pytest.approx(1.0, rel=1e-13)
+
+
+def stack_integrate_line(f, center=0.0, scale=1.0, tol=1e-10, max_doublings=24,
+                         max_depth=30, panel_budget=40000):
+    """Reference: the depth-first form of integrate_line, one 15-point
+    panel per integrand call, popping the rightmost pending interval."""
+    def panel(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        return half * (quadrature._GL_WEIGHTS * f(mid + half * quadrature._GL_NODES)).sum()
+
+    width = 4.0 * scale
+    for _ in range(max_doublings):
+        edges = np.array([center - width, center + width])
+        tail = float(np.max(np.abs(f(edges)))) * scale * scale / (2.0 * width)
+        if tail < tol / 4.0:
+            break
+        width *= 2.0
+    else:
+        raise quadrature.QuadratureError("window widening budget exhausted")
+    a, b = center - width, center + width
+    seeds = np.linspace(a, b, 17)
+    stack = [(lo, hi, panel(lo, hi), 0) for lo, hi in zip(seeds[:-1], seeds[1:])]
+    total = 0.0
+    defect = 0.0
+    panels = 0
+    while stack:
+        lo, hi, whole, depth = stack.pop()
+        panels += 2
+        if panels > panel_budget:
+            raise quadrature.QuadratureError(f"panel budget {panel_budget} exhausted")
+        mid = 0.5 * (lo + hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        err = abs(left + right - whole)
+        if err <= tol * (hi - lo) / (b - a) or depth >= max_depth:
+            total = total + left + right
+            defect += err
+        else:
+            stack.append((lo, mid, left, depth + 1))
+            stack.append((mid, hi, right, depth + 1))
+    value = complex(total)
+    if value.imag == 0.0:
+        value = value.real
+    return quadrature.LineIntegral(value, defect + tail, panels, (a, b))
+
+
+def captured_integral(monkeypatch, call):
+    """The (f, keyword arguments) that call passes to integrate_line."""
+    seen = []
+    real = quadrature.integrate_line
+
+    def spy(f, **kwargs):
+        seen.append((f, kwargs))
+        return real(f, **kwargs)
+    monkeypatch.setattr(quadrature, "integrate_line", spy)
+    call()
+    monkeypatch.undo()
+    (f, kwargs), = seen
+    return f, kwargs
+
+
+def gauss_reference(n, sig):
+    return lambda: cli.reference_integral(cli.parse_function_spec(f"gauss:{sig}"), n)
+
+
+def pair_transform(n, s, offset):
+    return lambda: verify.kernel_pair_transform(n, s, offset)
+
+
+def narrow_peak(t):
+    return np.exp(-(t - 3.0) ** 2 * 40.0)
+
+
+def direct(f, **kwargs):
+    def call():
+        quadrature.integrate_line(f, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("call", [
+    gauss_reference(4, 0.3),
+    gauss_reference(16, 0.05),
+    gauss_reference(16, 1.5),
+    pair_transform(5, 0.5, 0.0),
+    pair_transform(5, 2j, 0.0),
+    pair_transform(10, -1.0, 0.3),
+    pair_transform(10, 1.0 + 1.0j, 0.3),
+    pair_transform(64, 3.0, 0.0),
+    direct(narrow_peak, center=0.0, scale=2.0),
+    direct(narrow_peak, scale=2.0, max_depth=1),
+    direct(lambda t: np.exp(2j * t) * np.exp(-t * t / 2)),
+], ids=["gauss-4", "gauss-16", "gauss-16-wide", "pair-real", "pair-imag", "pair-offset",
+        "pair-offset-complex", "pair-64", "narrow", "narrow-shallow", "oscillating"])
+def test_integrate_line_is_bitwise_the_stack_algorithm(monkeypatch, call):
+    f, kwargs = captured_integral(monkeypatch, call)
+    got = quadrature.integrate_line(f, **kwargs)
+    want = stack_integrate_line(f, **kwargs)
+    assert type(got.value) is type(want.value)
+    assert repr(got.value) == repr(want.value)
+    assert repr(float(got.error_bound)) == repr(float(want.error_bound))
+    assert got.panels == want.panels
+    assert got.interval == want.interval
+
+
+def test_integrate_line_calls_the_integrand_once_per_level(monkeypatch):
+    f, kwargs = captured_integral(monkeypatch, gauss_reference(16, 1.5))
+    sizes = []
+
+    def counting(t):
+        sizes.append(t.size)
+        return f(t)
+    res = quadrature.integrate_line(counting, **kwargs)
+    # The window edges take 2 points per call; every other call is a
+    # whole bisection level (the 16 seed panels are level 0).
+    levels = [size for size in sizes if size != 2]
+    assert sum(levels) == 15 * (16 + res.panels)
+    assert len(sizes) <= 10 < 16 + res.panels
+
+
+@pytest.mark.parametrize("short", [0, 1, 2, 3])
+def test_integrate_line_refuses_where_the_stack_algorithm_does(short):
+    budget = quadrature.integrate_line(narrow_peak, scale=2.0).panels - short
+    outcomes = []
+    for integrate in (quadrature.integrate_line, stack_integrate_line):
+        try:
+            outcomes.append(integrate(narrow_peak, scale=2.0, panel_budget=budget).panels)
+        except quadrature.QuadratureError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (budget if short == 0 else f"panel budget {budget} exhausted")
+
+
+@pytest.mark.parametrize("budget", [10, 100, 1000])
+def test_integrate_line_evaluates_nothing_past_the_budget(budget):
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.exp(3.0 * t) * hermite.kernel_diag(256, t)
+    with pytest.raises(quadrature.QuadratureError, match=f"^panel budget {budget} exhausted$"):
+        quadrature.integrate_line(f, panel_budget=budget)
+    # Beyond the 2-point window edges: the 16 seed panels and whole levels
+    # that fit in the budget.
+    assert sum(size for size in sizes if size != 2) <= 15 * (16 + budget)
+
+
+def test_integrate_line_memory_is_bounded_by_its_chunks():
+    """A call that runs out of panels at the default budget of 40000
+    holds one chunk of node values at a time, not a whole level."""
+    def f(t):
+        return np.exp(3.0 * t) * hermite.kernel_diag(256, t)
+    tracemalloc.start()
+    try:
+        with pytest.raises(quadrature.QuadratureError, match="panel budget 40000 exhausted"):
+            quadrature.integrate_line(f, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
