@@ -112,6 +112,20 @@ def read_taylor_file(path: str) -> list[float]:
     return coeffs
 
 
+def _powers_over_factorials(a: float, degree: int) -> list[float]:
+    """a^k / k! for k = 0..degree, each correctly rounded: with a = p / q
+    exactly, p^k / (q^k k!) is one int / int true division of exact
+    integers (OverflowError past the double range)."""
+    p, q = a.as_integer_ratio()
+    num, den = 1, 1
+    out = [1.0]
+    for k in range(1, degree + 1):
+        num *= p
+        den *= q * k
+        out.append(num / den)
+    return out
+
+
 def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
                  tol: float) -> gegenbauer.BasisSeries:
     degree = max(DEFAULT_EXPANSION_DEGREE, 4 * terms + 20)
@@ -120,14 +134,13 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
         coeffs = [0.0] * power + [1.0]
         return gegenbauer.BasisSeries(gegenbauer.taylor_to_basis(coeffs))
     if spec.kind == "exp":
-        a = spec.parameter
-        taylor = [a ** k / math.factorial(k) for k in range(degree + 1)]
+        taylor = _powers_over_factorials(spec.parameter, degree)
         return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol)
     if spec.kind == "cos":
-        a = spec.parameter
+        powers = _powers_over_factorials(spec.parameter, degree)
         taylor = [0.0] * (degree + 1)
         for j in range(degree // 2 + 1):
-            taylor[2 * j] = (-1) ** j * a ** (2 * j) / math.factorial(2 * j)
+            taylor[2 * j] = (-1) ** j * powers[2 * j]
         return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol)
     if spec.kind == "gauss":
         sig = spec.parameter
@@ -136,8 +149,7 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
         # certificate is huge no matter how accurate the coefficients are.
         degree = max(degree, 2 * (math.ceil(36.0 * math.e * sig) + 10))
         taylor = [0.0] * (degree + 1)
-        for j in range(degree // 2 + 1):
-            taylor[2 * j] = sig ** j / math.factorial(j)
+        taylor[::2] = _powers_over_factorials(sig, degree // 2)
         return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sig), tol)
     coeffs = read_taylor_file(spec.path)
     return gegenbauer.expand_entire(

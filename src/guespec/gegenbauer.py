@@ -42,6 +42,9 @@ GROWTH_SLACK = 1e8
 
 _GROWTH_FLOOR = 10  # indices below this are absorbed into the constant
 
+#: Largest n whose band envelope 3^n is a finite double.
+_BAND_DEGREE_CAP = 646
+
 
 def basis_values(order: int, t) -> np.ndarray:
     """f_0(t) .. f_order(t); t may be real or complex, scalar or array."""
@@ -243,6 +246,9 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
         raise ValueError("tol must be positive")
     sigma = series.type_hint
     alpha = series.coefficients
+    if len(alpha) - 1 > _BAND_DEGREE_CAP:
+        raise ValueError(f"Taylor degree {len(alpha) - 1} exceeds {_BAND_DEGREE_CAP}, past which "
+                         "the band envelope 3^n of the tail certificate overflows")
     if sigma > 0:
         for n in range(_GROWTH_FLOOR, len(alpha)):
             a = abs(alpha[n])

@@ -10,6 +10,9 @@ Everything here acts on coefficient vectors in the f_n basis of
   (t^2 - 4) u' + 3 t u = g - <g>, where <g> is the semicircle average
   of g (the sum of its even coefficients).
 
+Each acts along axis 0, so applied to a matrix it acts on every column,
+bit for bit as on that column alone.
+
 Composing, the correction operator T = D^3 o H o D converts moments of
 the finite-N eigenvalue density into semicircle data: for polynomial
 (or entire, rapidly expanded) f,
@@ -43,22 +46,29 @@ from .gegenbauer import (
 DEGREE_LOSS_PER_CORRECTION = 4
 
 
+def _per_row(values, ndim: int) -> np.ndarray:
+    """``values`` shaped to scale the rows (axis 0) of an ndim-dimensional array."""
+    return np.reshape(values, (-1,) + (1,) * (ndim - 1))
+
+
 def differentiate(coefficients) -> np.ndarray:
     """Coefficients of g' given those of g: (Dg)_n = (n+2) sum of a_m, m > n, m - n odd."""
     a = np.asarray(coefficients, dtype=float)
+    # tail[m] = a_m + a_{m+2} + ..., added from the top down (cumsum adds in
+    # order); + 0.0 turns an all -0.0 sum into 0.0, as a zero-started
+    # accumulator would.
+    tail = np.empty_like(a)
+    for parity in (0, 1):
+        tail[parity::2] = np.cumsum(a[parity::2][::-1], axis=0)[::-1]
     out = np.zeros_like(a)
-    # One top-down pass with two parity accumulators instead of O(M^2) sums.
-    suffix = [0.0, 0.0]
-    for n in range(len(a) - 1, -1, -1):
-        out[n] = (n + 2) * suffix[(n + 1) % 2]
-        suffix[n % 2] += a[n]
+    out[:-1] = _per_row(np.arange(2.0, len(a) + 1.0), a.ndim) * (tail[1:] + 0.0)
     return out
 
 
 def eigenvalue_inverse(coefficients) -> np.ndarray:
     """Divide each coefficient by its eigenvalue (n+1)(n+3)."""
     a = np.asarray(coefficients, dtype=float)
-    n = np.arange(len(a), dtype=float)
+    n = _per_row(np.arange(len(a), dtype=float), a.ndim)
     return a / ((n + 1.0) * (n + 3.0))
 
 
@@ -204,12 +214,12 @@ def norm_probe(params: NormParams, truncation: int = 100) -> tuple[float, int]:
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    # Column n of T applied to the identity is the image of f_n.
+    images = correction(np.eye(truncation + 1))
     best = -math.inf
     arg = -1
     for n in range(truncation + 1):
-        unit = np.zeros(truncation + 1)
-        unit[n] = 1.0
-        image = correction(unit)
+        image = images[:, n]
         if not image.any():
             continue
         log_image = max(

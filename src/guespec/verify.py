@@ -100,7 +100,7 @@ def suite_ode() -> list[CheckResult]:
     worst_n = 0
     for n in range(1, 17):
         p0, p1, _, p3 = hermite.density_derivatives(n, grid)
-        res = p3 / (n * n) + (4.0 - grid * grid) * p1 + grid * p0
+        res = hermite.ode_residual(n, grid)
         scale = np.maximum(np.abs(p0), np.maximum(np.abs(p1), np.abs(p3) / (n * n)))
         scaled = float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
         if scaled > worst:
@@ -157,7 +157,10 @@ def suite_laplace() -> list[CheckResult]:
             for offset in (0.0, 0.3, 1.0):
                 closed = laplace.kernel_laplace(n, s, offset)
                 direct = kernel_pair_transform(n, s, offset)
-                err = abs(closed - direct) / max(1.0, abs(closed))
+                diff = abs(closed - direct)
+                # two grid points are exact zeros of the closed form; there
+                # the absolute deviation is the only meaningful measure
+                err = diff / abs(closed) if closed != 0 else diff
                 if err > worst:
                     worst, worst_at = err, (n, s, offset)
     out.append(_check("kernel transform closed form vs quadrature", worst < 1e-8,
@@ -209,7 +212,7 @@ def suite_moments() -> list[CheckResult]:
         mono = [0.0] * p + [1.0]
         a = gegenbauer.taylor_to_basis(mono)
         cutoff = math.ceil(p / 4)
-        alphas = operators.correction_functionals(a, cutoff + 2)
+        alphas = operators.correction_functionals(a, cutoff + 3)
         finite_ok &= all(v == 0.0 for v in alphas[cutoff + 1:])
         for n in (2, 4, 8):
             series_val = float(operators.resum_partial_sums(alphas, n)[-1])
@@ -222,8 +225,8 @@ def suite_moments() -> list[CheckResult]:
 
     worst4 = 0.0
     a4 = gegenbauer.taylor_to_basis([0.0, 0.0, 0.0, 0.0, 1.0])
-    for n in (2, 3, 4, 8, 16):
-        alphas = operators.correction_functionals(a4, 1)
+    alphas = operators.correction_functionals(a4, 1)
+    for n in (2, 3, 4, 8, 16, 32):
         val = float(operators.resum_partial_sums(alphas, n)[-1])
         worst4 = max(worst4, abs(val - (2.0 + 1.0 / n ** 2)))
     out.append(_check("fourth moment equals 2 + 1/N^2", worst4 < 1e-10,
@@ -235,8 +238,8 @@ def suite_moments() -> list[CheckResult]:
 
 def suite_operators() -> list[CheckResult]:
     out = []
-    rng = np.random.default_rng(20260814)
-    samples = np.linspace(-3.0, 3.0, 20)
+    rng = np.random.default_rng(20260815)
+    samples = np.linspace(-3.0, 3.0, 25)
 
     worst = 0.0
     for _ in range(10):
@@ -303,7 +306,7 @@ def suite_basis() -> list[CheckResult]:
                       f"max off-diagonal = {worst_off:.3e} (tol 1e-9), "
                       f"max diagonal rel err = {worst_diag:.3e} (tol 1e-10)"))
 
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(11)
     t = rng.uniform(-2.0, 2.0, size=50)
     f, df, _ = gegenbauer.basis_with_derivatives(31, t)
     worst_ladder = 0.0
@@ -523,11 +526,11 @@ def suite_sampling(count: int = 20000) -> list[CheckResult]:
 def suite_probe() -> list[CheckResult]:
     out = []
     params = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
-    values = {tr: operators.norm_probe(params, tr)[0] for tr in (50, 100, 200)}
-    spread = (max(values.values()) - min(values.values())) / min(values.values())
-    out.append(_check("correction amplification stable across truncations", spread <= 0.10,
-                      f"probe values {values[50]:.6f} / {values[100]:.6f} / {values[200]:.6f}, "
-                      f"spread {spread:.2%} (allowed 10%)"))
+    values = [operators.norm_probe(params, tr)[0] for tr in (50, 100, 200)]
+    out.append(_check("correction amplification stable across truncations",
+                      values[0] == values[1] == values[2],
+                      f"probe values {values[0]!r} / {values[1]!r} / {values[2]!r} "
+                      "at truncations 50/100/200 (must be equal)"))
 
     strong = operators.norm_probe(gegenbauer.NormParams(rate=1.0, index_scale=10.0), 100)[0]
     out.append(_check("probe finite at the stronger weight", math.isfinite(strong),

@@ -1,19 +1,26 @@
-"""End-to-end acceptance checks, one test per criterion.
+"""End-to-end acceptance checks.
 
-Each test prints exactly one summary line (visible with ``pytest -s`` or on
-failure) carrying the measured figures and the elapsed time, then asserts
-the stated tolerance and the runtime budget.  These are the checks that
-decide whether the package as a whole does what it promises; the per-module
-test files cover the same ground at finer grain.
+``test_verify_suite`` runs every suite of ``guespec verify`` through
+``verify.run_suites``, the call the command makes, at the command's own
+counts, so the command and the test suite share one implementation of each
+cross-check: density mass and ODE residual, the kernel transform against
+quadrature, the terminating monomial expansions, the operator and basis
+identities, the Stirling table, Monte Carlo concordance at 20000 spectra
+and the norm probe.  The three criteria below check what no verify suite
+checks at the same strength (entire-function convergence, the inverse-power
+decay slope in 50-digit arithmetic, concordance at 1e5 spectra).
+
+Each test prints its measured figures (visible with ``pytest -s`` or on
+failure), then asserts the stated tolerance and the runtime budget.
 """
 
 import math
 import time
 import warnings
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from guespec import (
     gegenbauer,
@@ -26,85 +33,31 @@ from guespec import (
 )
 
 
+#: Runtime budget of one verify suite, the smallest budget of the criteria
+#: the suites replaced.  ``sampling`` replaces no criterion and has none.
+SUITE_BUDGET_S = 5.0
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_verify_suite(name):
+    t0 = time.perf_counter()
+    results = verify.run_suites([name])
+    elapsed = time.perf_counter() - t0
+    for _, res in results:
+        print(f"[verify {name}] {res.name}: {'PASS' if res.passed else 'FAIL'} ({res.detail})")
+    failures = [f"{res.name}: {res.detail}" for _, res in results if not res.passed]
+    assert not failures, f"verify suite {name} failed: " + "; ".join(failures)
+    if name != "sampling":
+        assert elapsed < SUITE_BUDGET_S, \
+            f"verify suite {name} took {elapsed:.1f}s of {SUITE_BUDGET_S:.0f}s budget"
+
+
 def _line(num: int, label: str, ok: bool, detail: str, elapsed: float, budget: float):
     status = "PASS" if ok else "FAIL"
     msg = f"[criterion {num}] {label}: {status} ({detail}; {elapsed:.1f}s of {budget:.0f}s budget)"
     print(msg)
     assert ok, msg
     assert elapsed < budget, msg
-
-
-def test_criterion_1_density_mass_and_ode():
-    t0 = time.perf_counter()
-    worst_mass = 0.0
-    for n in range(1, 33):
-        rule = quadrature.gaussian_rule(n, n)
-        mass = float((rule.weights * hermite.christoffel_sum(n, n - 1, rule.nodes)).sum()) / n
-        worst_mass = max(worst_mass, abs(mass - 1.0))
-
-    grid = np.linspace(-4.0, 4.0, 401)
-    worst_ode = 0.0
-    for n in range(1, 17):
-        p0, p1, _, p3 = hermite.density_derivatives(n, grid)
-        res = p3 / (n * n) + (4.0 - grid * grid) * p1 + grid * p0
-        scale = np.maximum(np.abs(p0), np.maximum(np.abs(p1), np.abs(p3) / (n * n)))
-        worst_ode = max(worst_ode, float(np.max(np.abs(res) / np.maximum(scale, 1e-300))))
-
-    elapsed = time.perf_counter() - t0
-    ok = worst_mass < 1e-10 and worst_ode < 1e-7
-    _line(1, "density mass and differential identity", ok,
-          f"max |mass-1| = {worst_mass:.2e} over N=1..32 (tol 1e-10), "
-          f"max scaled residual = {worst_ode:.2e} over N<=16 on 401-pt [-4,4] (tol 1e-7)",
-          elapsed, 10.0)
-
-
-def test_criterion_2_kernel_transform_closed_form():
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_at = None
-    for n in (1, 2, 5, 10):
-        for s in (0.0, 0.5, -0.5, 1.0, 2j):
-            for offset in (0.0, 0.3, 1.0):
-                closed = laplace.kernel_laplace(n, s, offset)
-                direct = verify.kernel_pair_transform(n, s, offset)
-                diff = abs(closed - direct)
-                # two grid points are exact zeros of the closed form; there
-                # the absolute deviation is the only meaningful measure
-                err = diff / abs(closed) if closed != 0 else diff
-                if err > worst:
-                    worst, worst_at = err, (n, s, offset)
-    elapsed = time.perf_counter() - t0
-    _line(2, "closed-form shifted-kernel transform vs quadrature", worst < 1e-8,
-          f"max rel err = {worst:.2e} at (N,s,c) = {worst_at} over 60-point grid (tol 1e-8)",
-          elapsed, 30.0)
-
-
-def test_criterion_3_monomial_expansion_terminates():
-    t0 = time.perf_counter()
-    finite_ok = True
-    worst_match = 0.0
-    for p in range(13):
-        a = gegenbauer.taylor_to_basis([0.0] * p + [1.0])
-        cutoff = math.ceil(p / 4)
-        alphas = operators.correction_functionals(a, cutoff + 3)
-        finite_ok &= all(v == 0.0 for v in alphas[cutoff + 1:])
-        for n in (2, 4, 8):
-            series_val = float(operators.resum_partial_sums(alphas, n)[-1])
-            quad_val = quadrature.density_polynomial_integral(n, lambda t: t ** p, p)
-            worst_match = max(worst_match, abs(series_val - quad_val) / max(1.0, abs(quad_val)))
-
-    a4 = gegenbauer.taylor_to_basis([0.0, 0.0, 0.0, 0.0, 1.0])
-    alphas4 = operators.correction_functionals(a4, 1)
-    worst4 = max(abs(float(operators.resum_partial_sums(alphas4, n)[-1]) - (2.0 + 1.0 / n ** 2))
-                 for n in (2, 3, 4, 8, 16, 32))
-
-    elapsed = time.perf_counter() - t0
-    ok = finite_ok and worst_match < 1e-9 and worst4 < 1e-10
-    _line(3, "monomial corrections terminate and match quadrature", ok,
-          f"exact zeros past ceil(p/4) for p<=12: {finite_ok}, "
-          f"max rel gap vs quadrature = {worst_match:.2e} (tol 1e-9), "
-          f"max |m4 - (2+1/N^2)| = {worst4:.2e} (tol 1e-10)",
-          elapsed, 5.0)
 
 
 def test_criterion_4_entire_function_convergence():
@@ -216,92 +169,6 @@ def test_criterion_5_inverse_power_series_decay():
           elapsed, 5.0)
 
 
-def test_criterion_6_operator_identities():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(20260815)
-    samples = np.linspace(-3.0, 3.0, 25)
-
-    worst_solve = 0.0
-    for _ in range(10):
-        poly = rng.uniform(-1.0, 1.0, size=13)
-        a = gegenbauer.taylor_to_basis(poly)
-        worst_solve = max(worst_solve,
-                          float(np.max(np.abs(operators.first_order_residual(a, samples)))))
-
-    t = np.linspace(-2.0, 2.0, 41)
-    worst_eig = 0.0
-    for order in range(41):
-        eigenvalue = (order + 2) ** 2 - 4
-        peak = float(np.max(np.abs(gegenbauer.basis_values(order, t)[order])))
-        scale = max(1.0, abs(eigenvalue) * peak)
-        worst_eig = max(worst_eig, operators.eigen_check(order, t) / scale)
-
-    worst_step = 0.0
-    for _ in range(10):
-        poly = rng.uniform(-1.0, 1.0, size=11)
-        a = gegenbauer.taylor_to_basis(poly)
-        t_poly = gegenbauer.basis_to_taylor(operators.correction(a))
-        for n in (3, 6):
-            lhs = quadrature.density_polynomial_integral(
-                n, lambda x: np.polynomial.polynomial.polyval(x, poly), 10)
-            rhs = gegenbauer.semicircle_functional(a) + quadrature.density_polynomial_integral(
-                n, lambda x: np.polynomial.polynomial.polyval(x, t_poly), 10) / n ** 2
-            worst_step = max(worst_step, abs(lhs - rhs) / max(1.0, abs(lhs)))
-
-    elapsed = time.perf_counter() - t0
-    ok = worst_solve < 1e-9 and worst_eig < 1e-9 and worst_step < 1e-8
-    _line(6, "operator identity suite", ok,
-          f"first-order solve residual = {worst_solve:.2e} on degree-12 inputs (tol 1e-9), "
-          f"eigen-relation residual = {worst_eig:.2e} for n<=40 (tol 1e-9), "
-          f"one-step identity gap = {worst_step:.2e} at N in {{3,6}} (tol 1e-8)",
-          elapsed, 10.0)
-
-
-def test_criterion_7_basis_and_translation_identities():
-    t0 = time.perf_counter()
-    worst_orth = 0.0
-    for n in range(31):
-        for m in range(n, 31):
-            val = gegenbauer.normalization_check(n, m)
-            expected = 2.0 * math.pi * (n + 1) * (n + 3) if n == m else 0.0
-            scale = 2.0 * math.pi * math.sqrt((n + 1) * (n + 3) * (m + 1) * (m + 3))
-            worst_orth = max(worst_orth, abs(val - expected) / scale)
-
-    rng = np.random.default_rng(11)
-    t = rng.uniform(-2.0, 2.0, size=50)
-    f, df, _ = gegenbauer.basis_with_derivatives(31, t)
-    worst_ladder = 0.0
-    for n in range(1, 31):
-        res = df[n + 1] - df[n - 1] - (n + 2) * f[n]
-        worst_ladder = max(worst_ladder,
-                           float(np.max(np.abs(res) / np.maximum(1.0, np.abs((n + 2) * f[n])))))
-
-    grid = np.linspace(-2.0, 2.0, 37)
-    worst_cheb = 0.0
-    for order in range(31):
-        res = gegenbauer.chebyshev_link_residual(order, grid)
-        scale = max(1.0, float(np.max(np.abs(gegenbauer.basis_values(order, grid)[order])))
-                    * (order + 2) / 2)
-        worst_cheb = max(worst_cheb, float(np.max(np.abs(res))) / scale)
-
-    n_h = 3
-    x = Fraction(2, 7)
-    shift = Fraction(-3, 5)
-    direct = hermite.hermite_values(n_h, 15, x + shift)
-    translation_exact = all(
-        hermite.hermite_translate(n_h, order, shift, x) == direct[order]
-        for order in range(16))
-
-    elapsed = time.perf_counter() - t0
-    ok = worst_orth < 1e-9 and worst_ladder < 1e-10 and worst_cheb < 1e-10 and translation_exact
-    _line(7, "basis orthogonality, ladders, exact translation", ok,
-          f"orthogonality deviation = {worst_orth:.2e} for n,m<=30 (tol 1e-9), "
-          f"ladder residual = {worst_ladder:.2e} (tol 1e-10), "
-          f"Chebyshev link residual = {worst_cheb:.2e} (tol 1e-10), "
-          f"rational translation exact through order 15: {translation_exact}",
-          elapsed, 10.0)
-
-
 def test_criterion_8_monte_carlo_concordance():
     t0 = time.perf_counter()
     n, count = 8, 100_000
@@ -344,15 +211,3 @@ def test_criterion_8_monte_carlo_concordance():
           f"|z| of m2 = {z2:.2f}, m4 = {z4:.2f} (tol 3), "
           f"edge tail {'; '.join(edge_detail)}",
           elapsed, 180.0)
-
-
-def test_criterion_9_norm_probe_stability():
-    t0 = time.perf_counter()
-    params = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
-    values = [operators.norm_probe(params, truncation)[0] for truncation in (50, 100, 200)]
-    spread = (max(values) - min(values)) / min(values)
-    elapsed = time.perf_counter() - t0
-    _line(9, "operator norm probe stable under truncation", spread <= 0.10,
-          f"probe values {values[0]:.6f} / {values[1]:.6f} / {values[2]:.6f} "
-          f"at truncations 50/100/200, spread = {spread:.2%} (tol 10%)",
-          elapsed, 5.0)

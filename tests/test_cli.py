@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from guespec import montecarlo
+from guespec import cli, montecarlo
 from guespec.cli import main
 
 
@@ -231,6 +232,22 @@ def test_taylor_data_past_the_double_range_is_numeric_error(capsys, function):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+# 40 terms run past the trusted depth of the trimmed exp/cos series
+@pytest.mark.filterwarnings("ignore:truncated series")
+@pytest.mark.parametrize("function,terms", [("gauss:2", "3"), ("exp:1", "40"), ("cos:1", "40")])
+def test_taylor_data_past_170_factorial(capsys, function, terms):
+    code, out, _ = run(capsys, "resum", "--n", "8", "--terms", terms, "--function", function)
+    assert code == 0
+    assert json.loads(out)["function"] == function
+
+
+@pytest.mark.parametrize("a", [1.0, -2.5, 0.1, 2.0, 30.0])
+def test_taylor_terms_are_correctly_rounded(a):
+    got = cli._powers_over_factorials(a, 200)
+    want = [float(Fraction(a) ** k / math.factorial(k)) for k in range(201)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_gauss_compare_divergent_reference_is_error(capsys):

@@ -240,6 +240,15 @@ def test_expand_entire_growth_rejection_names_index():
         gegenbauer.expand_entire(bad)
 
 
+def test_expand_entire_degree_cap():
+    # the band envelope 3^n of the trim loop is finite up to n = 646 only;
+    # past it the input is refused before the conversion runs
+    at_cap = gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0] + [0.0] * 646, 0.0))
+    assert at_cap.coefficients.tolist() == [1.0]
+    with pytest.raises(ValueError, match="degree 647 exceeds 646"):
+        gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0] + [0.0] * 647, 0.0))
+
+
 def test_expand_entire_model_tail_certificate():
     sigma = 0.125
     taylor = [0.0] * 61

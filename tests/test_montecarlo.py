@@ -1,8 +1,9 @@
 """Sampler tests: reproducibility, file formats, and statistical sanity.
 
-The heavy statistical checks (histogram vs exact density at 1e5 spectra)
-live in the verify suite and the acceptance tests; here the counts are kept
-small enough for quick iteration.
+The heavy statistical checks live in the verify ``sampling`` suite (20000
+spectra, run by ``test_acceptance::test_verify_suite``) and in acceptance
+criterion 8 (1e5 spectra); here the counts are kept small enough for quick
+iteration.
 """
 
 import math
