@@ -6,9 +6,10 @@ counts, so the command and the test suite share one implementation of each
 cross-check: density mass and ODE residual, the kernel transform against
 quadrature, the terminating monomial expansions, the operator and basis
 identities, the Stirling table, Monte Carlo concordance at 20000 spectra
-and the norm probe.  The three criteria below check what no verify suite
+and the norm probe.  Criteria 4, 5 and 8 below check what no verify suite
 checks at the same strength (entire-function convergence, the inverse-power
-decay slope in 50-digit arithmetic, concordance at 1e5 spectra).
+decay slope in 50-digit arithmetic, concordance at 1e5 spectra); criterion 9
+keeps the norm probe's 10% truncation-spread bound under its own name.
 
 Each test prints its measured figures (visible with ``pytest -s`` or on
 failure), then asserts the stated tolerance and the runtime budget.
@@ -166,6 +167,18 @@ def test_criterion_5_inverse_power_series_decay():
           f"log-log slope = {slope:.3f} over N in {sizes} (tol <= -6.5), "
           f"max odd coefficient = {worst_odd:.2e} relative (tol 1e-12), "
           f"50-digit mirror gap = {mirror_gap:.2e}",
+          elapsed, 5.0)
+
+
+def test_criterion_9_norm_probe_stability():
+    t0 = time.perf_counter()
+    params = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
+    values = [operators.norm_probe(params, truncation)[0] for truncation in (50, 100, 200)]
+    spread = (max(values) - min(values)) / min(values)
+    elapsed = time.perf_counter() - t0
+    _line(9, "operator norm probe stable under truncation", spread <= 0.10,
+          f"probe values {values[0]:.6f} / {values[1]:.6f} / {values[2]:.6f} "
+          f"at truncations 50/100/200, spread = {spread:.2%} (tol 10%)",
           elapsed, 5.0)
 
 

@@ -157,6 +157,12 @@ def test_norm_probe_frozen_values():
     assert arg2 == 6
 
 
+def test_norm_probe_stable_under_truncation():
+    params = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
+    vals = [operators.norm_probe(params, truncation=k)[0] for k in (50, 100, 200)]
+    assert vals[0] == vals[1] == vals[2]
+
+
 def test_depth_validation():
     with pytest.raises(ValueError):
         operators.correction_functionals(np.ones(5), -1)
