@@ -218,7 +218,7 @@ def cmd_laplace(args) -> int:
         direct = verify.kernel_pair_transform(args.n, s, args.lambda_minus)
         if args.density:
             direct = direct / args.n
-        rel = abs(value - direct) / max(1.0, abs(value))
+        rel = abs(value - direct) / (abs(direct) or 1.0)
         payload["quadrature"] = _json_number(direct)
         payload["rel_err"] = rel
     if args.format == "json":

@@ -36,6 +36,9 @@ from .tridiagonal import ConvergenceError, tridiagonal_eigenvalues
 
 _MAGIC = b"GUE1"
 _HEADER = struct.Struct("<4sIQQ")
+# Gaussians drawn per chunk of rows; a row of GUE(n) takes n * n of them,
+# so this also bounds the dense matrix stack handed to the eigensolver.
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,28 +71,29 @@ def _row_gaussians(seed: int, row: int, needed: int) -> np.ndarray:
     return z[:needed]
 
 
-def _sample_row(n: int, seed: int, row: int) -> list[float]:
-    g = _row_gaussians(seed, row, n * n)
-    diag = g[:n]
-    sub = []
-    pos = n
-    for i in range(1, n):
-        dof = 2 * (n - i)
-        sub.append(math.sqrt(float((g[pos:pos + dof] ** 2).sum()) / 2.0))
-        pos += dof
-    try:
-        eigs = tridiagonal_eigenvalues(diag, sub)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"sample row {row}: {exc}") from exc
-    scale = math.sqrt(n)
-    return [v / scale for v in eigs]
+def _chunk_gaussians(seed: int, rows: range, needed: int) -> np.ndarray:
+    """``_row_gaussians(seed, row, needed)`` for each row of ``rows``,
+    stacked: one Philox stream per row, Box-Muller over the whole chunk."""
+    pairs = (needed + 1) // 2
+    u1 = np.empty((len(rows), pairs))
+    u2 = np.empty((len(rows), pairs))
+    for i, row in enumerate(rows):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
+        rng.random(out=u1[i])
+        rng.random(out=u2[i])
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.empty((len(rows), 2 * pairs))
+    z[:, 0::2] = r * np.cos(2.0 * math.pi * u2)
+    z[:, 1::2] = r * np.sin(2.0 * math.pi * u2)
+    return z[:, :needed]
 
 
 def sample_spectra(n: int, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` independent ordered GUE(n) spectra.
 
     Row i depends only on (n, seed, i), so a batch is a prefix of every
-    larger batch drawn with the same seed.
+    larger batch drawn with the same seed.  Rows are drawn in chunks of at
+    most ``_CHUNK_CELLS`` Gaussians, one eigensolver call per chunk.
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -98,8 +102,21 @@ def sample_spectra(n: int, count: int, seed: int) -> SampleBatch:
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
     out = np.empty((count, n))
-    for row in range(count):
-        out[row] = _sample_row(n, seed, row)
+    # Subdiagonal entry i sums the squares of its 2(n - i) Gaussians.
+    starts = np.concatenate(([0], np.cumsum(2 * np.arange(n - 1, 1, -1))))
+    step = max(1, _CHUNK_CELLS // (n * n))
+    for start in range(0, count, step):
+        rows = range(start, min(count, start + step))
+        g = _chunk_gaussians(seed, rows, n * n)
+        if n > 1:
+            sub = np.sqrt(np.add.reduceat(g[:, n:] ** 2, starts, axis=1) / 2.0)
+        else:
+            sub = np.empty((len(rows), 0))
+        try:
+            eigs = tridiagonal_eigenvalues(g[:, :n], sub)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"sample rows {rows.start}-{rows.stop - 1}: {exc}") from exc
+        out[rows.start:rows.stop] = eigs / math.sqrt(n)
     return SampleBatch(n=n, count=count, seed=seed, eigenvalues=out)
 
 

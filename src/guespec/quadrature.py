@@ -5,8 +5,8 @@ Three integration needs show up repeatedly:
 * polynomial integrals against sqrt(4 - t^2) on [-2, 2]  (closed-form
   Chebyshev rule, exact to the stated degree);
 * polynomial integrals against exp(-N t^2 / 2) on the line (Gauss rule
-  built by eigen-decomposition of the Jacobi matrix, using the in-house
-  tridiagonal solver);
+  whose nodes are the eigenvalues of the Jacobi matrix, from the package's
+  LAPACK tridiagonal solver);
 * general rapidly decaying integrands on the line (adaptive panels).
 """
 
@@ -70,18 +70,14 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
 
     Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
     with off-diagonal entries sqrt(k/n) (Golub-Welsch structure, solved by
-    the in-house QL iteration); the weight at node t_j is the reciprocal
-    Christoffel sum 1 / sum_{k<count} htilde_k(t_j)^2.  Exact for
-    polynomials of degree 2*count - 1.
+    LAPACK through ``tridiagonal_eigenvalues``); the weight at node t_j is
+    the reciprocal Christoffel sum 1 / sum_{k<count} htilde_k(t_j)^2.
+    Exact for polynomials of degree 2*count - 1.
     """
     _check_size(n)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count == 1:
-        nodes = np.array([0.0])
-    else:
-        sub = [math.sqrt(k / n) for k in range(1, count)]
-        nodes = np.array(tridiagonal_eigenvalues([0.0] * count, sub))
+    nodes = tridiagonal_eigenvalues(np.zeros(count), np.sqrt(np.arange(1, count) / n))
     # A Christoffel sum past the double range means a weight below it.
     sums = _christoffel(n, count - 1, nodes)
     weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)

@@ -1,89 +1,41 @@
-"""Symmetric tridiagonal eigenvalues by the implicit-shift QL iteration.
+"""Eigenvalues of real symmetric tridiagonal matrices, one or a stack.
 
-Self-contained scalar implementation (no LAPACK) so that the Monte Carlo
-sampler and the Gaussian quadrature rule rest on an independently testable
-solver.  Eigenvalues only; accuracy is a small multiple of machine epsilon
-times the matrix norm.
+The one eigensolver path of the package: the Monte Carlo sampler and the
+Golub-Welsch Gauss rule both lay their matrices out dense and hand the
+whole stack to LAPACK through ``np.linalg.eigvalsh`` in a single call.
 """
 
 from __future__ import annotations
 
-import math
-
-_EPS = 2.220446049250313e-16
+import numpy as np
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the QL sweep budget for some eigenvalue is exhausted."""
+    """Raised when LAPACK fails to converge on a stack of matrices."""
 
 
-def tridiagonal_eigenvalues(diag, sub, max_sweeps: int = 50) -> list[float]:
-    """Sorted eigenvalues of the symmetric tridiagonal matrix (diag, sub).
+def tridiagonal_eigenvalues(diag, sub) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrices (diag, sub).
 
-    Parameters
-    ----------
-    diag : sequence of float, length n
-    sub : sequence of float, length n - 1
-    max_sweeps : QL sweep budget per eigenvalue; exceeding it raises
-        ConvergenceError naming the failing index.
+    diag has shape (..., n) and sub shape (..., n - 1); the result has the
+    shape of diag, one ascending spectrum per matrix of the stack.
     """
-    d = [float(v) for v in diag]
-    n = len(d)
-    if n == 0:
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(sub, dtype=float)
+    if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("empty matrix")
-    if len(sub) != n - 1:
-        raise ValueError(f"subdiagonal length {len(sub)} != {n - 1}")
-    e = [float(v) for v in sub] + [0.0]
-    for v in d + e:
-        if not math.isfinite(v):
-            raise ValueError("matrix entries must be finite")
-    if n == 1:
-        return d
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            # Find the first negligible subdiagonal entry at or above l.
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(
-                    f"eigenvalue {l} did not converge in {max_sweeps} sweeps"
-                )
-            # Wilkinson-style shift from the leading 2x2 block.
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            clean = True
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # Recover from underflow: skip the rest of the sweep.
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    clean = False
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if clean:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    d.sort()
-    return d
+    n = d.shape[-1]
+    if e.shape != d.shape[:-1] + (n - 1,):
+        raise ValueError(f"subdiagonal shape {e.shape} != {d.shape[:-1] + (n - 1,)}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("matrix entries must be finite")
+    a = np.zeros(d.shape + (n,))
+    i = np.arange(n)
+    a[..., i, i] = d
+    a[..., i[1:], i[:-1]] = e
+    a[..., i[:-1], i[1:]] = e
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        rows = d.size // n
+        raise ConvergenceError(f"stacked rows 0-{rows - 1} (order {n}): {exc}") from exc

@@ -67,6 +67,17 @@ def test_laplace_known_value_and_verify(capsys):
     assert payload["rel_err"] < 1e-9
 
 
+def test_laplace_verify_reports_the_relative_error(capsys):
+    # Horner cancels at N c^2 = 32: the value is off the quadrature by 1.1e-2
+    # relative to |quadrature| = 0.073, a scale below 1.
+    _, out, _ = run(capsys, "laplace", "--n", "32", "--s=0.5", "--lambda-minus", "1.0",
+                    "--verify")
+    payload = json.loads(out)
+    value, quad = payload["value"], payload["quadrature"]
+    assert payload["rel_err"] == abs(value - quad) / abs(quad)
+    assert payload["rel_err"] > 1e-2
+
+
 def test_laplace_complex_argument(capsys):
     code, out, _ = run(capsys, "laplace", "--n", "2", "--s", "0,2", "--density")
     payload = json.loads(out)

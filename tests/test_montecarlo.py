@@ -7,6 +7,10 @@ iteration.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +137,35 @@ def test_pinned_gaussian_stream_first_values():
     want = np.array([r[0] * np.cos(2 * np.pi * u[2]), r[0] * np.sin(2 * np.pi * u[2]),
                      r[1] * np.cos(2 * np.pi * u[3]), r[1] * np.sin(2 * np.pi * u[3])])
     assert np.allclose(z, want, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 33])
+def test_chunk_gaussians_equal_the_row_stream_bitwise(n):
+    rows = range(5, 12)
+    chunk = montecarlo._chunk_gaussians(42, rows, n * n)
+    assert chunk.shape == (len(rows), n * n)
+    for i, row in enumerate(rows):
+        assert np.array_equal(chunk[i], montecarlo._row_gaussians(42, row, n * n))
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_prefix_invariance_across_a_chunk_boundary(n):
+    step = montecarlo._CHUNK_CELLS // (n * n)
+    small = montecarlo.sample_spectra(n, step + 5, seed=17)
+    big = montecarlo.sample_spectra(n, 2 * step + 3, seed=17)
+    assert np.array_equal(small.eigenvalues, big.eigenvalues[:step + 5])
+
+
+def test_eigenvalue_bits_do_not_depend_on_blas_threads(tmp_path):
+    """A child limited to one OpenBLAS thread writes the same bytes."""
+    n, count, seed = 64, 70, 5
+    path = tmp_path / "child.bin"
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from guespec import montecarlo as m; "
+            "m.write_binary(m.sample_spectra(*map(int, sys.argv[1:4])), sys.argv[4])")
+    subprocess.run([sys.executable, "-c", code, str(n), str(count), str(seed), str(path)],
+                   env=env, check=True)
+    here = montecarlo.sample_spectra(n, count, seed)
+    assert montecarlo.read_binary(path).eigenvalues.tobytes() == here.eigenvalues.tobytes()

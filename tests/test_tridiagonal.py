@@ -1,8 +1,9 @@
-"""Tests for the from-scratch symmetric tridiagonal eigensolver."""
+"""Tests for the symmetric tridiagonal eigensolver (LAPACK on dense stacks)."""
 
 import numpy as np
 import pytest
 
+from guespec import montecarlo
 from guespec.tridiagonal import ConvergenceError, tridiagonal_eigenvalues
 
 
@@ -55,9 +56,33 @@ def test_output_is_sorted():
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         tridiagonal_eigenvalues(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="subdiagonal shape"):
+        tridiagonal_eigenvalues(np.zeros((2, 4)), np.zeros((3, 3)))
 
 
-def test_convergence_error_names_position():
-    # max_sweeps=0 cannot deflate anything with a nonzero off-diagonal
-    with pytest.raises(ConvergenceError, match="eigenvalue 0 did not converge"):
-        tridiagonal_eigenvalues(np.array([0.0, 1.0]), np.array([1.0]), max_sweeps=0)
+def test_lapack_failure_is_convergence_error_naming_the_rows(monkeypatch):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match=r"stacked rows 0-2 \(order 4\): Eigenvalues did not"):
+        tridiagonal_eigenvalues(np.zeros((3, 4)), np.ones((3, 3)))
+    with pytest.raises(ConvergenceError, match="sample rows 0-9: stacked rows 0-9"):
+        montecarlo.sample_spectra(8, 10, seed=1)
+
+
+def test_stacked_call_equals_per_matrix_calls_bitwise():
+    rng = np.random.default_rng(2026)
+    diag = rng.normal(size=(3, 5, 17))
+    sub = rng.normal(size=(3, 5, 16))
+    got = tridiagonal_eigenvalues(diag, sub)
+    assert got.shape == diag.shape
+    for i in range(3):
+        for j in range(5):
+            assert np.array_equal(got[i, j], tridiagonal_eigenvalues(diag[i, j], sub[i, j]))
+
+
+def test_empty_or_nonfinite_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        tridiagonal_eigenvalues(np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match="finite"):
+        tridiagonal_eigenvalues(np.array([0.0, np.nan]), np.zeros(1))
