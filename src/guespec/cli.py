@@ -61,19 +61,12 @@ def _parse_s(text: str):
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Test function families accepted by resum: a closed enum plus files."""
+    """Test function families accepted by resum: a closed enum plus files,
+    whose Taylor coefficients are read once, when the spec is parsed."""
 
     kind: str
     parameter: float = 0.0
-    path: str = ""
-
-    @property
-    def label(self) -> str:
-        if self.kind == "taylor-file":
-            return f"taylor-file:{self.path}"
-        if self.kind == "monomial":
-            return f"monomial:{int(self.parameter)}"
-        return f"{self.kind}:{self.parameter:g}"
+    coefficients: tuple[float, ...] = ()
 
 
 def parse_function_spec(text: str) -> FunctionSpec:
@@ -93,7 +86,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
             raise ValueError("gauss type parameter must be >= 0")
         return FunctionSpec("gauss", sigma)
     if kind == "taylor-file":
-        return FunctionSpec("taylor-file", path=arg)
+        return FunctionSpec("taylor-file", coefficients=tuple(read_taylor_file(arg)))
     raise ValueError(f"unknown function kind {kind!r} "
                      "(choose monomial, exp, gauss, cos, taylor-file)")
 
@@ -151,9 +144,8 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
         taylor = [0.0] * (degree + 1)
         taylor[::2] = _powers_over_factorials(sig, degree // 2)
         return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sig), tol)
-    coeffs = read_taylor_file(spec.path)
     return gegenbauer.expand_entire(
-        gegenbauer.TaylorSeries(coeffs, sigma if sigma is not None else 0.0), tol)
+        gegenbauer.TaylorSeries(spec.coefficients, sigma if sigma is not None else 0.0), tol)
 
 
 def reference_integral(spec: FunctionSpec, n: int) -> float:
@@ -174,9 +166,9 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
         return float(quadrature.integrate_line(
             lambda t: np.exp(sig * t * t) * hermite.density(n, t),
             scale=decay, tol=1e-11).value)
-    coeffs = read_taylor_file(spec.path)
     return quadrature.density_polynomial_integral(
-        n, lambda t: np.polynomial.polynomial.polyval(t, coeffs), len(coeffs) - 1)
+        n, lambda t: np.polynomial.polynomial.polyval(t, spec.coefficients),
+        len(spec.coefficients) - 1)
 
 
 # ------------------------------------------------------------- commands
@@ -244,7 +236,7 @@ def cmd_resum(args) -> int:
     partial = operators.resum_partial_sums(alphas, args.n)
     payload = {
         "alphas": [float(v) for v in alphas],
-        "function": spec.label,
+        "function": args.function,
         "n": args.n,
         "partial_sums": [float(v) for v in partial],
         "tail_bound": series.tail_bound,
@@ -255,7 +247,7 @@ def cmd_resum(args) -> int:
             payload["calibrated_threshold"] = threshold
             if args.n < threshold:
                 print(f"warning: N = {args.n} is below the calibrated "
-                      f"convergence threshold {threshold} for {spec.label}",
+                      f"convergence threshold {threshold} for {args.function}",
                       file=sys.stderr)
     if args.compare:
         ref = reference_integral(spec, args.n)
@@ -298,8 +290,7 @@ def cmd_moments(args) -> int:
     for power in range(args.max + 1):
         mono = [0.0] * power + [1.0]
         a = gegenbauer.taylor_to_basis(mono)
-        alphas = operators.correction_functionals(a, math.ceil(power / 4))
-        series_val = float(operators.resum_partial_sums(alphas, args.n)[-1])
+        series_val = operators.resummed_integral(a, args.n, math.ceil(power / 4))
         quad_val = quadrature.density_polynomial_integral(
             args.n, lambda t: t ** power, power)
         rows.append((power, quad_val, series_val, abs(quad_val - series_val)))

@@ -62,21 +62,14 @@ def basis_values(order: int, t) -> np.ndarray:
 
 
 def basis_with_derivatives(order: int, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f_n, f_n', f_n'') for n = 0..order by the differentiated recurrence."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """(f_n, f_n', f_n'') for n = 0..order; f_n from ``basis_values``."""
+    f = basis_values(order, t)
     t = np.asarray(t)
-    dtype = np.result_type(t.dtype, np.float64)
-    shape = (order + 1,) + t.shape
-    f = np.zeros(shape, dtype=dtype)
-    df = np.zeros(shape, dtype=dtype)
-    d2f = np.zeros(shape, dtype=dtype)
-    f[0] = 1.0
+    df = np.zeros_like(f)
+    d2f = np.zeros_like(f)
     if order >= 1:
-        f[1] = 2.0 * t
         df[1] = 2.0
     for n in range(1, order):
-        f[n + 1] = ((n + 2) * t * f[n] - (n + 3) * f[n - 1]) / (n + 1)
         df[n + 1] = ((n + 2) * (f[n] + t * df[n]) - (n + 3) * df[n - 1]) / (n + 1)
         d2f[n + 1] = ((n + 2) * (2.0 * df[n] + t * d2f[n]) - (n + 3) * d2f[n - 1]) / (n + 1)
     return f, df, d2f
@@ -223,14 +216,17 @@ class BasisSeries:
         return evaluate_series(self.coefficients, t)
 
 
+def _implied_types(alpha: np.ndarray):
+    """(n, implied order-2 type (n / 2e) |alpha_n|^(2/n)) per nonzero alpha_n, n >= 10."""
+    for n in range(_GROWTH_FLOOR, len(alpha)):
+        if alpha[n] != 0.0:
+            yield n, (n / (2.0 * math.e)) * abs(alpha[n]) ** (2.0 / n)
+
+
 def estimate_order2_type(coefficients) -> float:
     """Largest implied order-2 type (n / 2e) |alpha_n|^(2/n) over n >= 10."""
-    best = 0.0
-    for n, a in enumerate(np.asarray(coefficients, dtype=float)):
-        if n < _GROWTH_FLOOR or a == 0.0:
-            continue
-        best = max(best, (n / (2.0 * math.e)) * abs(a) ** (2.0 / n))
-    return best
+    alpha = np.asarray(coefficients, dtype=float)
+    return max([0.0] + [implied for _, implied in _implied_types(alpha)])
 
 
 def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
@@ -250,11 +246,7 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
         raise ValueError(f"Taylor degree {len(alpha) - 1} exceeds {_BAND_DEGREE_CAP}, past which "
                          "the band envelope 3^n of the tail certificate overflows")
     if sigma > 0:
-        for n in range(_GROWTH_FLOOR, len(alpha)):
-            a = abs(alpha[n])
-            if a == 0.0:
-                continue
-            implied = (n / (2.0 * math.e)) * a ** (2.0 / n)
+        for n, implied in _implied_types(alpha):
             if implied > sigma * GROWTH_SLACK ** (2.0 / n):
                 raise ValueError(
                     f"coefficient index {n} implies order-2 type {implied:.4g}, "
@@ -333,15 +325,19 @@ def log_basis_weight(n: int, params: NormParams) -> float:
     return params.rate * n * math.log(n / params.index_scale)
 
 
-def series_norm(coefficients, params: NormParams) -> float:
-    """sup_n (n/K)^{c n} |a_n| (computed in logs to dodge overflow)."""
+def _log_weighted_max(coefficients, params: NormParams) -> float:
+    """log of sup_n (n/K)^{c n} |a_n|; -inf when every a_n is zero."""
     best = -math.inf
     for n, v in enumerate(np.asarray(coefficients, dtype=float)):
         if v == 0.0:
             continue
         best = max(best, math.log(abs(v)) + log_basis_weight(n, params))
-    if best == -math.inf:
-        return 0.0
+    return best
+
+
+def series_norm(coefficients, params: NormParams) -> float:
+    """sup_n (n/K)^{c n} |a_n| (computed in logs to dodge overflow)."""
+    best = _log_weighted_max(coefficients, params)
     return math.exp(best) if best < 700 else math.inf
 
 

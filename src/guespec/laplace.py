@@ -118,7 +118,8 @@ def laplace_expansion(s, depth: int, inner_terms: int | None = None,
     tail bound |s|^{2k}/k! is three orders below tol); a certified bound
     on the truncation error of every coefficient is checked against tol
     and a breach raises rather than returning silently degraded values.
-    Odd-index coefficients vanish identically.
+    Odd-index coefficients vanish identically.  Sums start from the integer
+    0, so the result is float64 for real s and complex128 for complex s.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -151,20 +152,19 @@ def laplace_expansion(s, depth: int, inner_terms: int | None = None,
         )
     table = stirling_table(inner_terms + 1)
     s2 = s * s
-    complex_out = isinstance(s2, complex)
     inner = []
     for l in range(depth + 1):
-        total = 0.0j if complex_out else 0.0
+        total = 0
         for k in range(l, inner_terms + 1):
             total += table.count(k + 1, k + 1 - l) * s2 ** k / (
                 math.factorial(k) * math.factorial(k + 1)
             )
         inner.append(total)
-    out = np.zeros(depth + 1, dtype=complex if complex_out else float)
+    out = []
     for m in range(depth + 1):
-        total = 0.0j if complex_out else 0.0
+        total = 0
         for j in range(m + 1):
             l = m - j
             total += (s2 / 2.0) ** j / math.factorial(j) * (-1) ** l * inner[l]
-        out[m] = total
-    return out
+        out.append(total)
+    return np.array(out)

@@ -36,6 +36,7 @@ import numpy as np
 from .gegenbauer import (
     BasisSeries,
     NormParams,
+    _log_weighted_max,
     basis_with_derivatives,
     log_basis_weight,
     semicircle_functional,
@@ -105,9 +106,9 @@ def eigen_check(order: int, t) -> float:
 
 
 def correction(coefficients) -> np.ndarray:
-    """One application of T = D^3 o H o D (drops effective degree by 4)."""
-    b = eigenvalue_inverse(differentiate(coefficients))
-    return differentiate(differentiate(differentiate(b)))
+    """One application of T = D^3 o H o D, that is D^3 of ``first_order_solve``
+    (drops effective degree by 4)."""
+    return differentiate(differentiate(differentiate(first_order_solve(coefficients))))
 
 
 def correction_functionals(series, depth: int) -> np.ndarray:
@@ -170,13 +171,12 @@ def measure_convergence_threshold(
     reference,
     max_ensemble_size: int = 12,
     tol: float = 1e-6,
-    monotone_from: int = 3,
 ) -> int:
     """Smallest N0 such that the expansion is observed to converge for all N >= N0.
 
     For each N in 1..max_ensemble_size the partial sums are compared with
     ``reference(N)``; convergence at N means the error sequence is
-    non-increasing from index ``monotone_from`` on and finishes below ``tol``
+    non-increasing from index 3 on and finishes below ``tol``
     relative to max(1, |reference|).  Errors below a few dozen ulps of the
     reference count as "at the rounding floor" and never break monotonicity:
     once the sum has converged to machine precision, the residual bounces by
@@ -184,8 +184,8 @@ def measure_convergence_threshold(
     converges, so a caller never mistakes "no data" for "N0 = max".
     """
     a = np.asarray(functionals, dtype=float)
-    if len(a) < monotone_from + 2:
-        raise ValueError("need more correction functionals than monotone_from + 1")
+    if len(a) < 5:
+        raise ValueError("need at least 5 correction functionals")
     converged = []
     for n in range(1, max_ensemble_size + 1):
         ref = float(reference(n))
@@ -193,7 +193,7 @@ def measure_convergence_threshold(
         floor = 64.0 * np.finfo(float).eps * max(1.0, abs(ref))
         monotone = all(
             errs[k + 1] <= max(errs[k] * (1.0 + 1e-9), floor)
-            for k in range(monotone_from, len(errs) - 1)
+            for k in range(3, len(errs) - 1)
         )
         converged.append(monotone and errs[-1] <= tol * max(1.0, abs(ref)))
     for n0 in range(1, max_ensemble_size + 1):
@@ -219,15 +219,7 @@ def norm_probe(params: NormParams, truncation: int = 100) -> tuple[float, int]:
     best = -math.inf
     arg = -1
     for n in range(truncation + 1):
-        image = images[:, n]
-        if not image.any():
-            continue
-        log_image = max(
-            math.log(abs(v)) + log_basis_weight(m, params)
-            for m, v in enumerate(image)
-            if v != 0.0
-        )
-        ratio = log_image - log_basis_weight(n, params)
+        ratio = _log_weighted_max(images[:, n], params) - log_basis_weight(n, params)
         if ratio > best:
             best = ratio
             arg = n

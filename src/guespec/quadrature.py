@@ -32,7 +32,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     exact_degree: int
-    weight_kind: str
 
     def integrate(self, f):
         vals = f(self.nodes)
@@ -52,7 +51,7 @@ def semicircle_rule(count: int) -> QuadratureRule:
     theta = j * math.pi / (count + 1)
     nodes = 2.0 * np.cos(theta)
     weights = (4.0 * math.pi / (count + 1)) * np.sin(theta) ** 2
-    return QuadratureRule(nodes, weights, 2 * count - 1, "semicircle")
+    return QuadratureRule(nodes, weights, 2 * count - 1)
 
 
 def integrate_gegenbauer2(f, count: int):
@@ -81,7 +80,7 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
     # A Christoffel sum past the double range means a weight below it.
     sums = _christoffel(n, count - 1, nodes)
     weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)
-    return QuadratureRule(nodes, weights, 2 * count - 1, "gaussian")
+    return QuadratureRule(nodes, weights, 2 * count - 1)
 
 
 def density_polynomial_integral(n: int, f, degree: int) -> float:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+import re
+import shlex
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +144,24 @@ def test_resum_taylor_file(tmp_path, capsys):
     assert payload["function"].startswith("taylor-file:")
 
 
+def test_resum_reports_the_typed_spec(capsys):
+    code, out, _ = run(capsys, "resum", "--n", "8", "--function", "exp:1.234567", "--terms", "3")
+    assert code == 0
+    assert json.loads(out)["function"] == "exp:1.234567"
+
+
+def test_resum_compare_reads_the_taylor_file_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "coeffs.txt"
+    path.write_text("1.0\n0.0\n0.5\n")
+    reads = []
+    read = cli.read_taylor_file
+    monkeypatch.setattr(cli, "read_taylor_file", lambda p: reads.append(p) or read(p))
+    code, _, _ = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
+                     "--terms", "2", "--compare")
+    assert code == 0
+    assert reads == [str(path)]
+
+
 def test_resum_missing_file_is_numeric_error(capsys):
     code, _, err = run(capsys, "resum", "--n", "2", "--function", "taylor-file:/no/such/file",
                        "--terms", "2")
@@ -266,3 +287,21 @@ def test_gauss_compare_divergent_reference_is_error(capsys):
                        "--terms", "4", "--compare")
     assert code == 1
     assert "diverges" in err
+
+
+def _readme_examples():
+    """(command, shown output) of every README code block that starts with `$ guespec`."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(\$ guespec .*?)\n```$", text, re.M | re.S)
+    return [tuple(block.split("\n", 1)) for block in blocks]
+
+
+@pytest.mark.parametrize("example", _readme_examples(), ids=lambda e: e[0].split()[2])
+def test_readme_example(example, tmp_path, monkeypatch, capsys):
+    """The README shows what the command prints; a `...` stands for any text."""
+    command, shown = example
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *shlex.split(command)[2:])
+    assert code == 0
+    pattern = ".*".join(re.escape(part) for part in shown.split("..."))
+    assert re.fullmatch(pattern, out.rstrip("\n"), re.S), out

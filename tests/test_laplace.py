@@ -207,6 +207,35 @@ def test_expansion_complex_argument():
     assert abs(c[0].imag) < 1e-14
 
 
+_ZERO_S_BITS = ["0x1.0000000000000p+0"] + ["0x0.0p+0"] * 4
+
+
+# Frozen bits of laplace_expansion(s, 4): float64 for real s, the integer 0
+# included, and complex128 for complex s.
+@pytest.mark.parametrize("s,dtype,bits", [
+    (0, np.float64, _ZERO_S_BITS),
+    (0.0, np.float64, _ZERO_S_BITS),
+    (1.3, np.float64, ["0x1.0f4ca43f6051bp+1", "-0x1.0000000000000p-51", "0x1.9d8791b0b9734p-3",
+                       "0x1.0000000000000p-54", "0x1.a562f42a41958p-8"]),
+    (0.7 + 0.4j, np.complex128, [
+        ("0x1.256073a3cbb56p+0", "0x1.3e419fd70df71p-2"), ("0x0.0p+0", "-0x1.0000000000000p-53"),
+        ("-0x1.9998be18e2a34p-7", "0x1.f2f7828635420p-7"),
+        ("0x1.4000000000000p-57", "0x1.c000000000000p-58"),
+        ("-0x1.5957b8643dad0p-15", "-0x1.842118a79e4f0p-14")]),
+    (2j, np.complex128, [
+        ("-0x1.0e8372dfaeabcp-5", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.f12802f544a18p-4", "0x0.0p+0"), ("0x1.c000000000000p-53", "0x0.0p+0"),
+        ("0x1.545fa78e223acp-5", "0x0.0p+0")]),
+])
+def test_expansion_dtype_and_bits_follow_s(s, dtype, bits):
+    c = laplace.laplace_expansion(s, 4)
+    assert c.dtype == dtype
+    if dtype is np.complex128:
+        assert [(v.real.hex(), v.imag.hex()) for v in c.tolist()] == bits
+    else:
+        assert [v.hex() for v in c.tolist()] == bits
+
+
 def test_expansion_inner_truncation_certificate():
     with pytest.raises(ValueError, match="certified truncation bound|certify"):
         laplace.laplace_expansion(2.5, 4, inner_terms=4)

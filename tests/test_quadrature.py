@@ -340,3 +340,18 @@ def test_integrate_line_memory_is_bounded_by_its_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("n,a,b,panels", [(4, 2.5, 10.5, 64), (16, 3.0, 11.0, 64),
+                                          (8, -0.125, 0.0, 2)])
+def test_verify_interval_sum_is_bitwise_the_per_panel_loop(n, a, b, panels):
+    """The verify suites' fixed-panel integral against one 15-point
+    Gauss-Legendre panel at a time, added left to right."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    edges = np.linspace(a, b, panels + 1)
+    want = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        want += half * (weights * hermite.density(n, mid + half * nodes)).sum()
+    got = verify._integrate_interval(lambda x: hermite.density(n, x), a, b, panels)
+    assert repr(got) == repr(float(want))
