@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +233,13 @@ def cmd_laplace(args) -> int:
 def cmd_resum(args) -> int:
     spec = parse_function_spec(args.function)
     series = build_series(spec, args.terms, args.sigma, args.tol)
-    alphas = operators.correction_functionals(series, args.terms)
+    # Shown as a plain line: Python's warning display would print the
+    # source path and line of this call.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        alphas = operators.correction_functionals(series, args.terms)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     partial = operators.resum_partial_sums(alphas, args.n)
     payload = {
         "alphas": [float(v) for v in alphas],

@@ -11,9 +11,9 @@ where htilde_k is the degree-k Hermite polynomial orthonormal for the
 weight exp(-N x^2 / 2).  All evaluations use one stable three-term
 recurrence; no factorials or unnormalized polynomial values appear
 anywhere on the floating-point path.  Sums over k (kernel diagonal,
-density derivatives, Christoffel sums) hold two rows at a time, so their
-memory is O(points); only ``normalized_hermite`` and ``weighted_frame``
-build (k_max + 1, points) frames.
+density derivatives, Christoffel sums) and the kernel's top rows hold two
+rows at a time, so their memory is O(points); only ``normalized_hermite``
+and ``weighted_frame`` build (k_max + 1, points) frames.
 
 Supported range: 1 <= N <= 256, any finite x.  The weighted recurrence
 starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
@@ -28,6 +28,7 @@ sooner; they raise ValueError at the first point where a value does.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,19 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     return psi, dpsi
 
 
+def _top_rows(n: int, x) -> tuple[tuple, tuple]:
+    """(psi_{n-1}, psi_n) and (psi_{n-1}', psi_n') at x: rows n-1 and n of
+    ``weighted_frame(n, n, x)`` bit for bit, in O(points) memory."""
+    x = _points(n, n, x)
+    start, lift = _weighted_start(n, x)
+    half_nx = n * x / 2.0
+    (before, low), (_, high) = deque(_rows(n, n, x, start), maxlen=2)
+    unlift = np.exp(-lift)
+    return ((low * unlift, high * unlift),
+            (_ladder(n, n - 1, half_nx, before, low) * unlift,
+             _ladder(n, n, half_nx, low, high) * unlift))
+
+
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
     x = _points(n, n - 1, x)
@@ -195,12 +209,11 @@ def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
     x = float(x)
     y = float(y)
     if abs(x - y) <= crossover:
-        m = 0.5 * (x + y)
-        psi, dpsi = weighted_frame(n, n, np.float64(m))
-        return float(dpsi[n] * psi[n - 1] - psi[n] * dpsi[n - 1])
-    px, _ = weighted_frame(n, n, np.float64(x))
-    py, _ = weighted_frame(n, n, np.float64(y))
-    return float((px[n] * py[n - 1] - px[n - 1] * py[n]) / (x - y))
+        (low, high), (dlow, dhigh) = _top_rows(n, np.float64(0.5 * (x + y)))
+        return float(dhigh * low - high * dlow)
+    (xlow, xhigh), _ = _top_rows(n, np.float64(x))
+    (ylow, yhigh), _ = _top_rows(n, np.float64(y))
+    return float((xhigh * ylow - xlow * yhigh) / (x - y))
 
 
 def density(n: int, x) -> np.ndarray:

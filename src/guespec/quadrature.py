@@ -134,7 +134,12 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
     Gaussian exp(-(u/scale)^2) for large |u|.  The window is widened by
     doubling until the implied tail bound (edge magnitude times
     scale^2 / (2 width)) drops below tol/4, then integrated by adaptive
-    bisection with fixed 15-point Gauss-Legendre panels.  Returns the
+    bisection with fixed 15-point Gauss-Legendre panels.  An interval
+    [lo, hi] is accepted when its bisection defect is at most
+    tol * max(1, |S0|) * (hi - lo) / (b - a), with S0 the sum of the 16
+    seed panels over the window [a, b]: tol is absolute for integrals
+    below 1 in size and relative above it.  The tail test stays
+    absolute.  Returns the
     value, a conservative error estimate (sum of accepted panel defects
     plus the tail bound), the panel count, and the window.
 
@@ -167,6 +172,10 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
     seeds = np.linspace(a, b, 17)
     lo, hi = seeds[:-1], seeds[1:]
     whole = _panels(f, lo, hi)
+    # Accept at tol relative to the seed estimate S0 where |S0| > 1: an
+    # absolute tol far below the rounding noise of a large integral is
+    # never met.
+    size = max(1.0, abs(complex(whole.sum())))
     accepted = []
     panels = 0
     depth = 0
@@ -181,7 +190,7 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
         # hypot is the scalar abs of a complex number; numpy's vectorised
         # complex abs can differ from it in the last bit.
         err = np.hypot(diff.real, diff.imag)
-        done = (err <= tol * (hi - lo) / (b - a)) | (depth >= max_depth)
+        done = (err <= tol * size * (hi - lo) / (b - a)) | (depth >= max_depth)
         accepted.append((lo[done], left[done], right[done], err[done]))
         todo = ~done
         lo, hi = (np.concatenate([lo[todo], mid[todo]]),

@@ -129,7 +129,8 @@ def kernel_pair_transform(n: int, s, offset: float) -> complex:
     """Numerical int e^{s lam} K_n(lam+offset, lam-offset) d lam.
 
     Independent of the closed form: the off-diagonal kernel is rebuilt from
-    the weighted recurrence frame and integrated along the real line.
+    the top two rows of the weighted recurrence and integrated along the
+    real line.
     """
     if offset == 0.0:
         def integrand(lam):
@@ -138,9 +139,9 @@ def kernel_pair_transform(n: int, s, offset: float) -> complex:
         def integrand(lam):
             x = lam + offset
             y = lam - offset
-            px, _ = hermite.weighted_frame(n, n, x)
-            py, _ = hermite.weighted_frame(n, n, y)
-            return np.exp(s * lam) * (px[n] * py[n - 1] - px[n - 1] * py[n]) / (2.0 * offset)
+            (xlow, xhigh), _ = hermite._top_rows(n, x)
+            (ylow, yhigh), _ = hermite._top_rows(n, y)
+            return np.exp(s * lam) * (xhigh * ylow - xlow * yhigh) / (2.0 * offset)
     return quadrature.integrate_line(integrand, center=0.0, scale=1.0, tol=1e-10).value
 
 

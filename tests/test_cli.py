@@ -5,8 +5,10 @@ import math
 import pathlib
 import re
 import shlex
+import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ def test_laplace_verify_reports_the_relative_error(capsys):
     assert payload["rel_err"] > 1e-2
 
 
+def test_laplace_verify_at_the_largest_size_matches_mpmath(capsys):
+    # int e^{st} p_N dt = e^{s^2/(2N)} 1F1(1-N; 2; -s^2/N); the integral is
+    # about 5.2e3 before the division by N, far above an absolute 1e-10.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "laplace", "--n", "256", "--s=3", "--density", "--verify")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    payload = json.loads(out)
+    with mp.workdps(30):
+        want = float(mp.exp(mp.mpf(9) / 512) * mp.hyp1f1(-255, 2, mp.mpf(-9) / 256))
+    for key in ("value", "quadrature"):
+        assert abs(payload[key] - want) <= 1e-10 * want, key
+    assert elapsed < 1.0
+
+
 def test_laplace_complex_argument(capsys):
     code, out, _ = run(capsys, "laplace", "--n", "2", "--s", "0,2", "--density")
     payload = json.loads(out)
@@ -131,6 +148,14 @@ def test_resum_gauss_no_warning_at_safe_size(capsys):
     assert code == 0
     assert json.loads(out)["calibrated_threshold"] == 1
     assert err == ""
+
+
+def test_resum_truncation_warning_is_a_plain_line(capsys):
+    code, _, err = run(capsys, "resum", "--n", "8", "--function", "exp:2", "--terms", "30")
+    assert code == 0
+    assert err == ("warning: truncated series of degree 32 only supports 8 trusted "
+                   "correction passes; deeper functionals (up to 30) fall inside the "
+                   "truncation tail and may be spurious zeros\n")
 
 
 def test_resum_taylor_file(tmp_path, capsys):

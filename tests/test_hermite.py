@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import hermite, quadrature
+from guespec import hermite, quadrature, verify
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -77,6 +77,42 @@ def test_kernel_symmetry_and_diag_consistency():
     assert near == pytest.approx(diag, rel=1e-6)
     # exactly on the diagonal the derivative form reproduces sum psi_k^2
     assert hermite.kernel(n, 0.5, 0.5) == pytest.approx(diag, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 256])
+def test_top_rows_are_the_frame_rows_bitwise(n):
+    # |x| = 5.5 at N = 256 lifts the start (N x^2 / 4 > 700)
+    x = np.array([-5.5, -1.3, 0.0, 0.4, 2.0, 5.5])
+    psi, dpsi = hermite.weighted_frame(n, n, x)
+    (low, high), (dlow, dhigh) = hermite._top_rows(n, x)
+    for got, want in [(low, psi[n - 1]), (high, psi[n]), (dlow, dpsi[n - 1]), (dhigh, dpsi[n])]:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,x,y", [(1, 0.3, -1.1), (5, 0.4, 1.3), (64, 0.5, 0.5 + 1e-7),
+                                   (64, -1.2, -1.2), (256, 0.7, 0.7 + 5e-7), (256, 1.9, -0.2)])
+def test_kernel_is_the_frame_formula_bitwise(n, x, y):
+    """Inside the crossover (|x - y| <= 1e-6) and off it."""
+    if abs(x - y) <= 1e-6:
+        psi, dpsi = hermite.weighted_frame(n, n, np.float64(0.5 * (x + y)))
+        want = float(dpsi[n] * psi[n - 1] - psi[n] * dpsi[n - 1])
+    else:
+        px, _ = hermite.weighted_frame(n, n, np.float64(x))
+        py, _ = hermite.weighted_frame(n, n, np.float64(y))
+        want = float((px[n] * py[n - 1] - px[n - 1] * py[n]) / (x - y))
+    assert repr(hermite.kernel(n, x, y)) == repr(want)
+
+
+def test_pair_transform_holds_no_frame():
+    """Two (257, points) frames per integrand call peaked at 20 MiB; the
+    top rows take about 0.4 MiB."""
+    tracemalloc.start()
+    try:
+        verify.kernel_pair_transform(256, 1.0, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_kernel_rank_one_case():

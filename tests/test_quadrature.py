@@ -203,6 +203,7 @@ def stack_integrate_line(f, center=0.0, scale=1.0, tol=1e-10, max_doublings=24,
     a, b = center - width, center + width
     seeds = np.linspace(a, b, 17)
     stack = [(lo, hi, panel(lo, hi), 0) for lo, hi in zip(seeds[:-1], seeds[1:])]
+    size = max(1.0, abs(complex(np.array([whole for _, _, whole, _ in stack]).sum())))
     total = 0.0
     defect = 0.0
     panels = 0
@@ -215,7 +216,7 @@ def stack_integrate_line(f, center=0.0, scale=1.0, tol=1e-10, max_doublings=24,
         left = panel(lo, mid)
         right = panel(mid, hi)
         err = abs(left + right - whole)
-        if err <= tol * (hi - lo) / (b - a) or depth >= max_depth:
+        if err <= tol * size * (hi - lo) / (b - a) or depth >= max_depth:
             total = total + left + right
             defect += err
         else:
@@ -269,11 +270,12 @@ def direct(f, **kwargs):
     pair_transform(10, -1.0, 0.3),
     pair_transform(10, 1.0 + 1.0j, 0.3),
     pair_transform(64, 3.0, 0.0),
+    pair_transform(256, 3.0, 0.0),
     direct(narrow_peak, center=0.0, scale=2.0),
     direct(narrow_peak, scale=2.0, max_depth=1),
     direct(lambda t: np.exp(2j * t) * np.exp(-t * t / 2)),
 ], ids=["gauss-4", "gauss-16", "gauss-16-wide", "pair-real", "pair-imag", "pair-offset",
-        "pair-offset-complex", "pair-64", "narrow", "narrow-shallow", "oscillating"])
+        "pair-offset-complex", "pair-64", "pair-256", "narrow", "narrow-shallow", "oscillating"])
 def test_integrate_line_is_bitwise_the_stack_algorithm(monkeypatch, call):
     f, kwargs = captured_integral(monkeypatch, call)
     got = quadrature.integrate_line(f, **kwargs)
@@ -313,6 +315,11 @@ def test_integrate_line_refuses_where_the_stack_algorithm_does(short):
     assert outcomes[0] == (budget if short == 0 else f"panel budget {budget} exhausted")
 
 
+# int e^{3t} K_256(t, t) dt is about 5.2e3: a tolerance of 1e-16 relative to
+# it lies below the rounding noise of the panel sums, so bisection never ends.
+UNREACHABLE_TOL = 1e-16
+
+
 @pytest.mark.parametrize("budget", [10, 100, 1000])
 def test_integrate_line_evaluates_nothing_past_the_budget(budget):
     sizes = []
@@ -321,7 +328,7 @@ def test_integrate_line_evaluates_nothing_past_the_budget(budget):
         sizes.append(t.size)
         return np.exp(3.0 * t) * hermite.kernel_diag(256, t)
     with pytest.raises(quadrature.QuadratureError, match=f"^panel budget {budget} exhausted$"):
-        quadrature.integrate_line(f, panel_budget=budget)
+        quadrature.integrate_line(f, tol=UNREACHABLE_TOL, panel_budget=budget)
     # Beyond the 2-point window edges: the 16 seed panels and whole levels
     # that fit in the budget.
     assert sum(size for size in sizes if size != 2) <= 15 * (16 + budget)
@@ -335,7 +342,7 @@ def test_integrate_line_memory_is_bounded_by_its_chunks():
     tracemalloc.start()
     try:
         with pytest.raises(quadrature.QuadratureError, match="panel budget 40000 exhausted"):
-            quadrature.integrate_line(f, tol=1e-10)
+            quadrature.integrate_line(f, tol=UNREACHABLE_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
