@@ -30,15 +30,11 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header: list[str], rows) -> None:
-    sys.stdout.write(",".join(header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Header line, then one line per row.  A cell prints as its str, which
+    for a Python float is its shortest round-trip repr."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _json_number(value):
@@ -179,15 +175,15 @@ def cmd_density(args) -> int:
                                       with_derivatives=args.derivs)
     if args.format == "json":
         payload = {
-            "density": [float(v) for v in profile.values],
-            "grid": [float(v) for v in profile.grid],
+            "density": profile.values.tolist(),
+            "grid": profile.grid.tolist(),
             "n": args.n,
         }
         if profile.derivatives is not None:
             d1, d2, d3 = profile.derivatives
-            payload["d1"] = [float(v) for v in d1]
-            payload["d2"] = [float(v) for v in d2]
-            payload["d3"] = [float(v) for v in d3]
+            payload["d1"] = d1.tolist()
+            payload["d2"] = d2.tolist()
+            payload["d3"] = d3.tolist()
         _emit_json(payload)
     else:
         if profile.derivatives is None:
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivs", action="store_true",
                    help="include the first three derivatives")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_density)
 
     p = sub.add_parser("laplace", help="closed-form kernel/density Laplace transform")
     p.add_argument("--n", type=int, required=True)
@@ -383,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="also integrate numerically and report the relative error")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_laplace)
 
     p = sub.add_parser("resum", help="correction-operator expansion of int f dp_N")
     p.add_argument("--n", type=int, required=True)
@@ -400,18 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12,
                    help="tail tolerance for the basis expansion")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_resum)
 
     p = sub.add_parser("moments", help="density moments, quadrature vs expansion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max", type=int, required=True, help="highest moment order")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_moments)
 
     p = sub.add_parser("stirling", help="exact unsigned Stirling numbers (first kind)")
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=cmd_stirling)
 
     p = sub.add_parser("sample", help="draw GUE spectra and write a batch file")
     p.add_argument("--n", type=int, required=True)
@@ -420,24 +411,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("auto", "csv", "binary"), default="auto",
                    help="auto picks csv for .csv paths, binary otherwise")
-    p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", action="append", choices=sorted(verify.SUITES),
                    help="suite name (repeatable; default: all)")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
+# The parser of this process: built by the first main() call, not at
+# import, and reused by later calls.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # The handler is looked up by name on every call rather than stored in
+    # the long-lived parser, so a later rebinding of cmd_* is seen.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, KeyError, OverflowError, OSError, quadrature.QuadratureError,
             ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

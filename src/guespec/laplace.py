@@ -118,8 +118,11 @@ def laplace_expansion(s, depth: int, inner_terms: int | None = None,
     tail bound |s|^{2k}/k! is three orders below tol); a certified bound
     on the truncation error of every coefficient is checked against tol
     and a breach raises rather than returning silently degraded values.
-    Odd-index coefficients vanish identically.  Sums start from the integer
-    0, so the result is float64 for real s and complex128 for complex s.
+    Odd-index coefficients are zero in exact arithmetic; in floats they are
+    the rounding residue of cancelling sums (laplace_expansion(1.3, 4) has
+    c_1 = -2^-51), not zero.  The verify check accepts residue up to 1e-12
+    of the largest even coefficient.  Sums start from the integer 0, so
+    the result is float64 for real s and complex128 for complex s.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -59,32 +59,31 @@ class SampleBatch:
         object.__setattr__(self, "eigenvalues", eig)
 
 
-def _row_gaussians(seed: int, row: int, needed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
-    pairs = (needed + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * math.pi * u2)
-    z[1::2] = r * np.sin(2.0 * math.pi * u2)
-    return z[:needed]
-
-
 def _chunk_gaussians(seed: int, rows: range, needed: int) -> np.ndarray:
-    """``_row_gaussians(seed, row, needed)`` for each row of ``rows``,
-    stacked: one Philox stream per row, Box-Muller over the whole chunk."""
+    """``needed`` Gaussians for each row of ``rows``, stacked: a row reads
+    the Philox stream keyed [seed, row] from counter 0 as 2 * pairs
+    uniforms (the u1 block, then the u2 block); Box-Muller over the chunk.
+
+    One bit generator serves the chunk and is re-keyed per row through its
+    state: the same stream as a freshly keyed Philox, without building a
+    generator (and its entropy-seeded SeedSequence) per row.
+    """
     pairs = (needed + 1) // 2
-    u1 = np.empty((len(rows), pairs))
-    u2 = np.empty((len(rows), pairs))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    # Counter 0, empty buffer, no cached 32-bit half: only the key changes.
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    u = np.empty((len(rows), 2 * pairs))
     for i, row in enumerate(rows):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
-        rng.random(out=u1[i])
-        rng.random(out=u2[i])
-    r = np.sqrt(-2.0 * np.log1p(-u1))
+        key[1] = row
+        bitgen.state = fresh
+        rng.random(out=u[i])
+    r = np.sqrt(-2.0 * np.log1p(-u[:, :pairs]))
+    angle = 2.0 * math.pi * u[:, pairs:]
     z = np.empty((len(rows), 2 * pairs))
-    z[:, 0::2] = r * np.cos(2.0 * math.pi * u2)
-    z[:, 1::2] = r * np.sin(2.0 * math.pi * u2)
+    z[:, 0::2] = r * np.cos(angle)
+    z[:, 1::2] = r * np.sin(angle)
     return z[:, :needed]
 
 
@@ -144,7 +143,7 @@ def write_csv(batch: SampleBatch, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(f"eig_{i}" for i in range(batch.n)) + "\n")
         for row in batch.eigenvalues:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_binary(batch: SampleBatch, path) -> None:

@@ -1,10 +1,14 @@
 """End-to-end CLI tests driving main(argv) and checking bytes on stdout."""
 
+import hashlib
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -272,6 +276,76 @@ def test_usage_errors_exit_two(capsys):
     assert main(["density", "--n", "2", "--from", "0", "--to", "1",
                  "--points", "4", "--format", "xml"]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """No parser built yet in this process; count the builds from here on."""
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    return builds
+
+
+def test_the_parser_is_built_once_per_process(fresh_parser, capsys):
+    assert main(["stirling", "--max-n", "3"]) == 0
+    assert main(["nonsense"]) == 2
+    assert main(["density", "--n", "2", "--from", "0", "--to", "1", "--points", "3"]) == 0
+    assert main(["laplace", "--n", "0", "--s", "1"]) == 1
+    capsys.readouterr()
+    assert fresh_parser == [1]
+
+
+def _fresh_process(*argv):
+    """stdout, stderr and exit code of ``python -m guespec argv`` in a new
+    interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "guespec", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_usage_error_leaves_the_parser_as_new(fresh_parser, capsys):
+    valid = ["density", "--n", "3", "--from", "-1", "--to", "1", "--points", "4",
+             "--format", "csv", "--derivs"]
+    assert main(["density", "--n", "3", "--from", "-1", "--format", "xml"]) == 2
+    assert main(["verify", "--suite", "nonsense"]) == 2
+    capsys.readouterr()
+    assert run(capsys, *valid) == _fresh_process(*valid)
+    assert fresh_parser == [1]
+
+
+def test_repeated_suites_do_not_leak_between_calls(capsys):
+    _, first, _ = run(capsys, "verify", "--suite", "density")
+    code, second, _ = run(capsys, "verify", "--suite", "ode")
+    assert code == 0
+    checks = [line.split()[1] for line in second.splitlines()[:-1]]
+    assert checks and all(label.startswith("ode:") for label in checks)
+    assert all(line.split()[1].startswith("density:") for line in first.splitlines()[:-1])
+
+
+# sha256 of the files written by `guespec sample`, recorded before the
+# sampler re-keyed one Philox per chunk instead of building one per row.
+SAMPLE_DIGESTS = {
+    ("8", "300", "7", "csv"): "f506102bb3166d27c34563c33a3314e2cd7747deff05a87fac7025c8b7a74e20",
+    ("8", "300", "7", "bin"): "72182aaa4c0acb386616a1de50b3c04403fa6313555c6619188b77d1dc1b42d1",
+    ("33", "5", "9223372036854775815", "csv"):
+        "6c67df43f8f8de6bd9b8ecc5900ea53e26721fc45d0f0e1f2f5e15ac78ceb6d6",
+    ("33", "5", "9223372036854775815", "bin"):
+        "0c377af4741056f43f46e00906e60231d53ef253f604bc214079e463b4d4c2d0",
+}
+
+
+@pytest.mark.parametrize("n,count,seed,ext", list(SAMPLE_DIGESTS), ids="-".join)
+def test_sample_files_match_their_recorded_digests(n, count, seed, ext, tmp_path, capsys):
+    path = tmp_path / f"spectra.{ext}"
+    code, _, _ = run(capsys, "sample", "--n", n, "--count", count, "--seed", seed,
+                     "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAMPLE_DIGESTS[n, count, seed, ext]
 
 
 def test_numeric_errors_exit_one(capsys):

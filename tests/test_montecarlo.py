@@ -125,12 +125,27 @@ def test_batch_shape_validation():
         montecarlo.sample_spectra(3, 0, seed=1)
 
 
+def fresh_row_gaussians(seed, row, needed):
+    """The pinned draw of one row, from a freshly built generator: Philox
+    keyed [seed, row], a block of pairs uniforms u1, then a block u2, and
+    Box-Muller pairs (r cos, r sin) concatenated, excess dropped."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
+    pairs = (needed + 1) // 2
+    u1 = rng.random(pairs)
+    u2 = rng.random(pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(2.0 * math.pi * u2)
+    z[1::2] = r * np.sin(2.0 * math.pi * u2)
+    return z[:needed]
+
+
 def test_pinned_gaussian_stream_first_values():
     """The per-row Gaussian stream is a pinned contract (Philox key
     [seed, row], Box-Muller in two blocks); freeze its first values so a
     refactor that silently changes the stream fails loudly."""
-    z = montecarlo._row_gaussians(seed=42, row=0, needed=4)
-    w = montecarlo._row_gaussians(seed=42, row=0, needed=4)
+    z = montecarlo._chunk_gaussians(seed=42, rows=range(1), needed=4)[0]
+    w = montecarlo._chunk_gaussians(seed=42, rows=range(1), needed=4)[0]
     assert np.array_equal(z, w)
     u = np.random.Generator(np.random.Philox(key=np.array([42, 0], dtype=np.uint64))).random(4)
     r = np.sqrt(-2.0 * np.log1p(-u[:2]))
@@ -139,13 +154,25 @@ def test_pinned_gaussian_stream_first_values():
     assert np.allclose(z, want, rtol=0, atol=0)
 
 
+def _row_sets(needed):
+    """Rows 0 and 1, the rows on both sides of the first chunk boundary of
+    sample_spectra at this row size, and row 2^40."""
+    step = max(1, montecarlo._CHUNK_CELLS // needed)
+    return [range(0, 2), range(step - 2, step + 2), range(2 ** 40, 2 ** 40 + 1)]
+
+
 @pytest.mark.parametrize("n", [1, 3, 8, 33])
 def test_chunk_gaussians_equal_the_row_stream_bitwise(n):
-    rows = range(5, 12)
-    chunk = montecarlo._chunk_gaussians(42, rows, n * n)
-    assert chunk.shape == (len(rows), n * n)
-    for i, row in enumerate(rows):
-        assert np.array_equal(chunk[i], montecarlo._row_gaussians(42, row, n * n))
+    """The re-keyed generator of _chunk_gaussians gives, row for row, the
+    stream of a freshly keyed Philox."""
+    for needed in (n * n, 2 * n + 1):
+        for seed in (0, 42, 2 ** 64 - 1):
+            for rows in _row_sets(needed):
+                chunk = montecarlo._chunk_gaussians(seed, rows, needed)
+                assert chunk.shape == (len(rows), needed)
+                for i, row in enumerate(rows):
+                    want = fresh_row_gaussians(seed, row, needed)
+                    assert np.array_equal(chunk[i], want), (seed, row, needed)
 
 
 @pytest.mark.parametrize("n", [8, 128])
