@@ -16,7 +16,6 @@ from .gegenbauer import (
     expand_entire,
     growth_bound_report,
     semicircle_functional,
-    series_norm,
     taylor_to_basis,
 )
 from .hermite import (
@@ -106,7 +105,6 @@ __all__ = [
     "sample_spectra",
     "semicircle_rule",
     "semicircle_functional",
-    "series_norm",
     "stirling_table",
     "taylor_to_basis",
     "tridiagonal_eigenvalues",

@@ -26,15 +26,19 @@ DEFAULT_EXPANSION_DEGREE = 80
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _emit_csv(header: list[str], rows) -> None:
     """Header line, then one line per row.  A cell prints as its str, which
-    for a Python float is its shortest round-trip repr."""
+    for a Python float is its shortest round-trip repr.  Every cell is a
+    number, whose str holds an "n" only as nan or inf: those are refused."""
     lines = [",".join(header)]
     lines.extend(",".join(map(str, row)) for row in rows)
-    sys.stdout.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if text.find("n", len(lines[0])) >= 0:
+        raise ValueError("refusing to print a non-finite number")
+    sys.stdout.write(text)
 
 
 def _json_number(value):
@@ -118,6 +122,8 @@ def _powers_over_factorials(a: float, degree: int) -> list[float]:
 
 def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
                  tol: float) -> gegenbauer.BasisSeries:
+    if sigma is not None and spec.kind != "taylor-file":
+        raise ValueError("--sigma applies to taylor-file functions only")
     degree = max(DEFAULT_EXPANSION_DEGREE, 4 * terms + 20)
     if spec.kind == "monomial":
         power = int(spec.parameter)

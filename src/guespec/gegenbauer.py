@@ -45,6 +45,8 @@ _GROWTH_FLOOR = 10  # indices below this are absorbed into the constant
 #: Largest n whose band envelope 3^n is a finite double.
 _BAND_DEGREE_CAP = 646
 
+_GROWTH_SAMPLES = 360  # equally spaced points on the circle of growth_bound_report
+
 
 def basis_values(order: int, t) -> np.ndarray:
     """f_0(t) .. f_order(t); t may be real or complex, scalar or array."""
@@ -187,30 +189,21 @@ class TaylorSeries:
         if self.type_hint < 0:
             raise ValueError("type_hint must be >= 0")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 @dataclass(frozen=True)
 class BasisSeries:
     """Coefficients in the f_n basis with a certified real-band tail bound.
 
     tail_bound dominates the value dropped by truncation on the band
-    |z| <= 3 under the nominal envelope |f_n| <= 2 * 3^n (plus, for
-    type_hint > 0, a model tail for coefficients beyond the input degree).
+    |z| <= 3 under the nominal envelope |f_n| <= 2 * 3^n (plus, for a
+    positive declared type, a model tail beyond the input degree).
     """
 
     coefficients: np.ndarray
     tail_bound: float = 0.0
-    type_hint: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, t):
         return evaluate_series(self.coefficients, t)
@@ -221,12 +214,6 @@ def _implied_types(alpha: np.ndarray):
     for n in range(_GROWTH_FLOOR, len(alpha)):
         if alpha[n] != 0.0:
             yield n, (n / (2.0 * math.e)) * abs(alpha[n]) ** (2.0 / n)
-
-
-def estimate_order2_type(coefficients) -> float:
-    """Largest implied order-2 type (n / 2e) |alpha_n|^(2/n) over n >= 10."""
-    alpha = np.asarray(coefficients, dtype=float)
-    return max([0.0] + [implied for _, implied in _implied_types(alpha)])
 
 
 def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
@@ -270,7 +257,7 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
             f"certified tail bound {tail:.3e} exceeds requested tolerance {tol:.3e}; "
             "supply more Taylor terms"
         )
-    return BasisSeries(a[: top + 1].copy(), tail_bound=tail, type_hint=sigma)
+    return BasisSeries(a[: top + 1].copy(), tail_bound=tail)
 
 
 def _model_tail(a: np.ndarray, sigma: float) -> float:
@@ -335,54 +322,28 @@ def _log_weighted_max(coefficients, params: NormParams) -> float:
     return best
 
 
-def series_norm(coefficients, params: NormParams) -> float:
-    """sup_n (n/K)^{c n} |a_n| (computed in logs to dodge overflow)."""
-    best = _log_weighted_max(coefficients, params)
-    return math.exp(best) if best < 700 else math.inf
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Measured maxima of |f_n| and |f_n'| on a circle vs the nominal envelope.
+    """Measured maximum of |f_n| on a circle vs the nominal envelope.
 
-    The envelope 2 * max(r,3)^n (3 * max(r,3)^n for the derivative) is not
-    achieved on the complex circle for most orders; this report states the
-    measured margin instead of asserting the envelope.
+    The envelope 2 * max(r,3)^n is not achieved on the complex circle for
+    most orders; this report states the measured margin instead of
+    asserting the envelope.
     """
 
-    order: int
-    radius: float
-    samples: int
     max_value: float
     value_envelope: float
-    max_derivative: float
-    derivative_envelope: float
-
-    @property
-    def value_ok(self) -> bool:
-        return self.max_value <= self.value_envelope
-
-    @property
-    def derivative_ok(self) -> bool:
-        return self.max_derivative <= self.derivative_envelope
 
 
-def growth_bound_report(order: int, radius: float, samples: int = 360) -> BoundReport:
-    """Evaluate f_order and f_order' on |z| = radius and compare to envelopes."""
+def growth_bound_report(order: int, radius: float) -> BoundReport:
+    """Evaluate f_order on |z| = radius and compare to the envelope."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    angles = 2.0 * math.pi * np.arange(samples) / samples
+    angles = 2.0 * math.pi * np.arange(_GROWTH_SAMPLES) / _GROWTH_SAMPLES
     z = radius * np.exp(1j * angles)
-    f, df, _ = basis_with_derivatives(order, z)
-    base = max(radius, 3.0)
     return BoundReport(
-        order=order,
-        radius=radius,
-        samples=samples,
-        max_value=float(np.max(np.abs(f[order]))),
-        value_envelope=2.0 * base ** order,
-        max_derivative=float(np.max(np.abs(df[order]))),
-        derivative_envelope=3.0 * base ** order,
+        max_value=float(np.max(np.abs(basis_values(order, z)[order]))),
+        value_envelope=2.0 * max(radius, 3.0) ** order,
     )
 
 

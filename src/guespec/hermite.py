@@ -255,37 +255,6 @@ def ode_residual(n: int, x) -> np.ndarray:
     return p3 / (n * n) + (4.0 - x * x) * p1 + x * p0
 
 
-def hermite_values(n: int, order: int, x) -> list:
-    """Unnormalized Hermite values h_0(x)..h_order(x) for weight exp(-n x^2/2).
-
-    h_{k+1} = n x h_k - n k h_{k-1}, h_0 = 1.  Plain scalar arithmetic, so
-    Fraction inputs stay exact.  These grow quickly; intended for moderate
-    orders (translation identities, cross-checks).
-    """
-    _check_size(n)
-    one = x * 0 + 1  # unit in the arithmetic of x
-    vals = [one]
-    if order >= 1:
-        vals.append(n * x * one)
-    for k in range(1, order):
-        vals.append(n * x * vals[k] - n * k * vals[k - 1])
-    return vals[: order + 1]
-
-
-def hermite_translate(n: int, order: int, shift, x):
-    """h_order(x + shift) assembled from the binomial translation sum
-
-        h_m(x + a) = sum_k C(m, k) n^k a^k h_{m-k}(x).
-
-    Exact for Fraction arguments, float otherwise.
-    """
-    base = hermite_values(n, order, x)
-    total = base[order] * 0
-    for k in range(order + 1):
-        total += math.comb(order, k) * n ** k * shift ** k * base[order - k]
-    return total
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     """Density values (and optional derivatives) on a grid."""

@@ -27,6 +27,8 @@ import numpy as np
 #: integer budget this module promises (values are checked exact ints).
 STIRLING_CAP = 34
 
+_EXPANSION_TOL = 1e-12  # certified truncation bound of laplace_expansion
+
 
 def hyp1f1_truncated(n: int, x):
     """1F1(1 - n; 2 | x): a terminating series, evaluated as a polynomial.
@@ -108,16 +110,15 @@ def stirling_table(max_n: int) -> StirlingTable:
     return StirlingTable(max_n=max_n, rows=tuple(rows))
 
 
-def laplace_expansion(s, depth: int, inner_terms: int | None = None,
-                      tol: float = 1e-12) -> np.ndarray:
+def laplace_expansion(s, depth: int) -> np.ndarray:
     """Coefficients c_0..c_depth of density_laplace(N, s) = sum_l c_l N^{-l}.
 
     Each c_l combines the expansion of e^{s^2/(2N)} with inner sums
     B_l = sum_k [k+1, k+1-l] s^{2k} / (k! (k+1)!).  The inner sums are
-    truncated at ``inner_terms`` (chosen automatically so the factorial
-    tail bound |s|^{2k}/k! is three orders below tol); a certified bound
-    on the truncation error of every coefficient is checked against tol
-    and a breach raises rather than returning silently degraded values.
+    truncated at K terms, K >= depth chosen so the factorial tail bound
+    |s|^{2K}/K! is three orders below 1e-12; a certified bound on the
+    truncation error of every coefficient is checked against 1e-12 and a
+    breach raises rather than returning silently degraded values.
     Odd-index coefficients are zero in exact arithmetic; in floats they are
     the rounding residue of cancelling sums (laplace_expansion(1.3, 4) has
     c_1 = -2^-51), not zero.  The verify check accepts residue up to 1e-12
@@ -126,16 +127,11 @@ def laplace_expansion(s, depth: int, inner_terms: int | None = None,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mag2 = abs(s) ** 2
-    if inner_terms is None:
-        k = max(depth, 1)
-        while mag2 ** k / math.factorial(k) > 1e-3 * tol and k < STIRLING_CAP - 1:
-            k += 1
-        inner_terms = k
-    if inner_terms < depth:
-        raise ValueError("inner_terms must be at least depth")
+    k = max(depth, 1)
+    while mag2 ** k / math.factorial(k) > 1e-3 * _EXPANSION_TOL and k < STIRLING_CAP - 1:
+        k += 1
+    inner_terms = k
     if inner_terms + 1 > STIRLING_CAP:
         raise ValueError(
             f"inner_terms {inner_terms} needs stirling rows beyond the cap {STIRLING_CAP}"
@@ -148,10 +144,10 @@ def laplace_expansion(s, depth: int, inner_terms: int | None = None,
         )
     inner_tail = mag2 ** (inner_terms + 1) / math.factorial(inner_terms + 1) / (1.0 - ratio)
     bound = math.exp(mag2 / 2.0) * inner_tail
-    if bound > tol:
+    if bound > _EXPANSION_TOL:
         raise ValueError(
-            f"certified truncation bound {bound:.3e} exceeds requested tol {tol:.3e}; "
-            "raise inner_terms or tol"
+            f"certified truncation bound {bound:.3e} exceeds tol {_EXPANSION_TOL:.3e}; "
+            "use a smaller |s|"
         )
     table = stirling_table(inner_terms + 1)
     s2 = s * s

@@ -46,6 +46,8 @@ from .gegenbauer import (
 #: vector by one application of the correction operator.
 DEGREE_LOSS_PER_CORRECTION = 4
 
+_CONVERGENCE_TOL = 1e-6  # final relative error of measure_convergence_threshold
+
 
 def _per_row(values, ndim: int) -> np.ndarray:
     """``values`` shaped to scale the rows (axis 0) of an ndim-dimensional array."""
@@ -170,13 +172,12 @@ def measure_convergence_threshold(
     functionals,
     reference,
     max_ensemble_size: int = 12,
-    tol: float = 1e-6,
 ) -> int:
     """Smallest N0 such that the expansion is observed to converge for all N >= N0.
 
     For each N in 1..max_ensemble_size the partial sums are compared with
     ``reference(N)``; convergence at N means the error sequence is
-    non-increasing from index 3 on and finishes below ``tol``
+    non-increasing from index 3 on and finishes below 1e-6
     relative to max(1, |reference|).  Errors below a few dozen ulps of the
     reference count as "at the rounding floor" and never break monotonicity:
     once the sum has converged to machine precision, the residual bounces by
@@ -195,7 +196,7 @@ def measure_convergence_threshold(
             errs[k + 1] <= max(errs[k] * (1.0 + 1e-9), floor)
             for k in range(3, len(errs) - 1)
         )
-        converged.append(monotone and errs[-1] <= tol * max(1.0, abs(ref)))
+        converged.append(monotone and errs[-1] <= _CONVERGENCE_TOL * max(1.0, abs(ref)))
     for n0 in range(1, max_ensemble_size + 1):
         if all(converged[n0 - 1:]):
             return n0

@@ -31,7 +31,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
     def integrate(self, f):
         vals = f(self.nodes)
@@ -51,7 +50,7 @@ def semicircle_rule(count: int) -> QuadratureRule:
     theta = j * math.pi / (count + 1)
     nodes = 2.0 * np.cos(theta)
     weights = (4.0 * math.pi / (count + 1)) * np.sin(theta) ** 2
-    return QuadratureRule(nodes, weights, 2 * count - 1)
+    return QuadratureRule(nodes, weights)
 
 
 def integrate_gegenbauer2(f, count: int):
@@ -80,7 +79,7 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
     # A Christoffel sum past the double range means a weight below it.
     sums = _christoffel(n, count - 1, nodes)
     weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)
-    return QuadratureRule(nodes, weights, 2 * count - 1)
+    return QuadratureRule(nodes, weights)
 
 
 def density_polynomial_integral(n: int, f, degree: int) -> float:
@@ -106,6 +105,9 @@ class LineIntegral:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MAX_DOUBLINGS = 24
+_MAX_DEPTH = 30
+_PANEL_BUDGET = 40000
 
 # Panels per integrand call: bounds the node arrays of one call at
 # 15 * _CHUNK_PANELS points whatever the width of a bisection level.
@@ -125,23 +127,20 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.concatenate(sums)
 
 
-def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-10,
-                   max_doublings: int = 24, max_depth: int = 30,
-                   panel_budget: int = 40000) -> LineIntegral:
+def integrate_line(f, scale: float = 1.0, tol: float = 1e-10) -> LineIntegral:
     """Adaptive integral of f over the whole line.
 
-    The caller asserts that |f(center + u)| decays at least like a
-    Gaussian exp(-(u/scale)^2) for large |u|.  The window is widened by
-    doubling until the implied tail bound (edge magnitude times
+    The caller asserts that |f(u)| decays at least like a Gaussian
+    exp(-(u/scale)^2) for large |u|.  The window, centred at 0, is widened
+    by doubling until the implied tail bound (edge magnitude times
     scale^2 / (2 width)) drops below tol/4, then integrated by adaptive
     bisection with fixed 15-point Gauss-Legendre panels.  An interval
     [lo, hi] is accepted when its bisection defect is at most
     tol * max(1, |S0|) * (hi - lo) / (b - a), with S0 the sum of the 16
     seed panels over the window [a, b]: tol is absolute for integrals
-    below 1 in size and relative above it.  The tail test stays
-    absolute.  Returns the
-    value, a conservative error estimate (sum of accepted panel defects
-    plus the tail bound), the panel count, and the window.
+    below 1 in size and relative above it.  The tail test stays absolute.
+    Returns the value, a conservative error estimate (sum of accepted
+    panel defects plus the tail bound), the panel count and the window.
 
     f must act elementwise on 1-D arrays of any length.  The bisection
     runs level by level: one call of f (more for very wide levels, in
@@ -149,14 +148,14 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
     interval.  Accepted panels are summed in descending position, so the
     result is that of a depth-first bisection and does not depend on how
     a level was split into calls.  A level that would take the panel
-    count past panel_budget raises QuadratureError before it is evaluated.
+    count past the budget of 40000 raises QuadratureError unevaluated.
     """
     if scale <= 0 or tol <= 0:
         raise ValueError("scale and tol must be positive")
     width = 4.0 * scale
     tail = math.inf
-    for _ in range(max_doublings):
-        edges = np.array([center - width, center + width])
+    for _ in range(_MAX_DOUBLINGS):
+        edges = np.array([-width, width])
         edge_mag = float(np.max(np.abs(f(edges))))
         tail = edge_mag * scale * scale / (2.0 * width)
         if tail < tol / 4.0:
@@ -164,9 +163,9 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
         width *= 2.0
     else:
         raise QuadratureError(
-            f"window widening budget exhausted ({max_doublings} doublings, tail {tail:.3e})"
+            f"window widening budget exhausted ({_MAX_DOUBLINGS} doublings, tail {tail:.3e})"
         )
-    a, b = center - width, center + width
+    a, b = -width, width
 
     # Seed with a modest uniform split so narrow features are not missed.
     seeds = np.linspace(a, b, 17)
@@ -181,8 +180,8 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
     depth = 0
     while len(lo):
         panels += 2 * len(lo)
-        if panels > panel_budget:
-            raise QuadratureError(f"panel budget {panel_budget} exhausted")
+        if panels > _PANEL_BUDGET:
+            raise QuadratureError(f"panel budget {_PANEL_BUDGET} exhausted")
         mid = 0.5 * (lo + hi)
         halves = _panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         left, right = halves[:len(lo)], halves[len(lo):]
@@ -190,7 +189,7 @@ def integrate_line(f, center: float = 0.0, scale: float = 1.0, tol: float = 1e-1
         # hypot is the scalar abs of a complex number; numpy's vectorised
         # complex abs can differ from it in the last bit.
         err = np.hypot(diff.real, diff.imag)
-        done = (err <= tol * size * (hi - lo) / (b - a)) | (depth >= max_depth)
+        done = (err <= tol * size * (hi - lo) / (b - a)) | (depth >= _MAX_DEPTH)
         accepted.append((lo[done], left[done], right[done], err[done]))
         todo = ~done
         lo, hi = (np.concatenate([lo[todo], mid[todo]]),

@@ -142,7 +142,7 @@ def kernel_pair_transform(n: int, s, offset: float) -> complex:
             (xlow, xhigh), _ = hermite._top_rows(n, x)
             (ylow, yhigh), _ = hermite._top_rows(n, y)
             return np.exp(s * lam) * (xhigh * ylow - xlow * yhigh) / (2.0 * offset)
-    return quadrature.integrate_line(integrand, center=0.0, scale=1.0, tol=1e-10).value
+    return quadrature.integrate_line(integrand).value
 
 
 def suite_laplace() -> list[CheckResult]:

@@ -94,7 +94,7 @@ def test_criterion_4_entire_function_convergence():
             scale=scale, tol=1e-11).value
 
     threshold = operators.measure_convergence_threshold(
-        alphas_g, ref_gauss, max_ensemble_size=12, tol=1e-6)
+        alphas_g, ref_gauss, max_ensemble_size=12)
     worst_g = 0.0
     for n in range(threshold, 13):
         r = ref_gauss(n)

@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import cli, montecarlo
+from guespec import TaylorSeries, cli, expand_entire, montecarlo, resummed_integral
 from guespec.cli import main
 
 
@@ -381,6 +381,36 @@ def test_taylor_terms_are_correctly_rounded(a):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+# Each printed NaN or Infinity (or nan/inf cells) and exited 0.  At N=1 the
+# moments first leave the double range at p = 235 (nan) and 236 (inf).
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("laplace", "--n", "256", "--s=0", "--lambda-minus", "3"),
+    ("laplace", "--n", "4", "--s=nan"),
+    ("moments", "--n", "1", "--max", "236"),
+], ids=["laplace-offset", "laplace-nan", "moments-overflow"])
+def test_non_finite_results_are_refused(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_resum_refuses_sigma_without_a_taylor_file(capsys):
+    code, out, err = run(capsys, "resum", "--n", "8", "--function", "exp:1", "--terms", "4",
+                         "--sigma", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: --sigma applies to taylor-file functions only\n"
+
+
+def test_resum_taylor_file_takes_sigma(tmp_path, capsys):
+    path = tmp_path / "coeffs.txt"
+    path.write_text("1.0\n0.0\n0.5\n")
+    code, _, _ = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
+                     "--terms", "2", "--sigma", "0.5")
+    assert code == 0
+
+
 def test_gauss_compare_divergent_reference_is_error(capsys):
     code, _, err = run(capsys, "resum", "--n", "2", "--function", "gauss:1.6",
                        "--terms", "4", "--compare")
@@ -393,6 +423,19 @@ def _readme_examples():
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```\n(\$ guespec .*?)\n```$", text, re.M | re.S)
     return [tuple(block.split("\n", 1)) for block in blocks]
+
+
+def test_readme_library_block():
+    """The README's "Library use" block runs, and its values are the
+    library's own."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library use\n\n```python\n(.*?)\n```$", text, re.M | re.S).group(1)
+    names = {}
+    exec(block, names)
+    assert np.all(np.isfinite(names["p"]))
+    series = expand_entire(TaylorSeries([1.0, 0.0, 0.5], 0.0))
+    assert names["exact"] == resummed_integral(series, ensemble_size=8, depth=2)
+    assert names["exact"] == pytest.approx(1.5, rel=1e-14)  # 1 + <t^2>/2, <t^2> = 1
 
 
 @pytest.mark.parametrize("example", _readme_examples(), ids=lambda e: e[0].split()[2])

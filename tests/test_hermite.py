@@ -3,7 +3,6 @@
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -230,33 +229,6 @@ def test_sums_over_k_stream_in_output_sized_memory(func, points):
     out_bytes = sum(a.nbytes for a in out) if isinstance(out, tuple) else out.nbytes
     # one (256, points) frame alone would be 256 output rows
     assert peak <= 16 * out_bytes, (peak, out_bytes)
-
-
-def test_unnormalized_hermite_translation_exact():
-    """Translation identity in exact rational arithmetic, orders <= 15."""
-    n = 3
-    x = Fraction(2, 7)
-    a = Fraction(-3, 5)
-    direct = hermite.hermite_values(n, 15, x + a)
-    for order in range(16):
-        assembled = hermite.hermite_translate(n, order, a, x)
-        assert assembled == direct[order]  # exact Fraction equality
-
-
-def test_unnormalized_hermite_small_cases():
-    # h_0 = 1, h_1 = n x, h_2 = n^2 x^2 - n, h_3 = n^3 x^3 - 3 n^2 x
-    n = 2
-    x = Fraction(1, 2)
-    vals = hermite.hermite_values(n, 3, x)
-    assert vals[0] == 1
-    assert vals[1] == n * x
-    assert vals[2] == n ** 2 * x ** 2 - n
-    assert vals[3] == n ** 3 * x ** 3 - 3 * n ** 2 * x
-
-
-def test_translate_zero_shift_is_identity():
-    vals = hermite.hermite_values(4, 9, 0.37)
-    assert hermite.hermite_translate(4, 9, 0.0, 0.37) == pytest.approx(vals[9], rel=1e-12)
 
 
 def test_density_profile_grid_and_single_point():

@@ -237,15 +237,15 @@ def test_expansion_dtype_and_bits_follow_s(s, dtype, bits):
 
 
 def test_expansion_inner_truncation_certificate():
-    with pytest.raises(ValueError, match="certified truncation bound|certify"):
-        laplace.laplace_expansion(2.5, 4, inner_terms=4)
-    with pytest.raises(ValueError):
-        laplace.laplace_expansion(1.0, 6, inner_terms=3)  # below depth
+    with pytest.raises(ValueError, match="certified truncation bound"):
+        laplace.laplace_expansion(4.0, 4)
+    with pytest.raises(ValueError, match="beyond the cap"):
+        laplace.laplace_expansion(1.0, 34)  # depth past the stirling rows
 
 
 def test_expansion_large_s_beyond_cap():
     # |s|^2 too large for the capped stirling rows to certify
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot certify"):
         laplace.laplace_expansion(6.5, 4)
 
 

@@ -21,8 +21,7 @@ def semicircle_moment(p):
 @pytest.mark.parametrize("count", [1, 2, 3, 6, 10])
 def test_semicircle_rule_exactness(count):
     rule = quadrature.semicircle_rule(count)
-    assert rule.exact_degree == 2 * count - 1
-    for p in range(0, min(rule.exact_degree, 8) + 1):
+    for p in range(0, min(2 * count - 1, 8) + 1):
         got = rule.integrate(lambda t: t ** p) / (2.0 * math.pi)
         assert got == pytest.approx(semicircle_moment(p), abs=5e-14)
 
@@ -109,13 +108,15 @@ def test_integrate_line_error_bound_honest():
         mu = rng.uniform(-2, 2)
         s = rng.uniform(0.4, 2.0)
         c = rng.uniform(-3, 3, size=3)
-        # int (c0 + c1 u + c2 u^2) exp(-(u-mu)^2/(2 s^2)) du with u-mu = v
+        # int (c0 + c1 u + c2 u^2) exp(-(u-mu)^2/(2 s^2)) du, shifted by
+        # u = t + mu so that the window centred at 0 sits on the peak
         norm = s * math.sqrt(2 * math.pi)
         exact = norm * (c[0] + c[1] * mu + c[2] * (mu * mu + s * s))
 
-        res = quadrature.integrate_line(
-            lambda t: (c[0] + c[1] * t + c[2] * t * t) * np.exp(-(t - mu) ** 2 / (2 * s * s)),
-            center=mu, scale=s, tol=1e-10)
+        def f(t):
+            u = t + mu
+            return (c[0] + c[1] * u + c[2] * u * u) * np.exp(-t * t / (2 * s * s))
+        res = quadrature.integrate_line(f, scale=s, tol=1e-10)
         assert abs(res.value - exact) <= max(res.error_bound, 4e-13 * max(1.0, abs(exact)))
 
 
@@ -129,14 +130,15 @@ def test_integrate_line_complex_transparent():
 
 def test_integrate_line_oscillatory_narrow_feature():
     # peak far from the seed grid center; adaptivity must find it
-    res = quadrature.integrate_line(lambda t: np.exp(-(t - 3.0) ** 2 * 40.0), center=0.0, scale=2.0)
+    res = quadrature.integrate_line(lambda t: np.exp(-(t - 3.0) ** 2 * 40.0), scale=2.0)
     assert res.value == pytest.approx(math.sqrt(math.pi / 40.0), rel=1e-9)
 
 
-def test_integrate_line_budget_errors():
-    with pytest.raises(quadrature.QuadratureError):
+def test_integrate_line_budget_errors(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 5)
+    with pytest.raises(quadrature.QuadratureError, match="5 doublings"):
         # constant integrand never decays; widening must give up
-        quadrature.integrate_line(lambda t: np.ones_like(t), max_doublings=5)
+        quadrature.integrate_line(lambda t: np.ones_like(t))
     with pytest.raises(ValueError):
         quadrature.integrate_line(lambda t: t, scale=-1.0)
 
@@ -182,25 +184,25 @@ def test_gaussian_rule_weights_below_the_double_range_are_zero():
         pytest.approx(1.0, rel=1e-13)
 
 
-def stack_integrate_line(f, center=0.0, scale=1.0, tol=1e-10, max_doublings=24,
-                         max_depth=30, panel_budget=40000):
+def stack_integrate_line(f, scale=1.0, tol=1e-10):
     """Reference: the depth-first form of integrate_line, one 15-point
-    panel per integrand call, popping the rightmost pending interval."""
+    panel per integrand call, popping the rightmost pending interval.  It
+    reads the same module limits, so a test that patches one patches both."""
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         return half * (quadrature._GL_WEIGHTS * f(mid + half * quadrature._GL_NODES)).sum()
 
     width = 4.0 * scale
-    for _ in range(max_doublings):
-        edges = np.array([center - width, center + width])
+    for _ in range(quadrature._MAX_DOUBLINGS):
+        edges = np.array([-width, width])
         tail = float(np.max(np.abs(f(edges)))) * scale * scale / (2.0 * width)
         if tail < tol / 4.0:
             break
         width *= 2.0
     else:
         raise quadrature.QuadratureError("window widening budget exhausted")
-    a, b = center - width, center + width
+    a, b = -width, width
     seeds = np.linspace(a, b, 17)
     stack = [(lo, hi, panel(lo, hi), 0) for lo, hi in zip(seeds[:-1], seeds[1:])]
     size = max(1.0, abs(complex(np.array([whole for _, _, whole, _ in stack]).sum())))
@@ -210,13 +212,13 @@ def stack_integrate_line(f, center=0.0, scale=1.0, tol=1e-10, max_doublings=24,
     while stack:
         lo, hi, whole, depth = stack.pop()
         panels += 2
-        if panels > panel_budget:
-            raise quadrature.QuadratureError(f"panel budget {panel_budget} exhausted")
+        if panels > quadrature._PANEL_BUDGET:
+            raise quadrature.QuadratureError(f"panel budget {quadrature._PANEL_BUDGET} exhausted")
         mid = 0.5 * (lo + hi)
         left = panel(lo, mid)
         right = panel(mid, hi)
         err = abs(left + right - whole)
-        if err <= tol * size * (hi - lo) / (b - a) or depth >= max_depth:
+        if err <= tol * size * (hi - lo) / (b - a) or depth >= quadrature._MAX_DEPTH:
             total = total + left + right
             defect += err
         else:
@@ -255,9 +257,12 @@ def narrow_peak(t):
     return np.exp(-(t - 3.0) ** 2 * 40.0)
 
 
-def direct(f, **kwargs):
+def direct(f, max_depth=quadrature._MAX_DEPTH, **kwargs):
+    """A call of integrate_line(f, **kwargs) with the bisection depth capped
+    at max_depth."""
     def call():
         quadrature.integrate_line(f, **kwargs)
+    call.max_depth = max_depth
     return call
 
 
@@ -271,13 +276,14 @@ def direct(f, **kwargs):
     pair_transform(10, 1.0 + 1.0j, 0.3),
     pair_transform(64, 3.0, 0.0),
     pair_transform(256, 3.0, 0.0),
-    direct(narrow_peak, center=0.0, scale=2.0),
-    direct(narrow_peak, scale=2.0, max_depth=1),
+    direct(narrow_peak, scale=2.0),
+    direct(narrow_peak, max_depth=1, scale=2.0),
     direct(lambda t: np.exp(2j * t) * np.exp(-t * t / 2)),
 ], ids=["gauss-4", "gauss-16", "gauss-16-wide", "pair-real", "pair-imag", "pair-offset",
         "pair-offset-complex", "pair-64", "pair-256", "narrow", "narrow-shallow", "oscillating"])
 def test_integrate_line_is_bitwise_the_stack_algorithm(monkeypatch, call):
     f, kwargs = captured_integral(monkeypatch, call)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", getattr(call, "max_depth", quadrature._MAX_DEPTH))
     got = quadrature.integrate_line(f, **kwargs)
     want = stack_integrate_line(f, **kwargs)
     assert type(got.value) is type(want.value)
@@ -303,12 +309,13 @@ def test_integrate_line_calls_the_integrand_once_per_level(monkeypatch):
 
 
 @pytest.mark.parametrize("short", [0, 1, 2, 3])
-def test_integrate_line_refuses_where_the_stack_algorithm_does(short):
+def test_integrate_line_refuses_where_the_stack_algorithm_does(monkeypatch, short):
     budget = quadrature.integrate_line(narrow_peak, scale=2.0).panels - short
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", budget)
     outcomes = []
     for integrate in (quadrature.integrate_line, stack_integrate_line):
         try:
-            outcomes.append(integrate(narrow_peak, scale=2.0, panel_budget=budget).panels)
+            outcomes.append(integrate(narrow_peak, scale=2.0).panels)
         except quadrature.QuadratureError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
@@ -321,14 +328,15 @@ UNREACHABLE_TOL = 1e-16
 
 
 @pytest.mark.parametrize("budget", [10, 100, 1000])
-def test_integrate_line_evaluates_nothing_past_the_budget(budget):
+def test_integrate_line_evaluates_nothing_past_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", budget)
     sizes = []
 
     def f(t):
         sizes.append(t.size)
         return np.exp(3.0 * t) * hermite.kernel_diag(256, t)
     with pytest.raises(quadrature.QuadratureError, match=f"^panel budget {budget} exhausted$"):
-        quadrature.integrate_line(f, tol=UNREACHABLE_TOL, panel_budget=budget)
+        quadrature.integrate_line(f, tol=UNREACHABLE_TOL)
     # Beyond the 2-point window edges: the 16 seed panels and whole levels
     # that fit in the budget.
     assert sum(size for size in sizes if size != 2) <= 15 * (16 + budget)
