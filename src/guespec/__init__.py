@@ -52,7 +52,6 @@ from .quadrature import (
     LineIntegral,
     QuadratureRule,
     gaussian_rule,
-    integrate_gegenbauer2,
     integrate_line,
     semicircle_rule,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "first_order_solve",
     "gaussian_rule",
     "growth_bound_report",
-    "integrate_gegenbauer2",
     "integrate_line",
     "kernel",
     "kernel_diag",

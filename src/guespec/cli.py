@@ -155,7 +155,7 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
     """Independent value of int f p_N dt for --compare."""
     if spec.kind == "monomial":
         power = int(spec.parameter)
-        return quadrature.density_polynomial_integral(n, lambda t: t ** power, power)
+        return float(quadrature.density_rule(n, power).integrate(lambda t: t ** power))
     if spec.kind == "exp":
         return float(laplace.density_laplace(n, spec.parameter))
     if spec.kind == "cos":
@@ -169,9 +169,8 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
         return float(quadrature.integrate_line(
             lambda t: np.exp(sig * t * t) * hermite.density(n, t),
             scale=decay, tol=1e-11).value)
-    return quadrature.density_polynomial_integral(
-        n, lambda t: np.polynomial.polynomial.polyval(t, spec.coefficients),
-        len(spec.coefficients) - 1)
+    rule = quadrature.density_rule(n, len(spec.coefficients) - 1)
+    return float(rule.integrate(lambda t: np.polynomial.polynomial.polyval(t, spec.coefficients)))
 
 
 # ------------------------------------------------------------- commands
@@ -296,13 +295,17 @@ def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
 
 def cmd_moments(args) -> int:
     rows = []
-    for power in range(args.max + 1):
-        mono = [0.0] * power + [1.0]
-        a = gegenbauer.taylor_to_basis(mono)
-        series_val = operators.resummed_integral(a, args.n, math.ceil(power / 4))
-        quad_val = quadrature.density_polynomial_integral(
-            args.n, lambda t: t ** power, power)
-        rows.append((power, quad_val, series_val, abs(quad_val - series_val)))
+    # A moment past the double range comes out inf or nan, which the
+    # emitters refuse; numpy's warnings about it would print ahead of the
+    # refusal, with source paths.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rule = quadrature.density_rule(args.n, args.max)
+        for power in range(args.max + 1):
+            mono = [0.0] * power + [1.0]
+            a = gegenbauer.taylor_to_basis(mono)
+            series_val = operators.resummed_integral(a, args.n, math.ceil(power / 4))
+            quad_val = float(rule.integrate(lambda t: t ** power))
+            rows.append((power, quad_val, series_val, abs(quad_val - series_val)))
     if args.format == "json":
         _emit_json({
             "moments": [{"difference": d, "expansion": s, "p": p, "quadrature": q}

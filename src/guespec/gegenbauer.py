@@ -90,25 +90,21 @@ def semicircle_functional(coefficients) -> float:
     return float(a[::2].sum())
 
 
-def normalization_check(n: int, m: int) -> float:
-    """Quadrature value of int f_n f_m (4 - t^2)^{3/2} dt on [-2, 2].
+def normalization_check(order: int) -> np.ndarray:
+    """Gram matrix of int f_n f_m (4 - t^2)^{3/2} dt on [-2, 2], n, m <= order.
 
-    Equals 2 pi (n+1)(n+3) when n == m and 0 otherwise; computed by an
-    exact-degree rule so deviations expose basis evaluation errors, not
-    quadrature ones.
+    Equals 2 pi (n+1)(n+3) on the diagonal and 0 off it; one semicircle
+    rule, with the factor (4 - t^2) in its weights, integrates every entry
+    exactly (degree 2 order + 2), so deviations expose basis evaluation
+    errors, not quadrature ones.
     """
-    from .quadrature import integrate_gegenbauer2
+    from .quadrature import semicircle_rule
 
-    if n < 0 or m < 0:
-        raise ValueError("orders must be >= 0")
-    order = max(n, m)
-
-    def integrand(t):
-        f = basis_values(order, t)
-        return f[n] * f[m]
-
-    count = (n + m + 2) // 2 + 2
-    return float(integrate_gegenbauer2(integrand, count))
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    rule = semicircle_rule(order + 2)
+    f = basis_values(order, rule.nodes)
+    return (f * (rule.weights * (4.0 - rule.nodes * rule.nodes))) @ f.T
 
 
 def _over_common_denominator(coefficients) -> tuple[list[int], int]:

@@ -259,7 +259,6 @@ def ode_residual(n: int, x) -> np.ndarray:
 class DensityProfile:
     """Density values (and optional derivatives) on a grid."""
 
-    n: int
     grid: np.ndarray
     values: np.ndarray
     derivatives: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -285,5 +284,5 @@ def density_profile(n: int, start: float, stop: float, points: int,
         grid = np.linspace(float(start), float(stop), points)
     if with_derivatives:
         p0, p1, p2, p3 = density_derivatives(n, grid)
-        return DensityProfile(n, grid, p0, (p1, p2, p3))
-    return DensityProfile(n, grid, density(n, grid))
+        return DensityProfile(grid, p0, (p1, p2, p3))
+    return DensityProfile(grid, density(n, grid))

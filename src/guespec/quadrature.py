@@ -6,7 +6,8 @@ Three integration needs show up repeatedly:
   Chebyshev rule, exact to the stated degree);
 * polynomial integrals against exp(-N t^2 / 2) on the line (Gauss rule
   whose nodes are the eigenvalues of the Jacobi matrix, from the package's
-  LAPACK tridiagonal solver);
+  LAPACK tridiagonal solver), and against p_N with the Christoffel factor
+  folded into the same rule's weights;
 * general rapidly decaying integrands on the line (adaptive panels).
 """
 
@@ -53,16 +54,6 @@ def semicircle_rule(count: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-def integrate_gegenbauer2(f, count: int):
-    """Integral of f(t) (4 - t^2)^{3/2} over [-2, 2].
-
-    One factor (4 - t^2) is folded into the integrand over the semicircle
-    rule, which costs two polynomial degrees of exactness.
-    """
-    rule = semicircle_rule(count)
-    return rule.integrate(lambda t: f(t) * (4.0 - t * t))
-
-
 def gaussian_rule(n: int, count: int) -> QuadratureRule:
     """Gauss rule for integrals of f(t) exp(-n t^2 / 2) over the line.
 
@@ -82,18 +73,20 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-def density_polynomial_integral(n: int, f, degree: int) -> float:
-    """Exact integral of f(t) p_n(t) over the line for polynomial f.
+def density_rule(n: int, degree: int) -> QuadratureRule:
+    """Rule for integrals of f(t) p_n(t) over the line, exact for
+    polynomial f of degree <= ``degree``.
 
-    p_n times the Gaussian-stripped Christoffel sum is a polynomial, so a
-    Gauss rule sized for degree + 2(n-1) integrates it exactly.
+    p_n is exp(-n t^2 / 2) times the Christoffel sum at k_max = n - 1 over
+    n, a polynomial of degree 2(n-1); folded into the weights of the Gauss
+    rule sized for degree + 2(n-1), it leaves f alone in the integrand.
+    Build the rule once for the highest degree and integrate every
+    polynomial against it.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    count = (degree + 2 * (n - 1)) // 2 + 1
-    rule = gaussian_rule(n, count)
-    unweighted_diag = christoffel_sum(n, n - 1, rule.nodes) / n
-    return float((rule.weights * f(rule.nodes) * unweighted_diag).sum())
+    rule = gaussian_rule(n, (degree + 2 * (n - 1)) // 2 + 1)
+    return QuadratureRule(rule.nodes, rule.weights * christoffel_sum(n, n - 1, rule.nodes) / n)
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,13 @@ def suite_density() -> list[CheckResult]:
     out = []
     worst_mass = 0.0
     for n in range(1, 33):
-        mass = quadrature.density_polynomial_integral(n, np.ones_like, 0)
-        worst_mass = max(worst_mass, abs(mass - 1.0))
-    out.append(_check("unit mass, N=1..32", worst_mass < 1e-10,
-                      f"max |mass-1| = {worst_mass:.3e} (tol 1e-10)"))
+        # Sized for degree 2, the rule has N + 1 nodes: its Christoffel
+        # factor is a ratio of two different sums, not the identity.
+        rule = quadrature.density_rule(n, 2)
+        for moment in (rule.integrate(np.ones_like), rule.integrate(lambda t: t * t)):
+            worst_mass = max(worst_mass, abs(float(moment) - 1.0))
+    out.append(_check("unit mass and m_2 = 1, N=1..32", worst_mass < 1e-10,
+                      f"max |m_0-1|, |m_2-1| = {worst_mass:.3e} (tol 1e-10)"))
 
     worst_tail = -math.inf
     tail_ok = True
@@ -205,6 +208,7 @@ def suite_moments() -> list[CheckResult]:
     out = []
     worst = 0.0
     finite_ok = True
+    rules = {n: quadrature.density_rule(n, 12) for n in (2, 4, 8)}
     for p in range(13):
         mono = [0.0] * p + [1.0]
         a = gegenbauer.taylor_to_basis(mono)
@@ -213,7 +217,7 @@ def suite_moments() -> list[CheckResult]:
         finite_ok &= all(v == 0.0 for v in alphas[cutoff + 1:])
         for n in (2, 4, 8):
             series_val = float(operators.resum_partial_sums(alphas, n)[-1])
-            quad_val = quadrature.density_polynomial_integral(n, lambda t: t ** p, p)
+            quad_val = float(rules[n].integrate(lambda t: t ** p))
             worst = max(worst, abs(series_val - quad_val) / max(1.0, abs(quad_val)))
     out.append(_check("monomial expansion terminates at ceil(p/4)", finite_ok,
                       "alpha_k exactly 0.0 past the cutoff for p <= 12"))
@@ -257,16 +261,16 @@ def suite_operators() -> list[CheckResult]:
                       f"max scaled residual = {worst_eig:.3e} (tol 1e-9)"))
 
     worst_step = 0.0
+    rules = {n: quadrature.density_rule(n, 10) for n in (3, 6)}
     for _ in range(10):
         poly = rng.uniform(-1.0, 1.0, size=11)
         a = gegenbauer.taylor_to_basis(poly)
         ta = operators.correction(a)
         t_poly = gegenbauer.basis_to_taylor(ta)
-        for n in (3, 6):
-            lhs = quadrature.density_polynomial_integral(
-                n, lambda x: np.polynomial.polynomial.polyval(x, poly), 10)
-            rhs = gegenbauer.semicircle_functional(a) + quadrature.density_polynomial_integral(
-                n, lambda x: np.polynomial.polynomial.polyval(x, t_poly), 10) / n ** 2
+        for n, rule in rules.items():
+            lhs = float(rule.integrate(lambda x: np.polynomial.polynomial.polyval(x, poly)))
+            rhs = gegenbauer.semicircle_functional(a) + float(rule.integrate(
+                lambda x: np.polynomial.polynomial.polyval(x, t_poly))) / n ** 2
             worst_step = max(worst_step, abs(lhs - rhs) / max(1.0, abs(lhs)))
     out.append(_check("one-step correction identity via quadrature", worst_step < 1e-8,
                       f"max rel gap = {worst_step:.3e} at N in {{3,6}} (tol 1e-8)"))
@@ -288,16 +292,12 @@ def suite_operators() -> list[CheckResult]:
 
 def suite_basis() -> list[CheckResult]:
     out = []
-    worst_off = 0.0
-    worst_diag = 0.0
-    for n in range(31):
-        for m in range(n, 31):
-            val = gegenbauer.normalization_check(n, m)
-            if n == m:
-                expected = 2.0 * math.pi * (n + 1) * (n + 3)
-                worst_diag = max(worst_diag, abs(val - expected) / expected)
-            else:
-                worst_off = max(worst_off, abs(val))
+    gram = gegenbauer.normalization_check(30)
+    diag = np.diag(gram)
+    n = np.arange(31)
+    expected = 2.0 * math.pi * (n + 1) * (n + 3)
+    worst_diag = float(np.max(np.abs(diag - expected) / expected))
+    worst_off = float(np.max(np.abs(gram - np.diag(diag))))
     out.append(_check("weighted orthogonality, n,m <= 30",
                       worst_off < 1e-9 and worst_diag < 1e-10,
                       f"max off-diagonal = {worst_off:.3e} (tol 1e-9), "
@@ -323,15 +323,11 @@ def suite_basis() -> list[CheckResult]:
     out.append(_check("Chebyshev second-derivative link, n <= 30", worst_cheb < 1e-10,
                       f"max scaled residual = {worst_cheb:.3e} (tol 1e-10)"))
 
-    worst_even = 0.0
-    worst_odd = 0.0
-    for n in range(61):
-        rule = quadrature.semicircle_rule(n // 2 + 1)
-        val = float(rule.integrate(lambda s: gegenbauer.basis_values(n, s)[n])) / (2.0 * math.pi)
-        if n % 2 == 0:
-            worst_even = max(worst_even, abs(val - 1.0))
-        else:
-            worst_odd = max(worst_odd, abs(val))
+    # One rule exact through degree 61 serves every f_n, n <= 60.
+    rule = quadrature.semicircle_rule(31)
+    averages = gegenbauer.basis_values(60, rule.nodes) @ rule.weights / (2.0 * math.pi)
+    worst_even = float(np.max(np.abs(averages[::2] - 1.0)))
+    worst_odd = float(np.max(np.abs(averages[1::2])))
     out.append(_check("semicircle average of basis elements, n <= 60",
                       worst_even < 1e-12 and worst_odd < 1e-12,
                       f"max |even - 1| = {worst_even:.3e}, max |odd| = {worst_odd:.3e}"))

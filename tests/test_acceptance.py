@@ -201,7 +201,7 @@ def test_criterion_8_monte_carlo_concordance():
 
     m2, se2 = montecarlo.empirical_moment(batch, 2)
     m4, se4 = montecarlo.empirical_moment(batch, 4)
-    m2_exact = quadrature.density_polynomial_integral(n, lambda t: t * t, 2)
+    m2_exact = float(quadrature.density_rule(n, 2).integrate(lambda t: t * t))
     m4_exact = 2.0 + 1.0 / n ** 2
     z2 = abs(m2 - m2_exact) / se2
     z4 = abs(m4 - m4_exact) / se4

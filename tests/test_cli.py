@@ -10,13 +10,14 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import TaylorSeries, cli, expand_entire, montecarlo, resummed_integral
+from guespec import TaylorSeries, cli, expand_entire, montecarlo, quadrature, resummed_integral
 from guespec.cli import main
 
 
@@ -355,6 +356,8 @@ def test_numeric_errors_exit_one(capsys):
     capsys.readouterr()
     assert main(["resum", "--n", "2", "--function", "sinh:1", "--terms", "2"]) == 1
     capsys.readouterr()
+    assert main(["moments", "--n", "4", "--max", "-1"]) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("function", ["gauss:50", "exp:1e200"])
@@ -382,8 +385,8 @@ def test_taylor_terms_are_correctly_rounded(a):
 
 
 # Each printed NaN or Infinity (or nan/inf cells) and exited 0.  At N=1 the
-# moments first leave the double range at p = 235 (nan) and 236 (inf).
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# moments first leave the double range at p = 235 (nan) and 236 (inf).  The
+# refusal is the one line on stderr: no Python warning escapes either.
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv", [
     ("laplace", "--n", "256", "--s=0", "--lambda-minus", "3"),
@@ -391,9 +394,29 @@ def test_taylor_terms_are_correctly_rounded(a):
     ("moments", "--n", "1", "--max", "236"),
 ], ids=["laplace-offset", "laplace-nan", "moments-overflow"])
 def test_non_finite_results_are_refused(capsys, argv, fmt):
-    code, out, err = run(capsys, *argv, "--format", fmt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+# Each command builds each quadrature rule once: one Jacobi eigenproblem per
+# ensemble size, however many polynomials it integrates, and for the basis
+# suite one semicircle rule for the Gram matrix and one for the averages.
+@pytest.mark.parametrize("argv,name,builds", [
+    (("moments", "--n", "256", "--max", "8"), "tridiagonal_eigenvalues", 1),
+    (("verify", "--suite", "moments"), "tridiagonal_eigenvalues", 3),
+    (("verify", "--suite", "operators"), "tridiagonal_eigenvalues", 2),
+    (("verify", "--suite", "basis"), "semicircle_rule", 2),
+], ids=["moments", "verify-moments", "verify-operators", "verify-basis"])
+def test_quadrature_rules_are_built_once(monkeypatch, capsys, argv, name, builds):
+    calls = []
+    build = getattr(quadrature, name)
+    monkeypatch.setattr(quadrature, name, lambda *args: calls.append(args) or build(*args))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == builds, len(calls)
 
 
 def test_resum_refuses_sigma_without_a_taylor_file(capsys):

@@ -251,5 +251,5 @@ def test_expansion_large_s_beyond_cap():
 
 def test_density_polynomial_route_consistency():
     # <t^2> under the density equals the l=0 and l=2 terms: 1 + 0/N^2
-    got = quadrature.density_polynomial_integral(7, lambda t: t * t, 2)
+    got = quadrature.density_rule(7, 2).integrate(lambda t: t * t)
     assert got == pytest.approx(1.0, rel=1e-13)

@@ -85,9 +85,9 @@ def test_resummed_integral_matches_quadrature():
     a = gegenbauer.taylor_to_basis([0.3, 0.0, -1.0, 0.0, 0.5, 0.0, 0.125, 0.0, 0.0625])
     for n in (2, 5):
         got = operators.resummed_integral(a, n, 2)
-        want = quadrature.density_polynomial_integral(
-            n, lambda t: np.polynomial.polynomial.polyval(
-                t, [0.3, 0.0, -1.0, 0.0, 0.5, 0.0, 0.125, 0.0, 0.0625]), 8)
+        want = quadrature.density_rule(n, 8).integrate(
+            lambda t: np.polynomial.polynomial.polyval(
+                t, [0.3, 0.0, -1.0, 0.0, 0.5, 0.0, 0.125, 0.0, 0.0625]))
         assert got == pytest.approx(want, rel=1e-12)
 
 

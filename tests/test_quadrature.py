@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ def test_semicircle_not_exact_past_degree():
 
 
 def test_gegenbauer2_weight_mass():
-    # int (4 - t^2)^{3/2} dt = 6 pi
-    got = quadrature.integrate_gegenbauer2(lambda t: np.ones_like(t), 4)
+    # int (4 - t^2)^{3/2} dt = 6 pi: one factor 4 - t^2 over the semicircle rule
+    got = quadrature.semicircle_rule(4).integrate(lambda t: 4.0 - t * t)
     assert float(got) == pytest.approx(6.0 * math.pi, rel=1e-13)
 
 
@@ -83,14 +84,39 @@ def test_gaussian_nodes_symmetric():
     (4, 6, 5.0 + 10.0 / 16.0),
 ])
 def test_density_polynomial_integral_frozen_moments(n, p, want):
-    got = quadrature.density_polynomial_integral(n, lambda t: t ** p, p)
+    got = quadrature.density_rule(n, p).integrate(lambda t: t ** p)
     assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_density_polynomial_integral_mass():
     for n in (1, 2, 5, 12):
-        got = quadrature.density_polynomial_integral(n, lambda t: np.ones_like(t), 0)
+        got = quadrature.density_rule(n, 0).integrate(lambda t: np.ones_like(t))
         assert got == pytest.approx(1.0, abs=1e-13)
+
+
+def harer_zagier_moments(n, degree):
+    """Exact M_0, M_2, ... M_{2k} <= degree of p_n, from
+    (k+2) M_{2k+2} = (4k+2) M_{2k} + k(4k^2-1) N^{-2} M_{2k-2}."""
+    moments = [Fraction(1), Fraction(1)]
+    for k in range(1, degree // 2):
+        moments.append(((4 * k + 2) * moments[k]
+                        + Fraction(k * (4 * k * k - 1), n * n) * moments[k - 1]) / (k + 2))
+    return moments[:degree // 2 + 1]
+
+
+@pytest.mark.parametrize("n,degree", [(1, 230), (2, 250), (8, 300), (64, 300), (256, 300)])
+def test_density_rule_against_exact_moments(n, degree):
+    """One rule, built for the top degree, gives every moment below it:
+    even ones to 1e-12 relative, odd ones within 1e-13 of the next even one."""
+    rule = quadrature.density_rule(n, degree)
+    exact = harer_zagier_moments(n, degree + 1)
+    for p in range(degree + 1):
+        got = float(rule.integrate(lambda t: t ** p))
+        if p % 2 == 0:
+            want = float(exact[p // 2])
+            assert abs(got - want) <= 1e-12 * want, p
+        else:
+            assert abs(got) <= 1e-13 * float(exact[(p + 1) // 2]), p
 
 
 def test_integrate_line_gaussian():
@@ -155,19 +181,19 @@ def test_rule_argument_validation():
     with pytest.raises(ValueError):
         quadrature.gaussian_rule(2, 0)
     with pytest.raises(ValueError):
-        quadrature.density_polynomial_integral(2, lambda t: t, -1)
+        quadrature.density_rule(2, -1)
 
 
 def test_gaussian_rule_at_the_largest_size_keeps_its_weights():
     """gaussian_rule(256, 300) is the frame-sum rule bit for bit, and
-    density_polynomial_integral(256, ...) gives the exact moments: the
+    density_rule(256, ...) gives the exact moments: the
     overflow refusal of the public Christoffel sum does not reach them."""
     rule = quadrature.gaussian_rule(256, 300)
     h = hermite.normalized_hermite(256, 299, rule.nodes)
     assert np.array_equal(rule.weights, 1.0 / (h ** 2).sum(axis=0))
     assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / 256), rel=1e-13)
     for p, want in [(0, 1.0), (2, 1.0), (4, 2.0 + 1.0 / 256 ** 2), (6, 5.0 + 10.0 / 256 ** 2)]:
-        got = quadrature.density_polynomial_integral(256, lambda t: t ** p, p)
+        got = quadrature.density_rule(256, p).integrate(lambda t: t ** p)
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -180,7 +206,7 @@ def test_gaussian_rule_weights_below_the_double_range_are_zero():
         assert np.all(np.isfinite(rule.weights)) and np.any(rule.weights == 0.0)
         assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / 256), rel=1e-13)
     # degree 300 needs 406 nodes, some with zero weight
-    assert quadrature.density_polynomial_integral(256, lambda t: t ** 2, 300) == \
+    assert quadrature.density_rule(256, 300).integrate(lambda t: t ** 2) == \
         pytest.approx(1.0, rel=1e-13)
 
 
