@@ -176,28 +176,35 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
 # ------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
+    # Imported here rather than with the CLI: compiled from source (no
+    # cached bytecode) it takes about 3 ms, which would add to the start-up
+    # of every command.
+    from . import _floattext
+
     profile = hermite.density_profile(args.n, args.start, args.stop, args.points,
                                       with_derivatives=args.derivs)
+    columns = {"grid": profile.grid, "density": profile.values}
+    if profile.derivatives is not None:
+        columns.update(zip(("d1", "d2", "d3"), profile.derivatives))
+    if not all(np.isfinite(column).all() for column in columns.values()):
+        raise ValueError("refusing to print a non-finite number")
+    # One kernel pass per command, its text written piece by piece: each
+    # cell is the repr of its float.
+    write = sys.stdout.write
     if args.format == "json":
-        payload = {
-            "density": profile.values.tolist(),
-            "grid": profile.grid.tolist(),
-            "n": args.n,
-        }
-        if profile.derivatives is not None:
-            d1, d2, d3 = profile.derivatives
-            payload["d1"] = d1.tolist()
-            payload["d2"] = d2.tolist()
-            payload["d3"] = d3.tolist()
-        _emit_json(payload)
+        keys = sorted(columns)
+        closers = [f'],"{key}":[' for key in keys[1:]] + [f'],"n":{args.n}}}\n']
+        write(f'{{"{keys[0]}":[')
+        for piece in _floattext.format_rows(np.stack([columns[key] for key in keys])):
+            # A newline ends a row: close its array, open the next one.
+            *lines, rest = piece.split("\n")
+            for line in lines:
+                write(line + closers.pop(0))
+            write(rest)
     else:
-        if profile.derivatives is None:
-            _emit_csv(["x", "p"], zip(profile.grid.tolist(), profile.values.tolist()))
-        else:
-            d1, d2, d3 = profile.derivatives
-            _emit_csv(["x", "p", "dp", "d2p", "d3p"],
-                      zip(profile.grid.tolist(), profile.values.tolist(),
-                          d1.tolist(), d2.tolist(), d3.tolist()))
+        write(",".join(["x", "p", "dp", "d2p", "d3p"][:len(columns)]) + "\n")
+        for piece in _floattext.format_rows(np.column_stack(list(columns.values()))):
+            write(piece)
     return 0
 
 

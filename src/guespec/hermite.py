@@ -77,15 +77,22 @@ def _start(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _weighted_start(n: int, x: np.ndarray):
-    """psi_0 e^L and L, with L = clip(n x^2/4 - 700, 0, 350).
+    """psi_0 e^L, L = clip(n x^2/4 - 700, 0, 350), and the points x to run
+    the recurrence at.
 
     The lift keeps e^{-n x^2/4} from underflowing before the recurrence has
     raised it; rows carry e^L and quadratic sums e^{2L}.  The cap keeps
     e^{-2L} a normal double.  L = 0 (n x^2/4 <= 700) changes no bit.
+    From n x^2/4 ~ 1095 on the start, hence every row, is 0.0.  There x is
+    returned as a zero of its sign: rows, ladder and sums keep their zeros,
+    signs included, but no factor of x overflows to meet a zero row as
+    inf * 0.0 = nan (from |x| ~ 1e152 on, where n^2 x^2 overflows).
     """
-    q = n * x * x / 4.0
+    with np.errstate(over="ignore"):
+        q = n * x * x / 4.0
     lift = np.clip(q - 700.0, 0.0, 350.0)
-    return _start(n, x) * np.exp(lift - q), lift
+    start = _start(n, x) * np.exp(lift - q)
+    return start, lift, x * (start != 0.0)
 
 
 def _ladder(n: int, k: int, half_nx, prev, cur):
@@ -160,7 +167,7 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     ``kernel_diag`` and ``density_derivatives``.
     """
     x = _points(n, k_max, x)
-    start, lift = _weighted_start(n, x)
+    start, lift, x = _weighted_start(n, x)
     half_nx = n * x / 2.0
     psi = np.empty((k_max + 1,) + x.shape)
     dpsi = np.empty_like(psi)
@@ -177,7 +184,7 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
     """(psi_{n-1}, psi_n) and (psi_{n-1}', psi_n') at x: rows n-1 and n of
     ``weighted_frame(n, n, x)`` bit for bit, in O(points) memory."""
     x = _points(n, n, x)
-    start, lift = _weighted_start(n, x)
+    start, lift, x = _weighted_start(n, x)
     half_nx = n * x / 2.0
     (before, low), (_, high) = deque(_rows(n, n, x, start), maxlen=2)
     unlift = np.exp(-lift)
@@ -189,7 +196,7 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
     x = _points(n, n - 1, x)
-    start, lift = _weighted_start(n, x)
+    start, lift, x = _weighted_start(n, x)
     return _square_sum(_rows(n, n - 1, x, start)) * np.exp(-2.0 * lift)
 
 
@@ -229,7 +236,7 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     once more.  The four sums over k stream in O(points) memory.
     """
     x = _points(n, n - 1, x)
-    start, lift = _weighted_start(n, x)
+    start, lift, x = _weighted_start(n, x)
     half_nx = n * x / 2.0
     quad = n * n * x * x / 4.0
     slope = n * n * x / 2.0

@@ -17,7 +17,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import TaylorSeries, cli, expand_entire, montecarlo, quadrature, resummed_integral
+from guespec import (TaylorSeries, cli, expand_entire, hermite, montecarlo, quadrature,
+                     resummed_integral)
 from guespec.cli import main
 
 
@@ -67,6 +68,85 @@ def test_density_bad_grid_is_numeric_error(capsys):
     code, _, err = run(capsys, "density", "--n", "2", "--from", "1", "--to", "-1", "--points", "5")
     assert code == 1
     assert "error:" in err
+
+
+def _density_reference(argv, fmt):
+    """The density output built the plain way: json.dumps of the lists,
+    or repr cells joined by ','."""
+    args = cli.build_parser().parse_args(["density", *argv])
+    profile = hermite.density_profile(args.n, args.start, args.stop, args.points,
+                                      with_derivatives=args.derivs)
+    columns = {"grid": profile.grid, "density": profile.values}
+    if args.derivs:
+        columns.update(zip(("d1", "d2", "d3"), profile.derivatives))
+    if fmt == "json":
+        payload = {key: column.tolist() for key, column in columns.items()}
+        payload["n"] = args.n
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    header = "x,p,dp,d2p,d3p" if args.derivs else "x,p"
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+# [1.5, 3.5] at N=256 ends at p = 5.1e-306; on [1.5, 4.0] forty values and
+# their derivatives are subnormal.
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("--n", "256", "--from", "1.5", "--to", "3.5", "--points", "2001"),
+    ("--n", "256", "--from", "1.5", "--to", "4.0", "--points", "2001", "--derivs"),
+    ("--n", "8", "--from", "-2.9", "--to", "2.9", "--points", "777", "--derivs"),
+    ("--n", "5", "--from", "0.3", "--to", "0.3", "--points", "1", "--derivs"),
+    ("--n", "3", "--from", "-1", "--to", "-0.0", "--points", "4"),
+], ids=["edge", "subnormal-derivs", "derivs", "single-point", "negative-zero"])
+def test_density_prints_the_repr_of_each_value(capsys, argv, fmt):
+    code, out, err = run(capsys, "density", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _density_reference(argv, fmt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_refuses_a_non_finite_value(monkeypatch, capsys, bad):
+    compute = hermite.density_profile
+
+    def profile(*args, **kwargs):
+        result = compute(*args, **kwargs)
+        result.derivatives[1][2] = bad
+        return result
+
+    monkeypatch.setattr(hermite, "density_profile", profile)
+    argv = ("density", "--n", "4", "--from", "-1", "--to", "1", "--points", "5", "--derivs")
+    errors = set()
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        errors.add(err)
+    assert len(errors) == 1
+
+
+# Past |x| ~ 1e152 n x^2/4 overflows: numpy warnings with source paths
+# leaked, and --derivs turned the density 0.0 into nan and exited 1 (and
+# from |x| ~ 1e307 on so did density at N > 1).
+@pytest.mark.parametrize("x", ["1e153", "-1e153", "1e300", "-1e300", "1.7976931348623157e+308"])
+@pytest.mark.parametrize("n", ["1", "4", "256"])
+def test_density_far_past_the_edge_is_zero(capsys, n, x):
+    for derivs in ((), ("--derivs",)):
+        for fmt in ("json", "csv"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "density", "--n", n, f"--from={x}", f"--to={x}",
+                                     "--points", "1", "--format", fmt, *derivs)
+            assert (code, err) == (0, "")
+            assert [str(w.message) for w in caught] == []
+            if fmt == "json":
+                payload = json.loads(out)
+                assert payload.pop("grid") == [float(x)] and payload.pop("n") == int(n)
+                values = [v for column in payload.values() for v in column]
+            else:
+                cells = out.splitlines()[1].split(",")
+                assert cells[0] == repr(float(x))
+                values = [float(v) for v in cells[1:]]
+            assert values == [0.0] * (4 if derivs else 1)
 
 
 def test_laplace_known_value_and_verify(capsys):

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -180,6 +181,22 @@ def test_density_subnormal_tail_through_lifted_start():
     # N x^2/4 = 722 lifts the start; the true p_N (mpmath) is subnormal,
     # where a double holds only about 16 significant bits
     assert float(hermite.density(200, 3.8)) == pytest.approx(1.1068e-319, rel=1e-3, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_weighted_values_far_past_the_edge_are_zero(n):
+    # Past |x| ~ 1e152 n^2 x^2 overflowed, and x times a zero row gave nan
+    # (from |x| ~ 1e307 on even in density).  The zeros keep their signs:
+    # psi_0' = -(n x / 2) psi_0 is -0.0 for x > 0.
+    big = np.finfo(float).max
+    x = np.array([1e153, -1e153, 1e300, -1e300, big, -big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [hermite.density(n, x), *hermite.density_derivatives(n, x),
+                  *hermite.weighted_frame(n, 3, x)]
+        values += [np.array([hermite.kernel(n, a, b) for a in x[:4] for b in x])]
+    assert all(np.array_equal(v, np.zeros_like(v)) for v in values)
+    assert np.array_equal(np.signbit(hermite.weighted_frame(n, 0, x)[1][0]), x > 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
