@@ -165,10 +165,11 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
         if sig >= n / 2.0:
             raise ValueError(
                 f"reference integral diverges: gauss type {sig:g} >= N/2 = {n / 2:g}")
-        decay = math.sqrt(1.0 / max(n / 2.0 - sig, 0.25))
-        return float(quadrature.integrate_line(
-            lambda t: np.exp(sig * t * t) * hermite.density(n, t),
-            scale=decay, tol=1e-11).value)
+        # e^{sig t^2} p_N(t) is e^{-N x^2/2} S(r x) / N at t = r x, with S the
+        # Christoffel sum of degree 2N - 2: an N-node Gauss rule is exact.
+        r = math.sqrt(n / (n - 2.0 * sig))
+        rule = quadrature.gaussian_rule(n, n)
+        return r * float(rule.integrate(lambda x: hermite.christoffel_sum(n, n - 1, r * x))) / n
     rule = quadrature.density_rule(n, len(spec.coefficients) - 1)
     return float(rule.integrate(lambda t: np.polynomial.polynomial.polyval(t, spec.coefficients)))
 
@@ -216,12 +217,18 @@ def cmd_laplace(args) -> int:
     payload = {"lambda_minus": args.lambda_minus, "n": args.n,
                "s": _json_number(s), "value": _json_number(value)}
     if args.verify:
-        direct = verify.kernel_pair_transform(args.n, s, args.lambda_minus)
+        integral = verify.kernel_pair_transform(args.n, s, args.lambda_minus)
+        direct, bound, scale = integral.value, integral.error_bound, args.n
         if args.density:
-            direct = direct / args.n
-        rel = abs(value - direct) / (abs(direct) or 1.0)
+            direct, bound, scale = direct / args.n, bound / args.n, 1
+        gap = abs(value - direct)
+        # rel_err alone would refuse a right value near a zero of the transform.
+        allowed = bound + verify._TRANSFORM_TOL * max(abs(value), scale)
+        if gap > allowed:
+            raise ValueError(f"closed form {value!r} and quadrature {direct!r} differ by "
+                             f"{gap:.3e}, more than the {allowed:.3e} allowed")
         payload["quadrature"] = _json_number(direct)
-        payload["rel_err"] = rel
+        payload["rel_err"] = gap / (abs(direct) or 1.0)
     if args.format == "json":
         _emit_json(payload)
     else:
@@ -296,7 +303,7 @@ def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
     try:
         return operators.measure_convergence_threshold(
             alphas, ref, max_ensemble_size=max(12, first_finite + 7))
-    except (RuntimeError, ValueError, quadrature.QuadratureError):
+    except (RuntimeError, ValueError):
         return None
 
 
@@ -392,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", action="store_true",
                    help="divide by N (density transform instead of kernel)")
     p.add_argument("--verify", action="store_true",
-                   help="also integrate numerically and report the relative error")
+                   help="also integrate numerically, report the relative error, and "
+                        "fail if the two disagree")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("resum", help="correction-operator expansion of int f dp_N")

@@ -210,13 +210,14 @@ def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
     within |x - y| <= crossover the limiting derivative form
     psi_N'(m) psi_{N-1}(m) - psi_N(m) psi_{N-1}'(m) at the midpoint m is
     used instead, so the value stays finite and continuous across the
-    diagonal.  Symmetric in (x, y).
+    diagonal.  Symmetric in (x, y); the midpoint is taken as x/2 + y/2,
+    which cannot overflow.
     """
     _check_size(n)
     x = float(x)
     y = float(y)
     if abs(x - y) <= crossover:
-        (low, high), (dlow, dhigh) = _top_rows(n, np.float64(0.5 * (x + y)))
+        (low, high), (dlow, dhigh) = _top_rows(n, np.float64(0.5 * x + 0.5 * y))
         return float(dhigh * low - high * dlow)
     (xlow, xhigh), _ = _top_rows(n, np.float64(x))
     (ylow, yhigh), _ = _top_rows(n, np.float64(y))
@@ -288,6 +289,8 @@ def density_profile(n: int, start: float, stop: float, points: int,
     else:
         if not start < stop:
             raise ValueError("need start < stop for a multi-point grid")
+        if not math.isfinite(float(stop) - float(start)):
+            raise ValueError(f"grid span {start!r} to {stop!r} is wider than the double range")
         grid = np.linspace(float(start), float(stop), points)
     if with_derivatives:
         p0, p1, p2, p3 = density_derivatives(n, grid)

@@ -3,10 +3,12 @@
 The diagonal-shifted kernel transform
 
     int e^{s u} K_N(u + c, u - c) du
-        = N exp(-N c^2 / 2 + s^2 / (2N)) 1F1(1 - N; 2 | N c^2 - s^2 / N)
+        = N exp(-x / 2) 1F1(1 - N; 2 | x) = exp(-x / 2) L^{(1)}_{N-1}(x),
+    x = N c^2 - s^2 / N,
 
-terminates because the 1F1 parameter 1 - N is a nonpositive integer, so
-everything here is finite polynomial arithmetic plus one exponential.
+terminates because the 1F1 parameter 1 - N is a nonpositive integer: it
+is the weighted Laguerre polynomial of DLMF 13.6.19, evaluated by its
+three-term recurrence with the weight carried from the start.
 The c = 0 case divided by N is the moment generating function of the
 mean eigenvalue density; ``laplace_expansion`` rearranges it into a
 power series in 1/N whose coefficients are built from unsigned Stirling
@@ -30,36 +32,32 @@ STIRLING_CAP = 34
 _EXPANSION_TOL = 1e-12  # certified truncation bound of laplace_expansion
 
 
-def hyp1f1_truncated(n: int, x):
-    """1F1(1 - n; 2 | x): a terminating series, evaluated as a polynomial.
+def _weighted_laguerre(n: int, x):
+    """e^{-x/2} L^{(1)}_{n-1}(x) for real or complex x.
 
-    Coefficients (1-n)_k / ((2)_k k!) vanish for k >= n, so the value is a
-    degree n-1 polynomial in x, evaluated by Horner.  x may be complex.
+    The recurrence L_{k+1} = (2 - x/(k+1)) L_k - L_{k-1} (DLMF 18.9.1) from
+    L_{-1} = 0 is linear: started at e^{lift - x/2}, lift = clip(Re x/2 -
+    700, 0, 700), it carries that weight to every row, and e^{-lift} comes
+    off at the end.  The lift keeps the start from underflowing where the
+    rows raise it back; the weight is not squared, so the cap is 700,
+    twice that of the Hermite frames.
     """
-    if n < 1:
-        raise ValueError("ensemble size must be >= 1")
-    coeffs = [1.0]
+    lift = min(max(x.real / 2.0 - 700.0, 0.0), 700.0)
+    prev, cur = 0.0, (cmath.exp if isinstance(x, complex) else math.exp)(lift - x / 2.0)
     for k in range(n - 1):
-        coeffs.append(coeffs[-1] * (1 - n + k) / ((2 + k) * (k + 1)))
-    value = coeffs[-1]
-    for k in range(n - 2, -1, -1):
-        value = value * x + coeffs[k]
-    return value
+        prev, cur = cur, 2.0 * cur - prev - x * cur / (k + 1)
+    return cur * math.exp(-lift)
 
 
 def kernel_laplace(n: int, s, center_offset: float = 0.0):
     """Laplace transform int e^{s u} K_N(u + c, u - c) du, c = center_offset.
 
-    The value depends on (s, c) only through u = N c^2 and v = s^2 / N:
-    it equals N e^{(v - u)/2} 1F1(1 - N; 2 | u - v).
+    The value depends on (s, c) only through x = N c^2 - s^2 / N:
+    it equals e^{-x/2} L^{(1)}_{N-1}(x) = N e^{-x/2} 1F1(1 - N; 2 | x).
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
-    u = n * float(center_offset) ** 2
-    v = s * s / n
-    if isinstance(s, complex):
-        return n * cmath.exp((v - u) / 2.0) * hyp1f1_truncated(n, u - v)
-    return n * math.exp((v - u) / 2.0) * hyp1f1_truncated(n, u - v)
+    return _weighted_laguerre(n, n * float(center_offset) ** 2 - s * s / n)
 
 
 def density_laplace(n: int, s):

@@ -17,8 +17,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import (TaylorSeries, cli, expand_entire, hermite, montecarlo, quadrature,
-                     resummed_integral)
+from guespec import (TaylorSeries, cli, expand_entire, hermite, laplace, montecarlo,
+                     quadrature, resummed_integral)
 from guespec.cli import main
 
 
@@ -158,14 +158,36 @@ def test_laplace_known_value_and_verify(capsys):
 
 
 def test_laplace_verify_reports_the_relative_error(capsys):
-    # Horner cancels at N c^2 = 32: the value is off the quadrature by 1.1e-2
+    # N c^2 = 32 lies where the 1F1 series cancels (Re x > 0). rel_err is
     # relative to |quadrature| = 0.073, a scale below 1.
-    _, out, _ = run(capsys, "laplace", "--n", "32", "--s=0.5", "--lambda-minus", "1.0",
-                    "--verify")
+    code, out, _ = run(capsys, "laplace", "--n", "32", "--s=0.5", "--lambda-minus", "1.0",
+                       "--verify")
+    assert code == 0
     payload = json.loads(out)
     value, quad = payload["value"], payload["quadrature"]
     assert payload["rel_err"] == abs(value - quad) / abs(quad)
-    assert payload["rel_err"] > 1e-2
+    assert payload["rel_err"] < 1e-12
+    assert value == pytest.approx(-0.07284970866724963, rel=1e-14)
+
+
+def test_laplace_verify_refuses_a_wrong_value(monkeypatch, capsys):
+    transform = laplace.kernel_laplace
+    monkeypatch.setattr(laplace, "kernel_laplace",
+                        lambda *args: transform(*args) * (1.0 + 1e-6))
+    for argv in (("--s=0.5",), ("--s=0,2", "--density"), ("--s=1", "--lambda-minus", "0.3")):
+        code, out, err = run(capsys, "laplace", "--n", "16", *argv, "--verify")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: closed form ") and err.count("\n") == 1
+
+
+def test_laplace_verify_accepts_a_value_near_a_zero(capsys):
+    # |phi| is 1.9e-4 here, near a zero of phi, where a test relative to
+    # |value| alone grows ever stricter; the allowance scales with
+    # max(|value|, 1) on top of the quadrature's error bound.
+    code, out, err = run(capsys, "laplace", "--n", "16", "--s=0,1.916537", "--density",
+                         "--verify")
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["value"]["re"]) < 1e-3
 
 
 def test_laplace_verify_at_the_largest_size_matches_mpmath(capsys):
@@ -210,8 +232,6 @@ def test_resum_quartic_monomial(capsys):
 
 
 def test_resum_exponential_against_closed_form(capsys):
-    from guespec import laplace
-
     code, out, _ = run(capsys, "resum", "--n", "8", "--function", "exp:1",
                        "--terms", "6", "--compare")
     assert code == 0
@@ -469,7 +489,7 @@ def test_taylor_terms_are_correctly_rounded(a):
 # refusal is the one line on stderr: no Python warning escapes either.
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv", [
-    ("laplace", "--n", "256", "--s=0", "--lambda-minus", "3"),
+    ("laplace", "--n", "256", "--s=1e200", "--lambda-minus", "3"),
     ("laplace", "--n", "4", "--s=nan"),
     ("moments", "--n", "1", "--max", "236"),
 ], ids=["laplace-offset", "laplace-nan", "moments-overflow"])
@@ -512,6 +532,24 @@ def test_resum_taylor_file_takes_sigma(tmp_path, capsys):
     code, _, _ = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
                      "--terms", "2", "--sigma", "0.5")
     assert code == 0
+
+
+def test_gauss_compare_near_the_divergence_answers(capsys):
+    # N=2, sigma=0.95: the integral is (sqrt(20) + 0.05^(-3/2)) / 2.
+    code, out, _ = run(capsys, "resum", "--n", "2", "--function", "gauss:0.95",
+                       "--terms", "4", "--compare")
+    assert code == 0
+    assert json.loads(out)["reference"] == pytest.approx(46.95742752749555, rel=1e-14)
+
+
+def test_density_refuses_a_span_past_the_double_range(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "density", "--n", "4", "--from=-1e308", "--to=1e308",
+                             "--points", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: grid span -1e+308 to 1e+308 is wider than the double range\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_gauss_compare_divergent_reference_is_error(capsys):

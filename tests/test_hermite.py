@@ -115,6 +115,11 @@ def test_pair_transform_holds_no_frame():
     assert peak < 2 ** 20
 
 
+def test_kernel_on_the_diagonal_at_the_largest_double():
+    # The midpoint x/2 + y/2 stays finite where (x + y)/2 would overflow.
+    assert hermite.kernel(4, 1.7976931348623157e308, 1.7976931348623157e308) == 0.0
+
+
 def test_kernel_rank_one_case():
     # N=1: K_1(x,y) = psi_0(x) psi_0(y)
     x, y = 0.3, -1.1

@@ -1,9 +1,11 @@
 """Tests for closed-form Laplace transforms, Stirling tables, and the
 large-N coefficient expansion of the density transform."""
 
+import cmath
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,32 +14,71 @@ from guespec import gegenbauer, laplace, operators, quadrature
 
 # ------------------------------------------------------------ hypergeometric
 
-def test_hyp1f1_terminating_examples():
-    # n=1: empty product, constant 1
-    assert laplace.hyp1f1_truncated(1, 0.7) == pytest.approx(1.0)
-    # n=3: 1 + ((-2)/2) x + ((-2)(-1)/(2*3*2)) x^2 at x=1 -> 1 - 1 + 1/6
-    assert laplace.hyp1f1_truncated(3, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    # x=0 -> leading coefficient
-    assert laplace.hyp1f1_truncated(9, 0.0) == pytest.approx(1.0)
+def hyp1f1(n, x):
+    """1F1(1 - n; 2 | x) read off kernel_laplace, which is
+    N e^{-x/2} 1F1(1 - N; 2 | x) = e^{-x/2} L^{(1)}_{N-1}(x) at
+    x = N c^2 - s^2 / N: real x >= 0 through c, any other x through s."""
+    if isinstance(x, complex) or x < 0:
+        return laplace.kernel_laplace(n, cmath.sqrt(-n * x)) * cmath.exp(x / 2.0) / n
+    return laplace.kernel_laplace(n, 0.0, math.sqrt(x / n)) * math.exp(x / 2.0) / n
 
 
-def test_hyp1f1_against_series():
-    n, x = 6, 0.35
-
+def hyp1f1_series(n, x):
     def rising(a, k):
         out = 1.0
         for i in range(k):
             out *= a + i
         return out
 
-    want = sum(rising(1 - n, k) / (rising(2, k) * math.factorial(k)) * x ** k
+    return sum(rising(1 - n, k) / (rising(2, k) * math.factorial(k)) * x ** k
                for k in range(n))
-    assert laplace.hyp1f1_truncated(n, x) == pytest.approx(want, rel=1e-13)
+
+
+def test_hyp1f1_terminating_examples():
+    # n=1: empty product, constant 1
+    assert hyp1f1(1, 0.7) == pytest.approx(1.0)
+    # n=3: 1 + ((-2)/2) x + ((-2)(-1)/(2*3*2)) x^2 at x=1 -> 1 - 1 + 1/6
+    assert hyp1f1(3, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    # x=0 -> leading coefficient
+    assert hyp1f1(9, 0.0) == pytest.approx(1.0)
+
+
+def test_hyp1f1_against_series():
+    n, x = 6, 0.35
+    assert hyp1f1(n, x) == pytest.approx(hyp1f1_series(n, x), rel=1e-13)
 
 
 def test_hyp1f1_complex_argument():
-    val = laplace.hyp1f1_truncated(4, 1j)
+    val = hyp1f1(4, 1j)
     assert isinstance(val, complex)
+    assert val == pytest.approx(hyp1f1_series(4, 1j), rel=1e-14)
+
+
+def laguerre_reference(n, s, c):
+    """e^{-x/2} L^{(1)}_{n-1}(x), x = n c^2 - s^2 / n, summed term by term
+    in 300-digit arithmetic: the coefficient of (-x)^k is
+    binom(n, n-1-k) / k!."""
+    with mp.workdps(300):
+        x = n * mp.mpf(c) ** 2 - mp.mpc(s) ** 2 / n
+        term, total = mp.mpf(n), mp.mpf(0)
+        for k in range(n):
+            total += term
+            term *= -x * (n - 1 - k) / ((k + 1) * (k + 2))
+        return complex(mp.exp(-x / 2) * total)
+
+
+# The worst relative error on this grid is 1.7e-13 (N=256, s=5i, c=0).
+# Horner's rule on the 1F1 coefficients is off by up to 6e108 relative
+# here, or overflows: it cancels wherever Re x > 0.
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256])
+def test_kernel_laplace_against_300_digits(n):
+    cases = ([(s, c) for s in (0.0, 0.5, -3.0, 10.0) for c in (0.0, 0.3, 1.0, 2.0, 3.0)]
+             + [(1j * w, 0.0) for w in (1.0, 5.0, 10.0, 20.0, 30.0, 60.0)]
+             + [(s, c) for s in (1 + 1j, 3 - 2j, 0.5 + 10j, 2 + 30j) for c in (0.0, 0.7)])
+    for s, c in cases:
+        want = laguerre_reference(n, s, c)
+        got = laplace.kernel_laplace(n, s, c)
+        assert abs(got - want) <= 1e-12 * abs(want), (s, c, got, want)
 
 
 # ------------------------------------------------------------ transforms
@@ -78,7 +119,7 @@ def test_kernel_laplace_against_quadrature():
     for (n, s, c) in [(2, 0.5, 0.0), (4, 1.0, 0.5), (3, 2j, 0.3)]:
         closed = laplace.kernel_laplace(n, s, c)
         direct = verify.kernel_pair_transform(n, s, c)
-        assert abs(closed - direct) <= 1e-9 * max(1.0, abs(closed))
+        assert abs(closed - direct.value) <= 1e-9 * max(1.0, abs(closed))
 
 
 def test_transform_depends_only_on_invariant_combination():
