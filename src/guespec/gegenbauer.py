@@ -21,10 +21,11 @@ at any degree.
 
 Entire functions of order <= 2 and finite type sigma admit rapidly
 decaying expansions in this basis; ``expand_entire`` converts truncated
-Taylor data, certifies a tail bound on the band |z| <= 3 with the nominal
-envelope |f_n| <= 2 * 3^n, and rejects coefficient growth inconsistent
-with the declared type.  Note the envelope is an honest bound only on the
-real interval; ``growth_bound_report`` measures (and reports, rather than
+Taylor data, keeps every coefficient, bounds for a positive type what
+lies past the input degree on the band |z| <= 3 with the nominal envelope
+|f_n| <= 2 * 3^n, and rejects coefficient growth inconsistent with the
+declared type.  Note the envelope is an honest bound only on the real
+interval; ``growth_bound_report`` measures (and reports, rather than
 hides) how far the complex-circle maxima exceed it.
 """
 
@@ -42,7 +43,9 @@ GROWTH_SLACK = 1e8
 
 _GROWTH_FLOOR = 10  # indices below this are absorbed into the constant
 
-#: Largest n whose band envelope 3^n is a finite double.
+#: Largest Taylor degree expand_entire converts.  The exact conversion costs
+#: about n^2/4 big-integer steps whose integers grow with n: at n = 646 it
+#: takes 0.03-0.11 s (2-core Xeon), at 2n 0.4-0.6 s and at 4n about 4 s.
 _BAND_DEGREE_CAP = 646
 
 _GROWTH_SAMPLES = 360  # equally spaced points on the circle of growth_bound_report
@@ -190,9 +193,9 @@ class TaylorSeries:
 class BasisSeries:
     """Coefficients in the f_n basis with a certified real-band tail bound.
 
-    tail_bound dominates the value dropped by truncation on the band
-    |z| <= 3 under the nominal envelope |f_n| <= 2 * 3^n (plus, for a
-    positive declared type, a model tail beyond the input degree).
+    For a positive declared type, tail_bound is a model of the value past
+    the input degree on the band |z| <= 3 under the nominal envelope
+    |f_n| <= 2 * 3^n; it is 0.0 when the input is the whole series.
     """
 
     coefficients: np.ndarray
@@ -217,9 +220,11 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
 
     Checks the coefficient growth |alpha_n| <= C (2 e sigma / n)^{n/2}
     implied by the declared type (first offending index named in the
-    error), converts exactly, then trims trailing coefficients whose
-    band-envelope contribution fits inside tol, recording the certified
-    tail bound.
+    error) and converts exactly, keeping every coefficient: the
+    correction operator amplifies high-index coefficients pass after
+    pass, so one too small to matter on the band can still matter to a
+    deep functional.  The tail bound is ``_model_tail`` for a positive
+    type and 0.0 for sigma = 0, and must fit inside tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -227,7 +232,7 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
     alpha = series.coefficients
     if len(alpha) - 1 > _BAND_DEGREE_CAP:
         raise ValueError(f"Taylor degree {len(alpha) - 1} exceeds {_BAND_DEGREE_CAP}, past which "
-                         "the band envelope 3^n of the tail certificate overflows")
+                         "the exact conversion takes too long")
     if sigma > 0:
         for n, implied in _implied_types(alpha):
             if implied > sigma * GROWTH_SLACK ** (2.0 / n):
@@ -236,24 +241,13 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
                     f"inconsistent with declared type {sigma:.4g}"
                 )
     a = taylor_to_basis(alpha)
-    # Trim trailing terms while their band contribution stays inside tol/2.
-    dropped = 0.0
-    top = len(a) - 1
-    while top > 0:
-        contribution = abs(a[top]) * 2.0 * 3.0 ** top
-        if dropped + contribution > tol / 2.0:
-            break
-        dropped += contribution
-        top -= 1
-    tail = dropped
-    if sigma > 0:
-        tail += _model_tail(a, sigma)
+    tail = _model_tail(a, sigma) if sigma > 0 else 0.0
     if tail > tol:
         raise ValueError(
             f"certified tail bound {tail:.3e} exceeds requested tolerance {tol:.3e}; "
             "supply more Taylor terms"
         )
-    return BasisSeries(a[: top + 1].copy(), tail_bound=tail)
+    return BasisSeries(a, tail_bound=tail)
 
 
 def _model_tail(a: np.ndarray, sigma: float) -> float:

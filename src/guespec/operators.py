@@ -122,11 +122,9 @@ def correction_functionals(series, depth: int) -> np.ndarray:
     correction passes do not consume it: each pass eats
     DEGREE_LOSS_PER_CORRECTION indices of accuracy from the top.  A shorter
     vector triggers a RuntimeWarning and the computation proceeds; the
-    functionals past the trusted depth come out of the zero-padded tail.
-    For series whose coefficients decay superexponentially (everything
-    ``expand_entire`` certifies) those trailing functionals are below the
-    certified tolerance anyway, which is why this is a warning and not an
-    error.
+    functionals past the trusted depth come out of the zero-padded tail
+    and may be wrong, since each pass amplifies the coefficients that the
+    truncation dropped.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

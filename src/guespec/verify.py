@@ -193,9 +193,21 @@ def suite_laplace() -> list[CheckResult]:
 
     coeffs = laplace.laplace_expansion(1.0, 8)
     odd = max(abs(coeffs[1]), abs(coeffs[3]), abs(coeffs[5]), abs(coeffs[7]))
-    even_scale = max(abs(c) for c in coeffs[::2])
-    out.append(_check("1/N expansion odd coefficients vanish", odd <= 1e-12 * even_scale,
-                      f"max odd |c_l| = {odd:.3e} vs even scale {even_scale:.3e}"))
+    out.append(_check("1/N expansion odd coefficients vanish", odd == 0.0,
+                      f"max odd |c_l| = {odd:.3e} (must be 0)"))
+
+    worst_route = 0.0
+    for a in (1, 2):
+        # e^{at} from correctly rounded a^k / k!, degree 80 as resum takes it.
+        taylor = [a ** k / math.factorial(k) for k in range(81)]
+        series = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0))
+        alphas = operators.correction_functionals(series, 12)
+        c = laplace.laplace_expansion(a, 24)[::2]
+        worst_route = max(worst_route, float(np.max(np.abs(alphas - c) / np.abs(c))))
+    # The measured worst gap is 7.0e-16.
+    out.append(_check("correction functionals of e^{at} equal the 1/N expansion",
+                      worst_route <= 2e-15,
+                      f"max rel gap = {worst_route:.3e} over a in {{1,2}}, g <= 12 (tol 2e-15)"))
 
     partial_err = []
     for n in (8, 16, 32, 64):
@@ -214,31 +226,30 @@ def suite_laplace() -> list[CheckResult]:
 def suite_moments() -> list[CheckResult]:
     out = []
     worst = 0.0
-    finite_ok = True
+    worst_count = 0.0
+    zeros_ok = True
     rules = {n: quadrature.density_rule(n, 12) for n in (2, 4, 8)}
+    counts = laplace._genus_counts(6, 4)
     for p in range(13):
         mono = [0.0] * p + [1.0]
-        a = gegenbauer.taylor_to_basis(mono)
-        cutoff = math.ceil(p / 4)
-        alphas = operators.correction_functionals(a, cutoff + 3)
-        finite_ok &= all(v == 0.0 for v in alphas[cutoff + 1:])
+        alphas = operators.correction_functionals(gegenbauer.taylor_to_basis(mono), 4)
+        for g, alpha in enumerate(alphas):
+            want = 0 if p % 2 else counts[g][p // 2]
+            if want == 0:
+                zeros_ok &= alpha == 0.0
+            else:
+                worst_count = max(worst_count, abs(alpha - want) / want)
         for n in (2, 4, 8):
             series_val = float(operators.resum_partial_sums(alphas, n)[-1])
             quad_val = float(rules[n].integrate(lambda t: t ** p))
             worst = max(worst, abs(series_val - quad_val) / max(1.0, abs(quad_val)))
-    out.append(_check("monomial expansion terminates at ceil(p/4)", finite_ok,
-                      "alpha_k exactly 0.0 past the cutoff for p <= 12"))
+    # The measured worst gap is 2.0e-16.
+    out.append(_check("monomial alphas equal the Harer-Zagier genus counts",
+                      zeros_ok and worst_count <= 5e-16,
+                      f"alpha_g(t^p) = eps_g(p/2) for p <= 12, g <= 4: zeros exact "
+                      f"{zeros_ok}, max rel gap = {worst_count:.3e} (tol 5e-16)"))
     out.append(_check("finite expansion equals quadrature moment", worst < 1e-9,
                       f"max rel gap = {worst:.3e} over p <= 12, N in {{2,4,8}} (tol 1e-9)"))
-
-    worst4 = 0.0
-    a4 = gegenbauer.taylor_to_basis([0.0, 0.0, 0.0, 0.0, 1.0])
-    alphas = operators.correction_functionals(a4, 1)
-    for n in (2, 3, 4, 8, 16, 32):
-        val = float(operators.resum_partial_sums(alphas, n)[-1])
-        worst4 = max(worst4, abs(val - (2.0 + 1.0 / n ** 2)))
-    out.append(_check("fourth moment equals 2 + 1/N^2", worst4 < 1e-10,
-                      f"max |gap| = {worst4:.3e} (tol 1e-10)"))
     return out
 
 
@@ -428,7 +439,7 @@ def suite_stirling() -> list[CheckResult]:
         for l in range(k + 2):
             bound_ok &= table.count(k + 1, k + 1 - l) <= math.factorial(k + 1)
     out.append(_check("cycle counts bounded by (k+1)!", bound_ok,
-                      "the bound certifying series truncation holds exactly"))
+                      "the bound holds exactly"))
 
     from itertools import permutations
 

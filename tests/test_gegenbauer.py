@@ -225,11 +225,12 @@ def test_expand_entire_exponential_pointwise():
     assert np.max(np.abs(out(t) - np.exp(t))) < 1e-10
 
 
-def test_expand_entire_trims_long_input():
+def test_expand_entire_keeps_every_coefficient():
+    # Coefficients far below tol on the band still feed deep functionals.
     taylor = [1.0 / math.factorial(k) for k in range(81)]
     out = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol=1e-10)
-    assert len(out.coefficients) < 81   # something was certifiably dropped
-    assert 0.0 < out.tail_bound <= 1e-10
+    assert out.coefficients.tolist() == gegenbauer.taylor_to_basis(taylor).tolist()
+    assert out.tail_bound == 0.0
 
 
 def test_expand_entire_growth_rejection_names_index():
@@ -241,10 +242,9 @@ def test_expand_entire_growth_rejection_names_index():
 
 
 def test_expand_entire_degree_cap():
-    # the band envelope 3^n of the trim loop is finite up to n = 646 only;
-    # past it the input is refused before the conversion runs
+    # past degree 646 the input is refused before the exact conversion runs
     at_cap = gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0] + [0.0] * 646, 0.0))
-    assert at_cap.coefficients.tolist() == [1.0]
+    assert at_cap.coefficients.tolist() == [1.0] + [0.0] * 646
     with pytest.raises(ValueError, match="degree 647 exceeds 646"):
         gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0] + [0.0] * 647, 0.0))
 

@@ -4,6 +4,7 @@ large-N coefficient expansion of the density transform."""
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -210,13 +211,53 @@ def test_expansion_at_zero():
 def test_expansion_frozen_leading_and_deep_coefficients():
     c = laplace.laplace_expansion(1.0, 8)
     assert c[0] == pytest.approx(1.5906368546373294, rel=1e-13)
-    assert c[8] == pytest.approx(1.2839497922608891e-08, rel=1e-9)
+    assert c[8] == 1.2839526798028618e-08  # the 50-digit value, rounded
 
 
 def test_expansion_odd_coefficients_vanish():
     c = laplace.laplace_expansion(1.3, 9)
-    even_scale = float(np.max(np.abs(c[::2])))
-    assert float(np.max(np.abs(c[1::2]))) <= 1e-14 * even_scale
+    assert c[1::2].tolist() == [0.0] * 5
+
+
+def test_genus_counts_are_the_moments():
+    counts = laplace._genus_counts(20, 10)
+    for m in range(21):
+        assert counts[0][m] == math.comb(2 * m, m) // (m + 1)  # Catalan
+        assert sum(row[m] for row in counts) == math.prod(range(1, 2 * m, 2))  # (2m-1)!!
+        if m >= 2:
+            assert counts[1][m] == math.factorial(2 * m) // (
+                12 * math.factorial(m) * math.factorial(m - 2))
+    # The moments of p_N: the N=1 row sum above, and Gauss rules of p_N.
+    for n in (2, 3, 5):
+        rule = quadrature.density_rule(n, 24)
+        for m in range(13):
+            want = sum(Fraction(row[m], n ** (2 * g)) for g, row in enumerate(counts))
+            got = float(rule.integrate(lambda t: t ** (2 * m)))
+            assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def _stirling_mirror(s, depth):
+    """c_0..c_depth of laplace_expansion from the unsigned Stirling numbers
+    of the first kind, in 120 digits: c_l = sum_j (s^2/2)^j / j! (-1)^(l-j)
+    B_(l-j), B_l = sum_k [k+1, k+1-l] s^(2k) / (k! (k+1)!).  The alternating
+    sum cancels about 50 digits at c_34(1) = 6.0e-51."""
+    with mp.workdps(120):
+        s2 = mp.mpmathify(s) ** 2
+        terms = depth + 1
+        while abs(s2) ** terms / mp.factorial(terms) > mp.mpf(10) ** -130:
+            terms += 1
+        rows = [[1]]
+        for n in range(terms + 1):
+            new = [0] * (n + 2)
+            for k, value in enumerate(rows[-1]):
+                new[k] += n * value
+                new[k + 1] += value
+            rows.append(new)
+        inner = [mp.fsum(rows[k + 1][k + 1 - l] * s2 ** k / (mp.factorial(k) * mp.factorial(k + 1))
+                         for k in range(l, terms + 1)) for l in range(depth + 1)]
+        out = [mp.fsum((s2 / 2) ** j / mp.factorial(j) * (-1) ** (l - j) * inner[l - j]
+                       for j in range(l + 1)) for l in range(depth + 1)]
+        return [complex(c) if isinstance(s, complex) else float(c) for c in out]
 
 
 def test_expansion_partial_sums_hit_closed_form():
@@ -230,14 +271,14 @@ def test_expansion_partial_sums_hit_closed_form():
 
 def test_expansion_matches_operator_route():
     """Same numbers from a different pipeline: expand e^{st} in the basis
-    and push it through the correction functionals."""
-    s = 1.0
-    taylor = [s ** k / math.factorial(k) for k in range(61)]
-    series = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol=1e-12)
-    alphas = operators.correction_functionals(series, 4)
-    c = laplace.laplace_expansion(s, 8)
-    for k in range(5):
-        assert c[2 * k] == pytest.approx(float(alphas[k]), rel=1e-8, abs=1e-13)
+    and push it through the correction functionals.  Measured worst gap
+    7.0e-16 relative, at s = 1, k = 6."""
+    for s in (1, 2):
+        taylor = [s ** k / math.factorial(k) for k in range(81)]  # the degree resum takes
+        series = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol=1e-12)
+        alphas = operators.correction_functionals(series, 12)
+        c = laplace.laplace_expansion(s, 24)
+        assert alphas.tolist() == pytest.approx(c[::2].tolist(), rel=2e-15, abs=0)
 
 
 def test_expansion_complex_argument():
@@ -252,21 +293,20 @@ _ZERO_S_BITS = ["0x1.0000000000000p+0"] + ["0x0.0p+0"] * 4
 
 
 # Frozen bits of laplace_expansion(s, 4): float64 for real s, the integer 0
-# included, and complex128 for complex s.
+# included, and complex128 for complex s; odd coefficients are exactly zero.
 @pytest.mark.parametrize("s,dtype,bits", [
     (0, np.float64, _ZERO_S_BITS),
     (0.0, np.float64, _ZERO_S_BITS),
-    (1.3, np.float64, ["0x1.0f4ca43f6051bp+1", "-0x1.0000000000000p-51", "0x1.9d8791b0b9734p-3",
-                       "0x1.0000000000000p-54", "0x1.a562f42a41958p-8"]),
+    (1.3, np.float64, ["0x1.0f4ca43f6051cp+1", "0x0.0p+0", "0x1.9d8791b0b973ep-3",
+                       "0x0.0p+0", "0x1.a562f42a41935p-8"]),
     (0.7 + 0.4j, np.complex128, [
-        ("0x1.256073a3cbb56p+0", "0x1.3e419fd70df71p-2"), ("0x0.0p+0", "-0x1.0000000000000p-53"),
-        ("-0x1.9998be18e2a34p-7", "0x1.f2f7828635420p-7"),
-        ("0x1.4000000000000p-57", "0x1.c000000000000p-58"),
-        ("-0x1.5957b8643dad0p-15", "-0x1.842118a79e4f0p-14")]),
+        ("0x1.256073a3cbb56p+0", "0x1.3e419fd70df72p-2"), ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.9998be18e2a52p-7", "0x1.f2f7828635428p-7"), ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.5957b8643da27p-15", "-0x1.842118a79e538p-14")]),
     (2j, np.complex128, [
-        ("-0x1.0e8372dfaeabcp-5", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.f12802f544a18p-4", "0x0.0p+0"), ("0x1.c000000000000p-53", "0x0.0p+0"),
-        ("0x1.545fa78e223acp-5", "0x0.0p+0")]),
+        ("-0x1.0e8372dfaeab5p-5", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.f12802f544a2ep-4", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.545fa78e22382p-5", "0x0.0p+0")]),
 ])
 def test_expansion_dtype_and_bits_follow_s(s, dtype, bits):
     c = laplace.laplace_expansion(s, 4)
@@ -275,19 +315,24 @@ def test_expansion_dtype_and_bits_follow_s(s, dtype, bits):
         assert [(v.real.hex(), v.imag.hex()) for v in c.tolist()] == bits
     else:
         assert [v.hex() for v in c.tolist()] == bits
+    assert c[::2].tolist() == _stirling_mirror(s, 4)[::2]
 
 
-def test_expansion_inner_truncation_certificate():
-    with pytest.raises(ValueError, match="certified truncation bound"):
-        laplace.laplace_expansion(4.0, 4)
-    with pytest.raises(ValueError, match="beyond the cap"):
-        laplace.laplace_expansion(1.0, 34)  # depth past the stirling rows
+# Large |s|, and deep coefficients down to c_34(1) = 6.0e-51.
+@pytest.mark.parametrize("s,depth", [(4.0, 4), (6.5, 4), (1.0, 34), (3j, 34), (0.7 + 0.4j, 34)],
+                         ids=["s4", "s6.5", "depth34", "s3i-depth34", "complex-depth34"])
+def test_expansion_at_large_s_and_depth_matches_the_mirror(s, depth):
+    c = laplace.laplace_expansion(s, depth)
+    want = _stirling_mirror(s, depth)
+    assert c[::2].tolist() == want[::2]
+    assert not np.any(c[1::2])
 
 
-def test_expansion_large_s_beyond_cap():
-    # |s|^2 too large for the capped stirling rows to certify
-    with pytest.raises(ValueError, match="cannot certify"):
-        laplace.laplace_expansion(6.5, 4)
+def test_expansion_refuses_past_the_term_bound():
+    with pytest.raises(ValueError, match="needs more than 200 terms"):
+        laplace.laplace_expansion(25.0, 4)
+    with pytest.raises(ValueError, match="needs more than 200 terms"):
+        laplace.laplace_expansion(1.0, 202)
 
 
 def test_density_polynomial_route_consistency():
