@@ -309,17 +309,22 @@ def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
 
 def cmd_moments(args) -> int:
     rows = []
-    # A moment past the double range comes out inf or nan, which the
-    # emitters refuse; numpy's warnings about it would print ahead of the
-    # refusal, with source paths.
+    # A moment past the double range comes out inf or nan; numpy's warnings
+    # about it would print ahead of the refusal, with source paths.  The
+    # highest orders are the ones that leave the range, so they are computed
+    # first and refused before the lower orders cost anything.
     with np.errstate(over="ignore", invalid="ignore"):
         rule = quadrature.density_rule(args.n, args.max)
-        for power in range(args.max + 1):
+        for power in range(args.max, -1, -1):
             mono = [0.0] * power + [1.0]
             a = gegenbauer.taylor_to_basis(mono)
             series_val = operators.resummed_integral(a, args.n, math.ceil(power / 4))
             quad_val = float(rule.integrate(lambda t: t ** power))
-            rows.append((power, quad_val, series_val, abs(quad_val - series_val)))
+            row = (power, quad_val, series_val, abs(quad_val - series_val))
+            if not all(map(math.isfinite, row)):
+                raise ValueError("refusing to print a non-finite number")
+            rows.append(row)
+    rows.reverse()
     if args.format == "json":
         _emit_json({
             "moments": [{"difference": d, "expansion": s, "p": p, "quadrature": q}

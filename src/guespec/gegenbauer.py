@@ -295,23 +295,6 @@ class NormParams:
             raise ValueError("index_scale must be positive")
 
 
-def log_basis_weight(n: int, params: NormParams) -> float:
-    """log of (n/K)^{c n}; zero at n = 0."""
-    if n == 0:
-        return 0.0
-    return params.rate * n * math.log(n / params.index_scale)
-
-
-def _log_weighted_max(coefficients, params: NormParams) -> float:
-    """log of sup_n (n/K)^{c n} |a_n|; -inf when every a_n is zero."""
-    best = -math.inf
-    for n, v in enumerate(np.asarray(coefficients, dtype=float)):
-        if v == 0.0:
-            continue
-        best = max(best, math.log(abs(v)) + log_basis_weight(n, params))
-    return best
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Measured maximum of |f_n| on a circle vs the nominal envelope.
@@ -338,25 +321,27 @@ def growth_bound_report(order: int, radius: float) -> BoundReport:
 
 
 def chebyshev_link_residual(order: int, t) -> np.ndarray:
-    """Residual of d^2/dx^2 T_{order+2}(x/2) = ((order+2)/2) f_order(x).
+    """Residuals of d^2/dx^2 T_{n+2}(x/2) = ((n+2)/2) f_n(x), n = 0..order.
 
     The Chebyshev side is evaluated by its own recurrence (with first and
-    second derivatives carried along), independent of the f_n recurrence.
+    second derivatives carried along), independent of the f_n recurrence;
+    one pass serves every n, and is compared with one ``basis_values``
+    frame.
     """
-    t = np.asarray(t, dtype=float)
-    u = t / 2.0
-    m = order + 2
+    f = basis_values(order, t)
+    u = np.asarray(t, dtype=float) / 2.0
+    second = np.empty_like(f)
     # T_k(u), T_k'(u), T_k''(u) via T_{k+1} = 2u T_k - T_{k-1}.
     tk_prev, tk = np.ones_like(u), u.copy()
     dk_prev, dk = np.zeros_like(u), np.ones_like(u)
     sk_prev, sk = np.zeros_like(u), np.zeros_like(u)
-    for _ in range(1, m):
+    for k in range(1, order + 2):
         tk_next = 2.0 * u * tk - tk_prev
         dk_next = 2.0 * tk + 2.0 * u * dk - dk_prev
         sk_next = 4.0 * dk + 2.0 * u * sk - sk_prev
         tk_prev, tk = tk, tk_next
         dk_prev, dk = dk, dk_next
         sk_prev, sk = sk, sk_next
-    second = sk / 4.0  # chain rule for x -> x/2, twice
-    f = basis_values(order, t)[order]
+        second[k - 1] = sk / 4.0  # T_{k+1}'', chain rule for x -> x/2, twice
+    m = np.arange(2, order + 3).reshape((-1,) + (1,) * u.ndim)
     return second - 0.5 * m * f

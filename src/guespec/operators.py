@@ -36,9 +36,7 @@ import numpy as np
 from .gegenbauer import (
     BasisSeries,
     NormParams,
-    _log_weighted_max,
     basis_with_derivatives,
-    log_basis_weight,
     semicircle_functional,
 )
 
@@ -92,19 +90,21 @@ def first_order_residual(coefficients, t) -> np.ndarray:
     return g_t - semicircle_functional(g) - ((t * t - 4.0) * du_t + 3.0 * t * u_t)
 
 
-def eigen_check(order: int, t) -> float:
-    """Max residual of (t^2 - 4) f_n'' + 5 t f_n' - ((n+2)^2 - 4) f_n at samples.
+def eigen_check(order: int, t) -> np.ndarray:
+    """Max residual of (t^2 - 4) f_n'' + 5 t f_n' - ((n+2)^2 - 4) f_n at samples,
+    for each n = 0..order, from one ``basis_with_derivatives`` frame.
 
     The eigenvalue (n+2)^2 - 1 of the inverted operator appears here with
-    the 3t u term folded in, which shifts it by -3.
+    the 3t u term folded in, which shifts it by -3.  The recurrences run
+    forward, so row n is bit for bit the residual of an order-n frame.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     t = np.asarray(t, dtype=float)
     f, df, d2f = basis_with_derivatives(order, t)
-    res = (t * t - 4.0) * d2f[order] + 5.0 * t * df[order] \
-        - ((order + 2) ** 2 - 4.0) * f[order]
-    return float(np.max(np.abs(res)))
+    n = _per_row(np.arange(order + 1), f.ndim)
+    res = (t * t - 4.0) * d2f + 5.0 * t * df - ((n + 2) ** 2 - 4.0) * f
+    return np.abs(res).reshape(order + 1, -1).max(axis=1)
 
 
 def correction(coefficients) -> np.ndarray:
@@ -206,22 +206,22 @@ def measure_convergence_threshold(
 def norm_probe(params: NormParams, truncation: int = 100) -> tuple[float, int]:
     """Worst amplification of the correction operator over basis directions.
 
-    Returns (max over n of ||T f_n|| / ||f_n||, attaining index n) in the
-    weighted sup norm defined by ``params``, with vectors truncated at the
-    given top index.  Computed in log space; the reported value is stable
-    under raising the truncation because T lowers index.
+    Returns (max over n of ||T f_n|| / ||f_n||, the first n attaining it)
+    in the weighted sup norm defined by ``params``, with vectors truncated
+    at the given top index.  Computed in log space as the column maxima of
+    L_mn = log|T_mn| + log w_m - log w_n, w_n = (n/K)^{c n} (w_0 = 1); the
+    reported value is stable under raising the truncation because T
+    lowers index.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     # Column n of T applied to the identity is the image of f_n.
     images = correction(np.eye(truncation + 1))
-    best = -math.inf
-    arg = -1
-    for n in range(truncation + 1):
-        ratio = _log_weighted_max(images[:, n], params) - log_basis_weight(n, params)
-        if ratio > best:
-            best = ratio
-            arg = n
-    if arg < 0:
+    n = np.arange(1.0, truncation + 1.0)
+    log_w = np.concatenate(([0.0], params.rate * n * np.log(n / params.index_scale)))
+    with np.errstate(divide="ignore"):
+        ratios = (np.log(np.abs(images)) + log_w[:, None] - log_w).max(axis=0)
+    arg = int(np.argmax(ratios))
+    if ratios[arg] == -math.inf:
         raise ValueError("correction operator vanished on every tested direction")
-    return math.exp(best), arg
+    return math.exp(ratios[arg]), arg

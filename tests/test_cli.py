@@ -539,9 +539,12 @@ def test_taylor_terms_are_correctly_rounded(a):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-# Each printed NaN or Infinity (or nan/inf cells) and exited 0.  At N=1 the
-# moments first leave the double range at p = 235 (nan) and 236 (inf).  The
-# refusal is the one line on stderr: no Python warning escapes either.
+# Each printed NaN or Infinity (or nan/inf cells) and exited 0.  The exact
+# moments of p_1 stay finite (M_236 = 235!! ~ 8.1e228); the float route
+# overflows: the largest node of the 119-node rule for --max 236 is 20.8,
+# so the quadrature's t^p is inf from p = 234 on, and inf - inf = nan at
+# p = 235.  The refusal is the one line on stderr: no Python warning
+# escapes either.
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv", [
     ("laplace", "--n", "256", "--s=1e200", "--lambda-minus", "3"),

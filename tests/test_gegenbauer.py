@@ -77,8 +77,9 @@ def test_derivative_ladder():
 
 def test_chebyshev_link_small_residual():
     t = np.linspace(-2.5, 2.5, 31)
+    rows = gegenbauer.chebyshev_link_residual(30, t)
     for n in (0, 1, 5, 17, 30):
-        res = gegenbauer.chebyshev_link_residual(n, t)
+        res = rows[n]
         scale = max(1.0, float(np.max(np.abs(gegenbauer.basis_values(n, t)[n]))))
         assert float(np.max(np.abs(res))) / scale < 1e-12
 

@@ -414,17 +414,14 @@ def test_gauss_reference_is_exact_at_small_sizes(sig):
 
 def gauss_series(n, sig):
     """sum_j sig^j m_{2j} / j! in rationals, with the exact even moments of
-    p_N from the Harer-Zagier recursion
-    (k + 2) m_{2k+2} = (4k + 2) m_{2k} + k (4k^2 - 1) m_{2k-2} / N^2."""
+    p_N from the Harer-Zagier recursion of ``harer_zagier_moments``."""
     sig = Fraction(sig)
-    moments = [Fraction(1), Fraction(1)]
+    moments = harer_zagier_moments(n, 2)
     total, term, j = Fraction(1), Fraction(1), 0
     while abs(term) > Fraction(1, 10 ** 20) * total:
         j += 1
         if j >= len(moments):
-            k = j - 1
-            moments.append(((4 * k + 2) * moments[k]
-                            + Fraction(k * (4 * k * k - 1), n * n) * moments[k - 1]) / (k + 2))
+            moments = harer_zagier_moments(n, 4 * j)
         term = sig ** j * moments[j] / math.factorial(j)
         total += term
     return float(total)
