@@ -37,7 +37,8 @@ from .tridiagonal import ConvergenceError, tridiagonal_eigenvalues
 _MAGIC = b"GUE1"
 _HEADER = struct.Struct("<4sIQQ")
 # Gaussians drawn per chunk of rows; a row of GUE(n) takes n * n of them,
-# so this also bounds the dense matrix stack handed to the eigensolver.
+# so this also bounds the dense matrix stack that the eigensolver lays out
+# below its crossover order.
 _CHUNK_CELLS = 1 << 18
 
 

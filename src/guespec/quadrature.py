@@ -5,9 +5,10 @@ Three integration needs show up repeatedly:
 * polynomial integrals against sqrt(4 - t^2) on [-2, 2]  (closed-form
   Chebyshev rule, exact to the stated degree);
 * polynomial integrals against exp(-N t^2 / 2) on the line (Gauss rule
-  whose nodes are the eigenvalues of the Jacobi matrix, from the package's
-  LAPACK tridiagonal solver), and against p_N with the Christoffel factor
-  folded into the same rule's weights;
+  whose nodes are the eigenvalues of the Jacobi matrix, from LAPACK dsterf,
+  or from eigvalsh below order 16 or without the library: see
+  ``tridiagonal``), and against p_N with the Christoffel factor folded into
+  the same rule's weights;
 * general rapidly decaying integrands on the line (adaptive panels).
 """
 
@@ -59,8 +60,10 @@ def gaussian_rule(n: int, count: int) -> QuadratureRule:
 
     Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
     with off-diagonal entries sqrt(k/n) (Golub-Welsch structure, solved by
-    LAPACK through ``tridiagonal_eigenvalues``); the weight at node t_j is
-    the reciprocal Christoffel sum 1 / sum_{k<count} htilde_k(t_j)^2.
+    ``tridiagonal_eigenvalues``: LAPACK dsterf from count 16 on, eigvalsh on
+    the dense matrix below that or where numpy ships no dsterf); the weight
+    at node t_j is the reciprocal Christoffel sum
+    1 / sum_{k<count} htilde_k(t_j)^2.
     Exact for polynomials of degree 2*count - 1.
     """
     _check_size(n)

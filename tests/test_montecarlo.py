@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guespec import hermite, montecarlo
+from guespec import hermite, montecarlo, tridiagonal
 
 
 def test_bitwise_reproducibility():
@@ -183,9 +183,12 @@ def test_prefix_invariance_across_a_chunk_boundary(n):
     assert np.array_equal(small.eigenvalues, big.eigenvalues[:step + 5])
 
 
-def test_eigenvalue_bits_do_not_depend_on_blas_threads(tmp_path):
-    """A child limited to one OpenBLAS thread writes the same bytes."""
-    n, count, seed = 64, 70, 5
+@pytest.mark.parametrize("n", [8, 64])
+def test_eigenvalue_bits_do_not_depend_on_blas_threads(tmp_path, n):
+    """A child limited to one OpenBLAS thread writes the same bytes, on
+    both eigensolver routes (orders below and above the crossover)."""
+    assert (n >= tridiagonal._CROSSOVER) == (n == 64)
+    count, seed = 70, 5
     path = tmp_path / "child.bin"
     src = str(Path(montecarlo.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
