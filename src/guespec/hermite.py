@@ -11,8 +11,14 @@ where htilde_k is the degree-k Hermite polynomial orthonormal for the
 weight exp(-N x^2 / 2).  All evaluations use one stable three-term
 recurrence; no factorials or unnormalized polynomial values appear
 anywhere on the floating-point path.  Sums over k (kernel diagonal,
-density derivatives, Christoffel sums) and the kernel's top rows hold two
-rows at a time, so their memory is O(points); only ``normalized_hermite``
+density derivatives, Christoffel sums) run all rows on one block of at
+most ``_BLOCK`` points before the next, in place in three rotating row
+buffers allocated once per call, so their memory is O(points) and no row
+allocates; the kernel's top rows rotate through the same buffers.  Inputs
+below ``_IN_PLACE_MIN`` points (0-d x among them) take the allocating
+route, which is faster there.  Both routes do the same elementwise IEEE
+operations in the same order, so they agree bit for bit with each other
+and with numpy's axis-0 sums over the frames.  Only ``normalized_hermite``
 and ``weighted_frame`` build (k_max + 1, points) frames.
 
 Supported range: 1 <= N <= 256, any finite x.  The weighted recurrence
@@ -27,6 +33,7 @@ sooner; they raise ValueError at the first point where a value does.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -53,22 +60,88 @@ def _points(n: int, k_max: int, x) -> np.ndarray:
     return x
 
 
-def _rows(n: int, k_max: int, x: np.ndarray, start):
+# Points per block of the in-place sums over k.  On a 2-core Xeon with
+# 2 MiB of L2 per core, blocks of 8192 to 65536 points all cut the hermite
+# time of a benchmark density pass from about 0.61 s to 0.35-0.45 s, and
+# 16384 was the fastest over repeated runs: smaller blocks pay the per-row
+# ufunc call overhead more often, larger ones did no better.
+_BLOCK = 16384
+# Inputs with fewer points take the allocating route.  For 0-d x a numpy
+# scalar operation takes about 0.1 us against 0.9 us for a ufunc call with
+# out=; on 1-D arrays the routes cost about the same per operation, and
+# below this size the in-place route's fixed cost per call (buffers,
+# blocks) is not repaid.
+_IN_PLACE_MIN = 256
+
+
+@functools.lru_cache(maxsize=64)
+def _steps(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence coefficients a_k = sqrt(n/(k+1)) and b_k = sqrt(k/(k+1)),
+    k < k_max, for all blocks of a call and the many small calls at one size.
+
+    Cached as two arrays rather than 2 k_max float objects, which fragment
+    the heap as the cache churns through the verify suites' many sizes;
+    callers index the ``tolist`` copies, which is faster than indexing
+    numpy arrays.
+    """
+    k = np.arange(k_max, dtype=float)
+    return np.sqrt(n / (k + 1.0)), np.sqrt(k / (k + 1.0))
+
+
+def _rows(n: int, k_max: int, x: np.ndarray, start, out=None, tmp=None):
     """The one float copy of the recurrence: yields (h_{k-1}, h_k) for
     k = 0..k_max, h_{-1} = None, from the row h_0 = ``start``.
 
-    h_{k+1} = x sqrt(n/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1} (DLMF 18.9.1) is
-    linear, so a start carrying a weight or a scale carries it to every row.
-    Only two rows are alive at a time.
+    h_{k+1} = (x a_k) h_k - b_k h_{k-1}, a_k = sqrt(n/(k+1)),
+    b_k = sqrt(k/(k+1)) (DLMF 18.9.1), is linear, so a start carrying a
+    weight or a scale carries it to every row.  Without ``out`` each row is
+    a fresh array (or numpy scalar, for 0-d x).  With ``out``, a sequence of
+    arrays shaped like x such as ``_ring``, row k is written in place into
+    out[k] and ``tmp`` is scratch that is free again once a row is yielded.
+    The same IEEE operations run in the same order on both routes, so the
+    rows agree bit for bit.
     """
-    prev, cur = None, start
-    yield prev, cur
-    for k in range(k_max):
-        nxt = x * math.sqrt(n / (k + 1.0)) * cur
-        if k:
-            nxt = nxt - math.sqrt(k / (k + 1.0)) * prev
-        prev, cur = cur, nxt
+    a, b = (c.tolist() for c in _steps(n, k_max))
+    if out is None:
+        prev, cur = None, start
         yield prev, cur
+        for k in range(k_max):
+            nxt = x * a[k] * cur
+            if k:
+                nxt = nxt - b[k] * prev
+            prev, cur = cur, nxt
+            yield prev, cur
+        return
+    np.copyto(out[0], start)
+    yield None, out[0]
+    for k in range(k_max):
+        np.multiply(x, a[k], out=out[k + 1])
+        out[k + 1] *= out[k]
+        if k:
+            np.multiply(b[k], out[k - 1], out=tmp)
+            out[k + 1] -= tmp
+        yield out[k], out[k + 1]
+
+
+def _ring(k_max: int, buffers) -> list:
+    """Rows 0..k_max of ``_rows`` over three rotating buffers: row k lands
+    in buffers[k % 3] and is overwritten when row k + 3 is computed."""
+    return list(buffers[:3]) * (k_max // 3 + 1)
+
+
+def _blocks(x: np.ndarray, outs, width: int):
+    """Yields (points, outputs, work) for blocks of at most ``_BLOCK`` points
+    of x, flattened and split evenly: the block's slices of the arrays
+    ``outs`` (shaped like x) and ``width`` scratch rows of its length, all
+    cut from one allocation made once per call."""
+    flat = x.reshape(-1)
+    outs = [o.reshape(-1) for o in outs]
+    step = -(-flat.size // -(-flat.size // _BLOCK))
+    work = np.empty((width, step))
+    for lo in range(0, flat.size, step):
+        block = slice(lo, lo + step)
+        points = flat[block]
+        yield points, [o[block] for o in outs], work[:, :points.size]
 
 
 def _start(n: int, x: np.ndarray) -> np.ndarray:
@@ -102,13 +175,27 @@ def _ladder(n: int, k: int, half_nx, prev, cur):
     return math.sqrt(n * k) * prev - half_nx * cur
 
 
-def _square_sum(rows):
+def _square_sum(rows, total=None, tmp=None):
     """Sum of squared rows, accumulated from 0.0 in row order: the order of
-    numpy's axis-0 reduction of the stacked frame, so the bits agree."""
-    total = 0.0
+    numpy's axis-0 reduction of the stacked frame, so the bits agree.
+    With ``total`` and ``tmp`` (arrays shaped like the rows) the sum is
+    accumulated in place into ``total``."""
+    if total is None:
+        total = 0.0
+        for _, row in rows:
+            total = total + row * row
+        return total
+    total.fill(0.0)
     for _, row in rows:
-        total = total + row * row
+        np.multiply(row, row, out=tmp)
+        total += tmp
     return total
+
+
+def _unlift(lift, out):
+    """exp(-2 L) into ``out``: the bits of ``np.exp(-2.0 * lift)``."""
+    np.multiply(lift, -2.0, out=out)
+    return np.exp(out, out=out)
 
 
 def _refuse_overflow(name: str, n: int, k_max: int, x: np.ndarray, finite) -> None:
@@ -124,7 +211,13 @@ def _christoffel(n: int, k_max: int, x: np.ndarray) -> np.ndarray:
     """sum_{k <= k_max} htilde_k(x)^2 with no overflow check: inf or nan
     exactly where the true sum lies past the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _square_sum(_rows(n, k_max, x, _start(n, x)))
+        if x.size < _IN_PLACE_MIN:
+            return _square_sum(_rows(n, k_max, x, _start(n, x)))
+        total = np.empty(x.shape)
+        for points, (block,), work in _blocks(x, [total], 4):
+            rows = _rows(n, k_max, points, _start(n, points), _ring(k_max, work), work[3])
+            _square_sum(rows, block, work[3])
+        return total
 
 
 def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
@@ -186,7 +279,12 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
     x = _points(n, n, x)
     start, lift, x = _weighted_start(n, x)
     half_nx = n * x / 2.0
-    (before, low), (_, high) = deque(_rows(n, n, x, start), maxlen=2)
+    work = ()
+    if x.size >= _IN_PLACE_MIN:
+        # Rows n-2, n-1 and n lie in three distinct buffers of the ring:
+        # only a row past n would overwrite one, and none is computed.
+        work = (_ring(n, np.empty((3,) + x.shape)), np.empty(x.shape))
+    (before, low), (_, high) = deque(_rows(n, n, x, start, *work), maxlen=2)
     unlift = np.exp(-lift)
     return ((low * unlift, high * unlift),
             (_ladder(n, n - 1, half_nx, before, low) * unlift,
@@ -196,8 +294,15 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
     x = _points(n, n - 1, x)
-    start, lift, x = _weighted_start(n, x)
-    return _square_sum(_rows(n, n - 1, x, start)) * np.exp(-2.0 * lift)
+    if x.size < _IN_PLACE_MIN:
+        start, lift, x = _weighted_start(n, x)
+        return _square_sum(_rows(n, n - 1, x, start)) * np.exp(-2.0 * lift)
+    total = np.empty(x.shape)
+    for points, (block,), work in _blocks(x, [total], 4):
+        start, lift, points = _weighted_start(n, points)
+        _square_sum(_rows(n, n - 1, points, start, _ring(n - 1, work), work[3]), block, work[3])
+        block *= _unlift(lift, work[3])
+    return total
 
 
 def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
@@ -234,25 +339,71 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
     Uses psi_k'' = (n^2 x^2/4 - n(k + 1/2)) psi_k together with the first
     derivative ladder; the third derivative differentiates that relation
-    once more.  The four sums over k stream in O(points) memory.
+    once more.  The four sums over k run in place over blocks of points,
+    in O(points) memory.
     """
     x = _points(n, n - 1, x)
-    start, lift, x = _weighted_start(n, x)
-    half_nx = n * x / 2.0
-    quad = n * n * x * x / 4.0
-    slope = n * n * x / 2.0
-    sums = [0.0] * 4
-    for k, (prev, psi) in enumerate(_rows(n, n - 1, x, start)):
-        dpsi = _ladder(n, k, half_nx, prev, psi)
-        osc = quad - n * (k + 0.5)
-        d2psi = osc * psi
-        d3psi = slope * psi + osc * dpsi
-        terms = (psi * psi, psi * dpsi, dpsi * dpsi + psi * d2psi,
-                 3.0 * dpsi * d2psi + psi * d3psi)
-        sums = [s + t for s, t in zip(sums, terms)]
-    unlift = np.exp(-2.0 * lift)
-    s0, s1, s2, s3 = (s * unlift for s in sums)
-    return s0 / n, 2.0 * s1 / n, 2.0 * s2 / n, 2.0 * s3 / n
+    if x.size < _IN_PLACE_MIN:
+        start, lift, x = _weighted_start(n, x)
+        half_nx = n * x / 2.0
+        quad = n * n * x * x / 4.0
+        slope = n * n * x / 2.0
+        sums = [0.0] * 4
+        for k, (prev, psi) in enumerate(_rows(n, n - 1, x, start)):
+            dpsi = _ladder(n, k, half_nx, prev, psi)
+            osc = quad - n * (k + 0.5)
+            d2psi = osc * psi
+            d3psi = slope * psi + osc * dpsi
+            terms = (psi * psi, psi * dpsi, dpsi * dpsi + psi * d2psi,
+                     3.0 * dpsi * d2psi + psi * d3psi)
+            sums = [s + t for s, t in zip(sums, terms)]
+        unlift = np.exp(-2.0 * lift)
+        s0, s1, s2, s3 = (s * unlift for s in sums)
+        return s0 / n, 2.0 * s1 / n, 2.0 * s2 / n, 2.0 * s3 / n
+    # The same operations in place, one block of points at a time.
+    sums = [np.empty(x.shape) for _ in range(4)]
+    for points, (s0, s1, s2, s3), work in _blocks(x, sums, 8):
+        start, lift, points = _weighted_start(n, points)
+        half_nx = n * points / 2.0
+        quad = n * n * points * points / 4.0
+        slope = n * n * points / 2.0
+        dpsi, osc, d2psi, tmp, tmp2 = work[3:]
+        for s in (s0, s1, s2, s3):
+            s.fill(0.0)
+        for k, (prev, psi) in enumerate(_rows(n, n - 1, points, start, _ring(n - 1, work), tmp)):
+            if prev is None:
+                np.multiply(-half_nx, psi, out=dpsi)
+            else:
+                np.multiply(math.sqrt(n * k), prev, out=dpsi)
+                np.multiply(half_nx, psi, out=tmp)
+                dpsi -= tmp
+            np.subtract(quad, n * (k + 0.5), out=osc)
+            np.multiply(osc, psi, out=d2psi)
+            np.multiply(psi, psi, out=tmp)
+            s0 += tmp
+            np.multiply(psi, dpsi, out=tmp)
+            s1 += tmp
+            np.multiply(dpsi, dpsi, out=tmp)
+            np.multiply(psi, d2psi, out=tmp2)
+            tmp += tmp2
+            s2 += tmp
+            # 3 dpsi d2psi + psi d3psi, d3psi = slope psi + osc dpsi
+            np.multiply(slope, psi, out=tmp2)
+            np.multiply(osc, dpsi, out=tmp)
+            tmp2 += tmp
+            tmp2 *= psi
+            np.multiply(3.0, dpsi, out=tmp)
+            tmp *= d2psi
+            tmp += tmp2
+            s3 += tmp
+        unlift = _unlift(lift, tmp)
+        s0 *= unlift
+        s0 /= n
+        for s in (s1, s2, s3):
+            s *= unlift
+            s *= 2.0
+            s /= n
+    return tuple(sums)
 
 
 def ode_residual(n: int, x) -> np.ndarray:
