@@ -6,6 +6,16 @@ All structured output is deterministic: JSON is emitted in canonical form
 CSV uses a header row, '.' decimals, and full-precision floats with complex
 values split into re/im columns.  Exit codes: 0 success, 1 numeric failure,
 2 usage error.
+
+Start-up: importing this module loads argparse, json and numpy, and no
+other module of the package.  Each command imports the layers it calls
+when it runs, and they import what they use in turn: density loads hermite
+and _floattext, sample montecarlo and tridiagonal, stirling and laplace
+only laplace, verify (and laplace --verify) every layer.  Compiled from
+source without cached bytecode the layers take tens of milliseconds, which
+every call would otherwise pay.  A layer's functions are looked up through
+its module at call time, so a rebinding of them (a test's monkeypatch, a
+tracer) is seen.
 """
 
 from __future__ import annotations
@@ -16,13 +26,18 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import gegenbauer, hermite, laplace, montecarlo, operators, quadrature, verify
-from .tridiagonal import ConvergenceError
+if TYPE_CHECKING:
+    from .gegenbauer import BasisSeries
 
 DEFAULT_EXPANSION_DEGREE = 80
+
+#: The names of verify.SUITES, in its order, without importing verify.
+VERIFY_SUITES = ("density", "ode", "laplace", "moments", "operators", "basis",
+                 "stirling", "sampling", "probe")
 
 
 def _emit_json(obj) -> None:
@@ -121,7 +136,9 @@ def _powers_over_factorials(a: float, degree: int) -> list[float]:
 
 
 def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
-                 tol: float) -> gegenbauer.BasisSeries:
+                 tol: float) -> BasisSeries:
+    from . import gegenbauer
+
     if sigma is not None and spec.kind != "taylor-file":
         raise ValueError("--sigma applies to taylor-file functions only")
     degree = max(DEFAULT_EXPANSION_DEGREE, 4 * terms + 20)
@@ -153,6 +170,8 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
 
 def reference_integral(spec: FunctionSpec, n: int) -> float:
     """Independent value of int f p_N dt for --compare."""
+    from . import hermite, laplace, quadrature
+
     if spec.kind == "monomial":
         power = int(spec.parameter)
         return float(quadrature.density_rule(n, power).integrate(lambda t: t ** power))
@@ -177,10 +196,7 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
 # ------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
-    # Imported here rather than with the CLI: compiled from source (no
-    # cached bytecode) it takes about 3 ms, which would add to the start-up
-    # of every command.
-    from . import _floattext
+    from . import _floattext, hermite
 
     profile = hermite.density_profile(args.n, args.start, args.stop, args.points,
                                       with_derivatives=args.derivs)
@@ -210,6 +226,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_laplace(args) -> int:
+    from . import laplace
+
     s = _parse_s(args.s)
     value = laplace.kernel_laplace(args.n, s, args.lambda_minus)
     if args.density:
@@ -217,6 +235,8 @@ def cmd_laplace(args) -> int:
     payload = {"lambda_minus": args.lambda_minus, "n": args.n,
                "s": _json_number(s), "value": _json_number(value)}
     if args.verify:
+        from . import verify
+
         integral = verify.kernel_pair_transform(args.n, s, args.lambda_minus)
         direct, bound, scale = integral.value, integral.error_bound, args.n
         if args.density:
@@ -246,6 +266,8 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_resum(args) -> int:
+    from . import operators
+
     spec = parse_function_spec(args.function)
     series = build_series(spec, args.terms, args.sigma, args.tol)
     # Shown as a plain line: Python's warning display would print the
@@ -290,6 +312,8 @@ def cmd_resum(args) -> int:
 
 
 def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
+    from . import operators
+
     first_finite = max(1, int(2.0 * spec.parameter) + 1)
 
     def ref(n: int) -> float:
@@ -308,6 +332,8 @@ def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
 
 
 def cmd_moments(args) -> int:
+    from . import gegenbauer, operators, quadrature
+
     rows = []
     # A moment past the double range comes out inf or nan; numpy's warnings
     # about it would print ahead of the refusal, with source paths.  The
@@ -337,6 +363,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_stirling(args) -> int:
+    from . import laplace
+
     table = laplace.stirling_table(args.max_n)
     if args.format == "json":
         _emit_json({"max_n": table.max_n, "rows": [list(r) for r in table.rows]})
@@ -348,6 +376,8 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import montecarlo
+
     batch = montecarlo.sample_spectra(args.n, args.count, args.seed)
     fmt = args.format
     if fmt == "auto":
@@ -362,6 +392,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     names = args.suite if args.suite else None
     results = verify.run_suites(names)
     width = max(len(f"{suite}:{res.name}") for suite, res in results)
@@ -442,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto picks csv for .csv paths, binary otherwise")
 
     p = sub.add_parser("verify", help="run self-check suites")
-    p.add_argument("--suite", action="append", choices=sorted(verify.SUITES),
+    p.add_argument("--suite", action="append", choices=sorted(VERIFY_SUITES),
                    help="suite name (repeatable; default: all)")
 
     return parser
@@ -466,8 +498,14 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (ValueError, KeyError, OverflowError, OSError, quadrature.QuadratureError,
-            ConvergenceError) as exc:
+    except (ValueError, KeyError, OverflowError, OSError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError):
+            # Imported only now: most commands never load these layers.
+            from .quadrature import QuadratureError
+            from .tridiagonal import ConvergenceError
+
+            if not isinstance(exc, (QuadratureError, ConvergenceError)):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -135,8 +135,11 @@ def integrate_line(f, scale: float = 1.0, tol: float = 1e-10) -> LineIntegral:
     tol * max(1, |S0|) * (hi - lo) / (b - a), with S0 the sum of the 16
     seed panels over the window [a, b]: tol is absolute for integrals
     below 1 in size and relative above it.  The tail test stays absolute.
-    Returns the value, a conservative error estimate (sum of accepted
-    panel defects plus the tail bound), the panel count and the window.
+    Returns the value, its error_bound, the panel count and the window.
+    error_bound is the sum of the accepted panels' bisection defects plus
+    the tail estimate: an estimate, not a proof.  For e^{0.05 t^2} p_16(t)
+    at scale sqrt(1/7.95) and tol 1e-11 it reads 2.26e-12, while the value
+    is 6.02e-12 off the exact integral.
 
     f must act elementwise on 1-D arrays of any length.  The bisection
     runs level by level: one call of f (more for very wide levels, in

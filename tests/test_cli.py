@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from guespec import (TaylorSeries, cli, expand_entire, hermite, laplace, montecarlo,
-                     quadrature, resummed_integral)
+                     quadrature, resummed_integral, tridiagonal)
 from guespec.cli import main
 
 
@@ -455,15 +455,19 @@ def test_the_parser_is_built_once_per_process(fresh_parser, capsys):
     assert fresh_parser == [1]
 
 
-def _fresh_process(*argv):
-    """stdout, stderr and exit code of ``python -m guespec argv`` in a new
-    interpreter that imports this checkout's package."""
+def _python(*args):
+    """Exit code, stdout and stderr of ``python args`` in a new interpreter
+    that imports this checkout's package."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "guespec", *argv], env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     return done.returncode, done.stdout, done.stderr
+
+
+def _fresh_process(*argv):
+    """The result of ``python -m guespec argv`` in a new interpreter."""
+    return _python("-m", "guespec", *argv)
 
 
 def test_a_usage_error_leaves_the_parser_as_new(fresh_parser, capsys):
@@ -474,6 +478,83 @@ def test_a_usage_error_leaves_the_parser_as_new(fresh_parser, capsys):
     capsys.readouterr()
     assert run(capsys, *valid) == _fresh_process(*valid)
     assert fresh_parser == [1]
+
+
+# Run in a new interpreter: the package modules loaded by importing the
+# CLI, then those a command adds (its report goes to stderr, last line).
+_LOADED = """
+import sys
+import guespec.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "guespec")
+before = loaded()
+code = guespec.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, before, sorted(set(loaded()) - set(before)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,added", [
+    ((), []),
+    (("density", "--n", "4", "--from", "-1", "--to", "1", "--points", "3"),
+     ["guespec._floattext", "guespec.hermite"]),
+    (("sample", "--n", "4", "--count", "3", "--seed", "1", "--out", "{tmp}/s.bin"),
+     ["guespec.montecarlo", "guespec.tridiagonal"]),
+    (("stirling", "--max-n", "4"), ["guespec.laplace"]),
+], ids=["import", "density", "sample", "stirling"])
+def test_a_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, _, err = _python("-c", _LOADED, *argv)
+    assert code == 0, err
+    assert err.splitlines()[-1] == f"0 {['guespec', 'guespec.cli']} {added}"
+
+
+def test_the_package_exports_its_names_lazily():
+    import guespec
+
+    for name in guespec.__all__:
+        value = getattr(guespec, name)
+        assert value.__module__ == f"guespec.{guespec._EXPORTS[name]}", name
+        assert value is getattr(sys.modules[value.__module__], name)
+    names = {}
+    exec("from guespec import *", names)
+    assert set(guespec.__all__) <= set(names)
+    assert set(guespec.__all__) <= set(dir(guespec))
+    with pytest.raises(AttributeError, match="nosuch"):
+        guespec.nosuch
+
+
+def test_the_parser_offers_the_verify_suites(capsys):
+    from guespec import verify
+
+    assert list(cli.VERIFY_SUITES) == list(verify.SUITES)
+    assert main(["verify", "--help"]) == 0
+    assert "{" + ",".join(sorted(verify.SUITES)) + "}" in capsys.readouterr().out
+    code, out, err = run(capsys, "verify", "--suite", "nosuch")
+    assert (code, out) == (2, "")
+    offered = err.splitlines()[-1].partition("(choose from ")[2]
+    assert re.findall(r"\w+", offered) == sorted(verify.SUITES)
+
+
+def _raise(error):
+    def raiser(*args, **kwargs):
+        raise error("injected")
+    return raiser
+
+
+@pytest.mark.parametrize("argv,module,name,error", [
+    (("moments", "--n", "4", "--max", "4"), quadrature, "density_rule",
+     quadrature.QuadratureError),
+    (("sample", "--n", "4", "--count", "3", "--seed", "1", "--out", "{tmp}/s.bin"),
+     montecarlo, "sample_spectra", tridiagonal.ConvergenceError),
+], ids=["quadrature", "convergence"])
+def test_layer_errors_exit_one(argv, module, name, error, monkeypatch, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    monkeypatch.setattr(module, name, _raise(error))
+    assert run(capsys, *argv) == (1, "", "error: injected\n")
+    # Any other RuntimeError is not a refusal: it propagates.
+    monkeypatch.setattr(module, name, _raise(RuntimeError))
+    with pytest.raises(RuntimeError, match="injected"):
+        main(argv)
 
 
 def test_repeated_suites_do_not_leak_between_calls(capsys):
