@@ -62,15 +62,23 @@ def _json_number(value):
     return float(value)
 
 
+def _finite(name: str, text: str) -> float:
+    """float(text), refused with a message naming ``name`` unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
 def _parse_s(text: str):
     """Laplace variable: 'RE' or 'RE,IM'; pure-real input stays a float."""
     if "," in text:
         re_part, im_part = text.split(",", 1)
-        re_v, im_v = float(re_part), float(im_part)
+        re_v, im_v = _finite("--s", re_part), _finite("--s", im_part)
         if im_v != 0.0:
             return complex(re_v, im_v)
         return re_v
-    return float(text)
+    return _finite("--s", text)
 
 
 # ------------------------------------------------------------- functions
@@ -95,9 +103,9 @@ def parse_function_spec(text: str) -> FunctionSpec:
             raise ValueError("monomial power must be >= 0")
         return FunctionSpec("monomial", float(power))
     if kind in ("exp", "cos"):
-        return FunctionSpec(kind, float(arg))
+        return FunctionSpec(kind, _finite(f"--function {kind} parameter", arg))
     if kind == "gauss":
-        sigma = float(arg)
+        sigma = _finite("--function gauss parameter", arg)
         if sigma < 0:
             raise ValueError("gauss type parameter must be >= 0")
         return FunctionSpec("gauss", sigma)

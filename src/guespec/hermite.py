@@ -10,16 +10,16 @@ tails, on [-2, 2] and is expressed through the orthonormal functions
 where htilde_k is the degree-k Hermite polynomial orthonormal for the
 weight exp(-N x^2 / 2).  All evaluations use one stable three-term
 recurrence; no factorials or unnormalized polynomial values appear
-anywhere on the floating-point path.  Sums over k (kernel diagonal,
-density derivatives, Christoffel sums) run all rows on one block of at
-most ``_BLOCK`` points before the next, in place in three rotating row
-buffers allocated once per call, so their memory is O(points) and no row
-allocates; the kernel's top rows rotate through the same buffers.  Inputs
-below ``_IN_PLACE_MIN`` points (0-d x among them) take the allocating
-route, which is faster there.  Both routes do the same elementwise IEEE
-operations in the same order, so they agree bit for bit with each other
-and with numpy's axis-0 sums over the frames.  Only ``normalized_hermite``
-and ``weighted_frame`` build (k_max + 1, points) frames.
+anywhere on the floating-point path.  It runs in place, each row
+written into a row of a frame or of three rotating buffers allocated once
+per call, so no row allocates.  Sums over k (kernel diagonal, density
+derivatives, Christoffel sums) run all rows on one block of at most
+``_BLOCK`` points before the next, in O(points) memory; the kernel's top
+rows rotate through the buffers over all points at once.  A 0-d x runs
+as one point.  The sums add rows in the order of numpy's axis-0
+reduction, so they agree bit for bit with the axis-0 sums over the
+frames.  Only ``normalized_hermite`` and ``weighted_frame`` build
+(k_max + 1, points) frames.
 
 Supported range: 1 <= N <= 256, any finite x.  The weighted recurrence
 starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
@@ -55,7 +55,7 @@ def _points(n: int, k_max: int, x) -> np.ndarray:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("evaluation points must be finite")
     return x
 
@@ -66,12 +66,6 @@ def _points(n: int, k_max: int, x) -> np.ndarray:
 # 16384 was the fastest over repeated runs: smaller blocks pay the per-row
 # ufunc call overhead more often, larger ones did no better.
 _BLOCK = 16384
-# Inputs with fewer points take the allocating route.  For 0-d x a numpy
-# scalar operation takes about 0.1 us against 0.9 us for a ufunc call with
-# out=; on 1-D arrays the routes cost about the same per operation, and
-# below this size the in-place route's fixed cost per call (buffers,
-# blocks) is not repaid.
-_IN_PLACE_MIN = 256
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,30 +82,18 @@ def _steps(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(n / (k + 1.0)), np.sqrt(k / (k + 1.0))
 
 
-def _rows(n: int, k_max: int, x: np.ndarray, start, out=None, tmp=None):
+def _rows(n: int, k_max: int, x: np.ndarray, start, out, tmp):
     """The one float copy of the recurrence: yields (h_{k-1}, h_k) for
-    k = 0..k_max, h_{-1} = None, from the row h_0 = ``start``.
+    k = 0..k_max, h_{-1} = None, from h_0 = ``start`` (a row or a constant).
 
     h_{k+1} = (x a_k) h_k - b_k h_{k-1}, a_k = sqrt(n/(k+1)),
     b_k = sqrt(k/(k+1)) (DLMF 18.9.1), is linear, so a start carrying a
-    weight or a scale carries it to every row.  Without ``out`` each row is
-    a fresh array (or numpy scalar, for 0-d x).  With ``out``, a sequence of
-    arrays shaped like x such as ``_ring``, row k is written in place into
-    out[k] and ``tmp`` is scratch that is free again once a row is yielded.
-    The same IEEE operations run in the same order on both routes, so the
-    rows agree bit for bit.
+    weight or a scale carries it to every row.  Row k is written in place
+    into out[k], an array shaped like the 1-D x: a row of a frame, or a
+    buffer of ``_ring``.  ``tmp`` is scratch that is free again once a row
+    is yielded.
     """
     a, b = (c.tolist() for c in _steps(n, k_max))
-    if out is None:
-        prev, cur = None, start
-        yield prev, cur
-        for k in range(k_max):
-            nxt = x * a[k] * cur
-            if k:
-                nxt = nxt - b[k] * prev
-            prev, cur = cur, nxt
-            yield prev, cur
-        return
     np.copyto(out[0], start)
     yield None, out[0]
     for k in range(k_max):
@@ -126,7 +108,7 @@ def _rows(n: int, k_max: int, x: np.ndarray, start, out=None, tmp=None):
 def _ring(k_max: int, buffers) -> list:
     """Rows 0..k_max of ``_rows`` over three rotating buffers: row k lands
     in buffers[k % 3] and is overwritten when row k + 3 is computed."""
-    return list(buffers[:3]) * (k_max // 3 + 1)
+    return [buffers[0], buffers[1], buffers[2]] * (k_max // 3 + 1)
 
 
 def _blocks(x: np.ndarray, outs, width: int):
@@ -136,7 +118,8 @@ def _blocks(x: np.ndarray, outs, width: int):
     cut from one allocation made once per call."""
     flat = x.reshape(-1)
     outs = [o.reshape(-1) for o in outs]
-    step = -(-flat.size // -(-flat.size // _BLOCK))
+    blocks = max(1, -(-flat.size // _BLOCK))
+    step = max(1, -(-flat.size // blocks))
     work = np.empty((width, step))
     for lo in range(0, flat.size, step):
         block = slice(lo, lo + step)
@@ -144,9 +127,9 @@ def _blocks(x: np.ndarray, outs, width: int):
         yield points, [o[block] for o in outs], work[:, :points.size]
 
 
-def _start(n: int, x: np.ndarray) -> np.ndarray:
-    """The row htilde_0 = (2 pi / n)^(-1/4), shaped like x."""
-    return np.full(x.shape, (2.0 * math.pi / n) ** -0.25)
+def _start(n: int) -> float:
+    """htilde_0 = (2 pi / n)^(-1/4)."""
+    return (2.0 * math.pi / n) ** -0.25
 
 
 def _weighted_start(n: int, x: np.ndarray):
@@ -163,28 +146,27 @@ def _weighted_start(n: int, x: np.ndarray):
     """
     with np.errstate(over="ignore"):
         q = n * x * x / 4.0
-    lift = np.clip(q - 700.0, 0.0, 350.0)
-    start = _start(n, x) * np.exp(lift - q)
+    # np.clip's bits at about half its fixed cost per call (q is never nan)
+    lift = np.minimum(np.maximum(q - 700.0, 0.0), 350.0)
+    start = _start(n) * np.exp(lift - q)
     return start, lift, x * (start != 0.0)
 
 
-def _ladder(n: int, k: int, half_nx, prev, cur):
-    """psi_k' = sqrt(n k) psi_{k-1} - (n x / 2) psi_k."""
+def _ladder(n: int, k: int, half_nx, prev, cur, out, tmp):
+    """psi_k' = sqrt(n k) psi_{k-1} - (n x / 2) psi_k, written into ``out``;
+    ``tmp`` is scratch."""
     if prev is None:
-        return -half_nx * cur
-    return math.sqrt(n * k) * prev - half_nx * cur
+        return np.multiply(-half_nx, cur, out=out)
+    np.multiply(math.sqrt(n * k), prev, out=out)
+    np.multiply(half_nx, cur, out=tmp)
+    out -= tmp
+    return out
 
 
-def _square_sum(rows, total=None, tmp=None):
-    """Sum of squared rows, accumulated from 0.0 in row order: the order of
-    numpy's axis-0 reduction of the stacked frame, so the bits agree.
-    With ``total`` and ``tmp`` (arrays shaped like the rows) the sum is
-    accumulated in place into ``total``."""
-    if total is None:
-        total = 0.0
-        for _, row in rows:
-            total = total + row * row
-        return total
+def _square_sum(rows, total, tmp):
+    """Sum of squared rows into ``total``, accumulated from 0.0 in row order:
+    the order of numpy's axis-0 reduction of the stacked frame, so the bits
+    agree.  ``tmp`` is scratch shaped like the rows."""
     total.fill(0.0)
     for _, row in rows:
         np.multiply(row, row, out=tmp)
@@ -210,14 +192,12 @@ def _refuse_overflow(name: str, n: int, k_max: int, x: np.ndarray, finite) -> No
 def _christoffel(n: int, k_max: int, x: np.ndarray) -> np.ndarray:
     """sum_{k <= k_max} htilde_k(x)^2 with no overflow check: inf or nan
     exactly where the true sum lies past the double range."""
+    total = np.empty(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        if x.size < _IN_PLACE_MIN:
-            return _square_sum(_rows(n, k_max, x, _start(n, x)))
-        total = np.empty(x.shape)
         for points, (block,), work in _blocks(x, [total], 4):
-            rows = _rows(n, k_max, points, _start(n, points), _ring(k_max, work), work[3])
+            rows = _rows(n, k_max, points, _start(n), _ring(k_max, work), work[3])
             _square_sum(rows, block, work[3])
-        return total
+    return total[()]
 
 
 def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
@@ -231,9 +211,11 @@ def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
     """
     x = _points(n, k_max, x)
     out = np.empty((k_max + 1,) + x.shape)
+    flat = x.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (_, row) in enumerate(_rows(n, k_max, x, _start(n, x))):
-            out[k] = row
+        for _ in _rows(n, k_max, flat, _start(n), out.reshape(k_max + 1, flat.size),
+                       np.empty(flat.size)):
+            pass
     _refuse_overflow("normalized_hermite", n, k_max, x, np.isfinite(out).all(axis=0))
     return out
 
@@ -260,16 +242,17 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     ``kernel_diag`` and ``density_derivatives``.
     """
     x = _points(n, k_max, x)
-    start, lift, x = _weighted_start(n, x)
-    half_nx = n * x / 2.0
+    start, lift, flat = _weighted_start(n, x.reshape(-1))
+    half_nx = n * flat / 2.0
     psi = np.empty((k_max + 1,) + x.shape)
     dpsi = np.empty_like(psi)
-    for k, (prev, cur) in enumerate(_rows(n, k_max, x, start)):
-        psi[k] = cur
-        dpsi[k] = _ladder(n, k, half_nx, prev, cur)
+    rows, ladders = (f.reshape(k_max + 1, flat.size) for f in (psi, dpsi))
+    tmp = np.empty(flat.size)
+    for k, (prev, cur) in enumerate(_rows(n, k_max, flat, start, rows, tmp)):
+        _ladder(n, k, half_nx, prev, cur, ladders[k], tmp)
     unlift = np.exp(-lift)
-    psi *= unlift
-    dpsi *= unlift
+    rows *= unlift
+    ladders *= unlift
     return psi, dpsi
 
 
@@ -277,32 +260,31 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
     """(psi_{n-1}, psi_n) and (psi_{n-1}', psi_n') at x: rows n-1 and n of
     ``weighted_frame(n, n, x)`` bit for bit, in O(points) memory."""
     x = _points(n, n, x)
-    start, lift, x = _weighted_start(n, x)
-    half_nx = n * x / 2.0
-    work = ()
-    if x.size >= _IN_PLACE_MIN:
-        # Rows n-2, n-1 and n lie in three distinct buffers of the ring:
-        # only a row past n would overwrite one, and none is computed.
-        work = (_ring(n, np.empty((3,) + x.shape)), np.empty(x.shape))
-    (before, low), (_, high) = deque(_rows(n, n, x, start, *work), maxlen=2)
-    unlift = np.exp(-lift)
-    return ((low * unlift, high * unlift),
-            (_ladder(n, n - 1, half_nx, before, low) * unlift,
-             _ladder(n, n, half_nx, low, high) * unlift))
+    start, lift, flat = _weighted_start(n, x.reshape(-1))
+    half_nx = n * flat / 2.0
+    top = np.empty((4,) + x.shape)
+    psi = top.reshape(4, flat.size)
+    work = np.empty((4, flat.size))
+    # Rows n-1 and n are written straight into the result; the rows below
+    # rotate through the ring.
+    rows = _rows(n, n, flat, start, _ring(n, work)[:n - 1] + [psi[0], psi[1]], work[3])
+    (before, low), (_, high) = deque(rows, maxlen=2)
+    _ladder(n, n - 1, half_nx, before, low, psi[2], work[3])
+    _ladder(n, n, half_nx, low, high, psi[3], work[3])
+    psi *= np.exp(-lift)
+    low, high, dlow, dhigh = top
+    return (low, high), (dlow, dhigh)
 
 
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
     x = _points(n, n - 1, x)
-    if x.size < _IN_PLACE_MIN:
-        start, lift, x = _weighted_start(n, x)
-        return _square_sum(_rows(n, n - 1, x, start)) * np.exp(-2.0 * lift)
     total = np.empty(x.shape)
     for points, (block,), work in _blocks(x, [total], 4):
         start, lift, points = _weighted_start(n, points)
         _square_sum(_rows(n, n - 1, points, start, _ring(n - 1, work), work[3]), block, work[3])
         block *= _unlift(lift, work[3])
-    return total
+    return total[()]
 
 
 def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
@@ -324,9 +306,8 @@ def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
     if abs(x - y) <= crossover:
         (low, high), (dlow, dhigh) = _top_rows(n, np.float64(0.5 * x + 0.5 * y))
         return float(dhigh * low - high * dlow)
-    (xlow, xhigh), _ = _top_rows(n, np.float64(x))
-    (ylow, yhigh), _ = _top_rows(n, np.float64(y))
-    return float((xhigh * ylow - xlow * yhigh) / (x - y))
+    (low, high), _ = _top_rows(n, np.array([x, y]))
+    return float((high[0] * low[1] - low[0] * high[1]) / (x - y))
 
 
 def density(n: int, x) -> np.ndarray:
@@ -343,24 +324,6 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     in O(points) memory.
     """
     x = _points(n, n - 1, x)
-    if x.size < _IN_PLACE_MIN:
-        start, lift, x = _weighted_start(n, x)
-        half_nx = n * x / 2.0
-        quad = n * n * x * x / 4.0
-        slope = n * n * x / 2.0
-        sums = [0.0] * 4
-        for k, (prev, psi) in enumerate(_rows(n, n - 1, x, start)):
-            dpsi = _ladder(n, k, half_nx, prev, psi)
-            osc = quad - n * (k + 0.5)
-            d2psi = osc * psi
-            d3psi = slope * psi + osc * dpsi
-            terms = (psi * psi, psi * dpsi, dpsi * dpsi + psi * d2psi,
-                     3.0 * dpsi * d2psi + psi * d3psi)
-            sums = [s + t for s, t in zip(sums, terms)]
-        unlift = np.exp(-2.0 * lift)
-        s0, s1, s2, s3 = (s * unlift for s in sums)
-        return s0 / n, 2.0 * s1 / n, 2.0 * s2 / n, 2.0 * s3 / n
-    # The same operations in place, one block of points at a time.
     sums = [np.empty(x.shape) for _ in range(4)]
     for points, (s0, s1, s2, s3), work in _blocks(x, sums, 8):
         start, lift, points = _weighted_start(n, points)
@@ -371,12 +334,7 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         for s in (s0, s1, s2, s3):
             s.fill(0.0)
         for k, (prev, psi) in enumerate(_rows(n, n - 1, points, start, _ring(n - 1, work), tmp)):
-            if prev is None:
-                np.multiply(-half_nx, psi, out=dpsi)
-            else:
-                np.multiply(math.sqrt(n * k), prev, out=dpsi)
-                np.multiply(half_nx, psi, out=tmp)
-                dpsi -= tmp
+            _ladder(n, k, half_nx, prev, psi, dpsi, tmp)
             np.subtract(quad, n * (k + 0.5), out=osc)
             np.multiply(osc, psi, out=d2psi)
             np.multiply(psi, psi, out=tmp)
@@ -403,7 +361,7 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
             s *= unlift
             s *= 2.0
             s /= n
-    return tuple(sums)
+    return tuple(s[()] for s in sums)
 
 
 def ode_residual(n: int, x) -> np.ndarray:

@@ -72,9 +72,9 @@ def suite_density() -> list[CheckResult]:
                       "(allowance 1.1 up to N=8, scaled by (N/2pi)^(1/4) beyond)"))
 
     worst_slope = 0.0
+    probes = (-1.5, 0.0, 0.3, 1.9)
     for n in (2, 5, 10, 32):
-        for x in (-1.5, 0.0, 0.3, 1.9):
-            diag = float(hermite.kernel_diag(n, x))
+        for x, diag in zip(probes, hermite.kernel_diag(n, np.array(probes)).tolist()):
             for h in (1e-7, 1e-6):
                 off = hermite.kernel(n, x, x + h, crossover=1e-9)
                 worst_slope = max(worst_slope, abs(off - diag) / (h * 2 * n))
@@ -108,18 +108,21 @@ def suite_ode() -> list[CheckResult]:
                       f"max scaled residual = {worst:.3e} at N={worst_n} "
                       "(401-point grid on [-4,4], tol 1e-7)"))
 
-    def fd3(n: int, x: float, h: float) -> float:
-        stencil = np.array([x - 2 * h, x - h, x + h, x + 2 * h])
-        p = hermite.density(n, stencil)
+    def fd3(p, h: float) -> float:
+        """Central third difference from p_N at x - 2h, x - h, x + h, x + 2h."""
         return float((-p[0] + 2 * p[1] - 2 * p[2] + p[3]) / (2 * h ** 3))
 
     fd_worst = 0.0
     step = 1e-3
     for (n, x) in ((6, 1.1), (3, -0.7), (10, 0.2)):
+        # One call for both stencils and x itself; its p_N is density(n, .)
+        # bit for bit.
+        points = [x + j * h for h in (step, 2 * step) for j in (-2, -1, 1, 2)] + [x]
+        p, _, _, p3 = hermite.density_derivatives(n, np.array(points))
         # Richardson-extrapolated central difference: the h^2 truncation
         # term cancels, leaving O(h^4) truncation and ~1e-9 roundoff.
-        extrap = (4.0 * fd3(n, x, step) - fd3(n, x, 2 * step)) / 3.0
-        p3 = float(hermite.density_derivatives(n, np.array(x))[3])
+        extrap = (4.0 * fd3(p[:4], step) - fd3(p[4:8], 2 * step)) / 3.0
+        p3 = float(p3[-1])
         fd_worst = max(fd_worst, abs(extrap - p3) / max(1.0, abs(p3)))
     out.append(_check("analytic third derivative vs finite differences", fd_worst < 1e-6,
                       f"max rel deviation = {fd_worst:.3e} (tol 1e-6)"))
@@ -146,11 +149,9 @@ def kernel_pair_transform(n: int, s, offset: float) -> quadrature.LineIntegral:
             return np.exp(s * lam) * hermite.kernel_diag(n, lam)
     else:
         def integrand(lam):
-            x = lam + offset
-            y = lam - offset
-            (xlow, xhigh), _ = hermite._top_rows(n, x)
-            (ylow, yhigh), _ = hermite._top_rows(n, y)
-            return np.exp(s * lam) * (xhigh * ylow - xlow * yhigh) / (2.0 * offset)
+            # Rows 0 and 1: x = lam + offset and y = lam - offset, in one call.
+            (low, high), _ = hermite._top_rows(n, np.stack([lam + offset, lam - offset]))
+            return np.exp(s * lam) * (high[0] * low[1] - low[0] * high[1]) / (2.0 * offset)
     return quadrature.integrate_line(integrand)
 
 

@@ -641,6 +641,26 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
     assert [str(w.message) for w in caught] == []
 
 
+# A non-finite input is refused before any work, naming the argument; it
+# used to surface as a JSON encoder error (--s) or a failed integer-ratio
+# conversion (the resum parameter).
+@pytest.mark.parametrize("argv,message", [
+    (("laplace", "--n", "4", "--s=nan"), "--s must be finite, got 'nan'"),
+    (("laplace", "--n", "4", "--s=0.5,-inf"), "--s must be finite, got '-inf'"),
+    (("resum", "--n", "4", "--function", "exp:nan", "--terms", "3"),
+     "--function exp parameter must be finite, got 'nan'"),
+    (("resum", "--n", "4", "--function", "exp:inf", "--terms", "3"),
+     "--function exp parameter must be finite, got 'inf'"),
+    (("resum", "--n", "4", "--function", "cos:-inf", "--terms", "3"),
+     "--function cos parameter must be finite, got '-inf'"),
+    (("resum", "--n", "4", "--function", "gauss:nan", "--terms", "3"),
+     "--function gauss parameter must be finite, got 'nan'"),
+], ids=["s-nan", "s-imag-inf", "exp-nan", "exp-inf", "cos-inf", "gauss-nan"])
+def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # Each command builds each quadrature rule once: one Jacobi eigenproblem per
 # ensemble size, however many polynomials it integrates, and for the basis
 # suite one semicircle rule for the Gram matrix and one for the averages.

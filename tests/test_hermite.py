@@ -234,10 +234,9 @@ def _frame_sums(n, x):
                                     pytest.param((131, 130), id="130x131T")])
 def test_streamed_sums_equal_frame_sums_bitwise(n, points):
     """The sums over k add rows in the order of numpy's axis-0 reduction, so
-    on multi-point grids they reproduce the frame sums bit for bit: on the
-    allocating route below ``_IN_PLACE_MIN`` points and on the in-place
-    blocks at and across block boundaries, for 1-D and 2-D x (130x131T is
-    a transposed, non-contiguous view)."""
+    on multi-point grids they reproduce the frame sums bit for bit: on
+    grids of a few points, at and across block boundaries, and for 1-D and
+    2-D x (130x131T is a transposed, non-contiguous view)."""
     shape = points if isinstance(points, tuple) else (points,)
     grid = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)  # n x^2 / 4 <= 700: no lift
     if shape == (131, 130):
@@ -250,7 +249,8 @@ def test_streamed_sums_equal_frame_sums_bitwise(n, points):
 
 
 def _reference_rows(n, k_max, x, start):
-    """The allocating recurrence that the in-place blocks replaced."""
+    """The recurrence with one fresh array per operation: the reference for
+    the rows that ``hermite._rows`` writes in place."""
     prev, cur = None, start
     yield prev, cur
     for k in range(k_max):
@@ -293,10 +293,11 @@ def _reference_sums(n, x):
 def test_sums_equal_the_allocating_recurrence_bitwise(n, span, points):
     """Where the start is lifted (n x^2 / 4 > 700; from |x| ~ 52.9 at N=1)
     frame sums round differently, and a frame of one point sums pairwise,
-    so the reference is the allocating recurrence itself: across block
-    boundaries and at 0-d x (points None), where the result stays a numpy
-    scalar.  At N=256, [2.6, 3.6] is lifted from 3.31 and subnormal from
-    3.51 on; the Christoffel sums overflow on the lifted spans at larger N."""
+    so the reference is an allocating recurrence, one fresh array per
+    operation: across block boundaries and at 0-d x (points None), which
+    runs as a one-point block and comes back as a numpy scalar.  At N=256,
+    [2.6, 3.6] is lifted from 3.31 and subnormal from 3.51 on; the
+    Christoffel sums overflow on the lifted spans at larger N."""
     grid = np.linspace(*span, points) if points else np.asarray(span[0])
     diag, derivs, christoffel = _reference_sums(n, grid)
     assert _same_bits(hermite.kernel_diag(n, grid), diag)
@@ -312,10 +313,10 @@ def test_sums_equal_the_allocating_recurrence_bitwise(n, span, points):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
 def test_rotating_rows_outlive_their_use(n):
-    """The in-place route writes row k over row k - 3.  Each row equals the
-    allocating route's while it is in use, what a call returns is its own
-    memory, and later calls that reuse the buffers change none of it."""
-    x = np.linspace(-3.0, 3.0, 2 * hermite._IN_PLACE_MIN)
+    """The ring writes row k over row k - 3.  Each row equals the allocating
+    reference's while it is in use, what a call returns is its own memory,
+    and later calls that reuse the buffers change none of it."""
+    x = np.linspace(-3.0, 3.0, 512)
     start, _, xw = hermite._weighted_start(n, x)
     ring = hermite._ring(n, np.empty((3, x.size)))
     in_place = hermite._rows(n, n, xw, start, ring, np.empty(x.size))
@@ -338,6 +339,48 @@ def test_rotating_rows_outlive_their_use(n):
     hermite.density_derivatives(n, x + 0.5)
     assert all(_same_bits(row, copy) for row, copy in zip(rows + [diag], kept))
     assert [hermite.kernel(n, 0.3, 1.1), hermite.kernel(n, 0.5, 0.5)] == values
+
+
+def _reference_frames(n, k_max, x):
+    """The rows of ``weighted_frame(n, n, x)`` and of
+    ``normalized_hermite(n, k_max, x)`` from ``_reference_rows``."""
+    start, lift, xw = hermite._weighted_start(n, x)
+    half_nx = n * xw / 2.0
+    unlift = np.exp(-lift)
+    psi, dpsi = [], []
+    for k, (prev, cur) in enumerate(_reference_rows(n, n, xw, start)):
+        ladder = -half_nx * cur if prev is None else math.sqrt(n * k) * prev - half_nx * cur
+        psi.append(cur * unlift)
+        dpsi.append(ladder * unlift)
+    start = np.full(x.shape, (2.0 * math.pi / n) ** -0.25)[()]  # a scalar at 0-d x
+    htilde = [row for _, row in _reference_rows(n, k_max, x, start)]
+    return psi, dpsi, htilde
+
+
+@pytest.mark.parametrize("n,span", [(256, (2.6, 3.6)), (1, (-60.0, 60.0))])
+@pytest.mark.parametrize("shape", ["1-D", "0-d", "2-D transposed"])
+def test_frames_equal_the_allocating_recurrence_bitwise(n, span, shape):
+    """The frames' rows are written in place into the frames themselves.
+    They equal the reference rows bit for bit on spans into the lifted
+    start (from 3.31 at N=256, from 52.9 at N=1), at 0-d x (the end of the
+    span) and on a transposed 2-D x.  The frames share no memory with each
+    other or with a later call's, and a later call changes none of them.
+    normalized_hermite stops at degree 64, where it stays finite on the
+    span at N=256."""
+    x = {"1-D": np.linspace(*span, 1001), "0-d": np.asarray(span[1]),
+         "2-D transposed": np.linspace(*span, 21 * 31).reshape(21, 31).T}[shape]
+    k_max = min(n, 64)
+    want = _reference_frames(n, k_max, x)
+    assert all(np.all(np.isfinite(row)) for row in want[2])
+    frames = [*hermite.weighted_frame(n, n, x), hermite.normalized_hermite(n, k_max, x)]
+    for frame, rows in zip(frames, want, strict=True):
+        assert frame.shape == (len(rows),) + x.shape
+        assert all(_same_bits(got, row) for got, row in zip(frame, rows, strict=True))
+    kept = [frame.copy() for frame in frames]
+    later = [*hermite.weighted_frame(n, n, x), hermite.normalized_hermite(n, k_max, x)]
+    both = frames + later
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(both) for b in both[:i])
+    assert all(_same_bits(frame, copy) for frame, copy in zip(frames, kept))
 
 
 def test_christoffel_sum_refuses_overflow():
