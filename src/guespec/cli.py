@@ -63,8 +63,11 @@ def _json_number(value):
 
 
 def _finite(name: str, text: str) -> float:
-    """float(text), refused with a message naming ``name`` unless finite."""
-    value = float(text)
+    """float(text), refused with a message naming ``name`` unless a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {text!r}")
     return value
@@ -186,7 +189,7 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
     if spec.kind == "exp":
         return float(laplace.density_laplace(n, spec.parameter))
     if spec.kind == "cos":
-        return complex(laplace.density_laplace(n, 1j * spec.parameter)).real
+        return laplace.characteristic_function(n, spec.parameter)
     if spec.kind == "gauss":
         sig = spec.parameter
         if sig >= n / 2.0:
@@ -237,15 +240,16 @@ def cmd_laplace(args) -> int:
     from . import laplace
 
     s = _parse_s(args.s)
-    value = laplace.kernel_laplace(args.n, s, args.lambda_minus)
+    offset = _finite("--lambda-minus", args.lambda_minus)
+    value = laplace.kernel_laplace(args.n, s, offset)
     if args.density:
         value = value / args.n
-    payload = {"lambda_minus": args.lambda_minus, "n": args.n,
+    payload = {"lambda_minus": offset, "n": args.n,
                "s": _json_number(s), "value": _json_number(value)}
     if args.verify:
         from . import verify
 
-        integral = verify.kernel_pair_transform(args.n, s, args.lambda_minus)
+        integral = verify.kernel_pair_transform(args.n, s, offset)
         direct, bound, scale = integral.value, integral.error_bound, args.n
         if args.density:
             direct, bound, scale = direct / args.n, bound / args.n, 1
@@ -276,6 +280,9 @@ def cmd_laplace(args) -> int:
 def cmd_resum(args) -> int:
     from . import operators
 
+    # A NaN tolerance would pass every tail check: tail > nan is False.
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
     spec = parse_function_spec(args.function)
     series = build_series(spec, args.terms, args.sigma, args.tol)
     # Shown as a plain line: Python's warning display would print the
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laplace", help="closed-form kernel/density Laplace transform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", required=True, metavar="RE[,IM]")
-    p.add_argument("--lambda-minus", dest="lambda_minus", type=float, default=0.0,
+    p.add_argument("--lambda-minus", dest="lambda_minus", default="0.0",
                    help="offset c in the transform of K_N(u+c, u-c)")
     p.add_argument("--density", action="store_true",
                    help="divide by N (density transform instead of kernel)")

@@ -226,8 +226,8 @@ def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
     deep functional.  The tail bound is ``_model_tail`` for a positive
     type and 0.0 for sigma = 0, and must fit inside tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     sigma = series.type_hint
     alpha = series.coefficients
     if len(alpha) - 1 > _BAND_DEGREE_CAP:

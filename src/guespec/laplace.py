@@ -10,7 +10,9 @@ terminates because the 1F1 parameter 1 - N is a nonpositive integer: it
 is the weighted Laguerre polynomial of DLMF 13.6.19, evaluated by its
 three-term recurrence with the weight carried from the start.
 The c = 0 case divided by N is the moment generating function of the
-mean eigenvalue density; ``laplace_expansion`` rearranges it into a
+mean eigenvalue density, and on the imaginary axis s = iw its
+characteristic function (``characteristic_function``, which also takes
+an array of w); ``laplace_expansion`` rearranges it into a
 power series in 1/N whose coefficients are sums of the Harer-Zagier
 genus counts, summed exactly and rounded once.  The unsigned Stirling
 numbers of the first kind give a second form of the same coefficients.
@@ -36,8 +38,14 @@ STIRLING_CAP = 34
 _MAX_TERMS = 200
 
 
+def _exp_each(v: np.ndarray) -> np.ndarray:
+    """math.exp of every entry: libm's exp, which np.exp does not match in
+    the last bit everywhere, so an array carries the bits of a scalar call."""
+    return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
 def _weighted_laguerre(n: int, x):
-    """e^{-x/2} L^{(1)}_{n-1}(x) for real or complex x.
+    """e^{-x/2} L^{(1)}_{n-1}(x) for a real or complex x, or a float64 array of x.
 
     The recurrence L_{k+1} = (2 - x/(k+1)) L_k - L_{k-1} (DLMF 18.9.1) from
     L_{-1} = 0 is linear: started at e^{lift - x/2}, lift = clip(Re x/2 -
@@ -45,16 +53,26 @@ def _weighted_laguerre(n: int, x):
     off at the end.  The lift keeps the start from underflowing where the
     rows raise it back; the weight is not squared, so the cap is 700,
     twice that of the Hermite frames.  Every row carries the start, so
-    when the start is 0.0 every row is too, and it is returned before a
-    step forms x * 0.0 = nan from an infinite x.
+    when the start is 0.0 every row is too: a scalar is returned before a
+    step forms x * 0.0 = nan from an infinite x, and an array takes x = 0
+    there.  An array runs the same steps entry by entry, so each entry
+    equals the scalar call on it bit for bit.
     """
-    lift = min(max(x.real / 2.0 - 700.0, 0.0), 700.0)
-    prev, cur = 0.0, (cmath.exp if isinstance(x, complex) else math.exp)(lift - x / 2.0)
-    if cur == 0.0:
-        return cur
+    if isinstance(x, np.ndarray):
+        lift = np.minimum(np.maximum(x / 2.0 - 700.0, 0.0), 700.0)
+        cur = _exp_each(lift - x / 2.0)
+        x = np.where(cur == 0.0, 0.0, x)
+        scale = _exp_each(-lift)
+    else:
+        lift = min(max(x.real / 2.0 - 700.0, 0.0), 700.0)
+        cur = (cmath.exp if isinstance(x, complex) else math.exp)(lift - x / 2.0)
+        if cur == 0.0:
+            return cur
+        scale = math.exp(-lift)
+    prev = 0.0
     for k in range(n - 1):
         prev, cur = cur, 2.0 * cur - prev - x * cur / (k + 1)
-    return cur * math.exp(-lift)
+    return cur * scale
 
 
 def kernel_laplace(n: int, s, center_offset: float = 0.0):
@@ -73,6 +91,24 @@ def kernel_laplace(n: int, s, center_offset: float = 0.0):
 def density_laplace(n: int, s):
     """int e^{s t} p_N(t) dt (the spectral moment generating function)."""
     return kernel_laplace(n, s, 0.0) / n
+
+
+def characteristic_function(n: int, w):
+    """phi_N(w) = int e^{iwt} p_N(t) dt = e^{-x/2} L^{(1)}_{N-1}(x) / N, x = w^2 / N,
+    at a finite real w or at every entry of an array of them.
+
+    phi_N is real and even.  A scalar w gives a float, an array one of its
+    shape, in one recurrence pass for all entries.  x = w * w / N is the
+    real part of the x that density_laplace(n, 1j * w) forms, and every
+    value equals that call's real part bit for bit, but for the sign of a
+    zero.
+    """
+    if n < 1:
+        raise ValueError("ensemble size must be >= 1")
+    w = np.asarray(w, float) if isinstance(w, np.ndarray) or np.ndim(w) else float(w)
+    # Past |w| = 1.3e154, w * w is inf, as for a float, and phi_N there 0.0.
+    with np.errstate(over="ignore"):
+        return _weighted_laguerre(n, w * w / n) / n
 
 
 @dataclass(frozen=True)

@@ -641,12 +641,21 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
     assert [str(w.message) for w in caught] == []
 
 
-# A non-finite input is refused before any work, naming the argument; it
-# used to surface as a JSON encoder error (--s) or a failed integer-ratio
-# conversion (the resum parameter).
+# A non-finite or malformed input, or a --tol not above 0, is refused before
+# any work, naming the argument; it used to surface as a JSON encoder error
+# (--s, --lambda-minus), a failed integer-ratio conversion (the resum
+# parameter) or a float conversion message, or was accepted (a NaN --tol
+# passed every tail check).
 @pytest.mark.parametrize("argv,message", [
     (("laplace", "--n", "4", "--s=nan"), "--s must be finite, got 'nan'"),
     (("laplace", "--n", "4", "--s=0.5,-inf"), "--s must be finite, got '-inf'"),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus", "inf"),
+     "--lambda-minus must be finite, got 'inf'"),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus", "nan", "--density", "--verify"),
+     "--lambda-minus must be finite, got 'nan'"),
+    (("laplace", "--n", "4", "--s=1,x"), "--s must be finite, got 'x'"),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus", "abc"),
+     "--lambda-minus must be finite, got 'abc'"),
     (("resum", "--n", "4", "--function", "exp:nan", "--terms", "3"),
      "--function exp parameter must be finite, got 'nan'"),
     (("resum", "--n", "4", "--function", "exp:inf", "--terms", "3"),
@@ -655,7 +664,17 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
      "--function cos parameter must be finite, got '-inf'"),
     (("resum", "--n", "4", "--function", "gauss:nan", "--terms", "3"),
      "--function gauss parameter must be finite, got 'nan'"),
-], ids=["s-nan", "s-imag-inf", "exp-nan", "exp-inf", "cos-inf", "gauss-nan"])
+    (("resum", "--n", "4", "--function", "gauss:0.3", "--terms", "3", "--tol", "nan"),
+     "--tol must be finite and > 0, got nan"),
+    (("resum", "--n", "4", "--function", "exp:1", "--terms", "3", "--tol", "inf"),
+     "--tol must be finite and > 0, got inf"),
+    (("resum", "--n", "4", "--function", "monomial:2", "--terms", "3", "--tol", "0"),
+     "--tol must be finite and > 0, got 0.0"),
+    (("resum", "--n", "4", "--function", "cos:1", "--terms", "3", "--tol=-1e-12"),
+     "--tol must be finite and > 0, got -1e-12"),
+], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "offset-malformed",
+        "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "tol-nan", "tol-inf", "tol-zero",
+        "tol-negative"])
 def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -271,6 +271,13 @@ def test_expand_entire_rejects_unachievable_tolerance():
         gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sigma), tol=1e-14)
 
 
+# tail > nan is False, so a NaN tolerance would pass every tail check.
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
+def test_expand_entire_refuses_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0, 0.0, 0.5], 0.0), tol=tol)
+
+
 def test_norm_params_validation():
     with pytest.raises(ValueError):
         gegenbauer.NormParams(rate=0.25, index_scale=5.0)
