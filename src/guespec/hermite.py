@@ -132,20 +132,21 @@ def _start(n: int) -> float:
     return (2.0 * math.pi / n) ** -0.25
 
 
-def _weighted_start(n: int, x: np.ndarray):
-    """psi_0 e^L, L = clip(n x^2/4 - 700, 0, 350), and the points x to run
-    the recurrence at.
+def _weighted_start(n: int, x: np.ndarray, q=None):
+    """htilde_0 e^{L - q}, L = clip(q - 700, 0, 350), q = n x^2/4 unless
+    given (the start psi_0 e^L), and the points x to run the recurrence at.
 
-    The lift keeps e^{-n x^2/4} from underflowing before the recurrence has
+    The lift keeps e^{-q} from underflowing before the recurrence has
     raised it; rows carry e^L and quadratic sums e^{2L}.  The cap keeps
-    e^{-2L} a normal double.  L = 0 (n x^2/4 <= 700) changes no bit.
-    From n x^2/4 ~ 1095 on the start, hence every row, is 0.0.  There x is
+    e^{-2L} a normal double.  L = 0 (q <= 700) changes no bit.
+    From q ~ 1095 on the start, hence every row, is 0.0.  There x is
     returned as a zero of its sign: rows, ladder and sums keep their zeros,
     signs included, but no factor of x overflows to meet a zero row as
     inf * 0.0 = nan (from |x| ~ 1e152 on, where n^2 x^2 overflows).
     """
-    with np.errstate(over="ignore"):
-        q = n * x * x / 4.0
+    if q is None:
+        with np.errstate(over="ignore"):
+            q = n * x * x / 4.0
     # np.clip's bits at about half its fixed cost per call (q is never nan)
     lift = np.minimum(np.maximum(q - 700.0, 0.0), 350.0)
     start = _start(n) * np.exp(lift - q)
@@ -276,15 +277,21 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
     return (low, high), (dlow, dhigh)
 
 
-def kernel_diag(n: int, x) -> np.ndarray:
-    """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
-    x = _points(n, n - 1, x)
+def _psi_squares(n: int, k_max: int, x) -> np.ndarray:
+    """sum_{k <= k_max} psi_k(x)^2, vectorized over x in O(points) memory: at
+    a node of the (k_max + 1)-node Gauss rule, 1 / (weight * e^{n x^2/2})."""
+    x = _points(n, k_max, x)
     total = np.empty(x.shape)
     for points, (block,), work in _blocks(x, [total], 4):
         start, lift, points = _weighted_start(n, points)
-        _square_sum(_rows(n, n - 1, points, start, _ring(n - 1, work), work[3]), block, work[3])
+        _square_sum(_rows(n, k_max, points, start, _ring(k_max, work), work[3]), block, work[3])
         block *= _unlift(lift, work[3])
     return total[()]
+
+
+def kernel_diag(n: int, x) -> np.ndarray:
+    """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
+    return _psi_squares(n, n - 1, x)
 
 
 def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:

@@ -56,8 +56,12 @@ def _weighted_laguerre(n: int, x):
     when the start is 0.0 every row is too: a scalar is returned before a
     step forms x * 0.0 = nan from an infinite x, and an array takes x = 0
     there.  An array runs the same steps entry by entry, so each entry
-    equals the scalar call on it bit for bit.
+    equals the scalar call on it bit for bit.  A scalar x whose start
+    passes the largest double returns inf: for Re x < 0, |L(x)| >=
+    L(Re x) >= n (the zeros are positive).
     """
+    if not isinstance(x, np.ndarray) and x.real < -1419.565425786768:  # -2 log(max float)
+        return math.inf
     if isinstance(x, np.ndarray):
         lift = np.minimum(np.maximum(x / 2.0 - 700.0, 0.0), 700.0)
         cur = _exp_each(lift - x / 2.0)
@@ -80,12 +84,22 @@ def kernel_laplace(n: int, s, center_offset: float = 0.0):
 
     The value depends on (s, c) only through x = N c^2 - s^2 / N:
     it equals e^{-x/2} L^{(1)}_{N-1}(x) = N e^{-x/2} 1F1(1 - N; 2 | x).
+    Past the double range it is inf.  A complex s gives a complex value.
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     c = float(center_offset)
     # n * c * c overflows to inf, where float(c) ** 2 raises OverflowError.
-    return _weighted_laguerre(n, n * c * c - s * s / n)
+    x = n * c * c
+    if not isinstance(s, complex):
+        return _weighted_laguerre(n, x - s * s / n)
+    # s^2/N from the parts, as the complex product forms them: x stays real
+    # unless both are nonzero, so no inf * 0.0 = nan forms where s^2 overflows.
+    re, im = s.real, s.imag
+    x -= (re * re - im * im) / n
+    if re and im:
+        x = complex(x, 0.0 - 2.0 * (re * im) / n)
+    return complex(_weighted_laguerre(n, x))
 
 
 def density_laplace(n: int, s):

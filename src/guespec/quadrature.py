@@ -105,22 +105,12 @@ _MAX_DOUBLINGS = 24
 _MAX_DEPTH = 30
 _PANEL_BUDGET = 40000
 
-# Panels per integrand call: bounds the node arrays of one call at
-# 15 * _CHUNK_PANELS points whatever the width of a bisection level.
-_CHUNK_PANELS = 1024
 
-
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """15-point Gauss-Legendre sums of f over the panels [lo[i], hi[i]]."""
+def _panel(f, lo: float, hi: float):
+    """15-point Gauss-Legendre sum of f over [lo, hi]."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    sums = []
-    for start in range(0, len(lo), _CHUNK_PANELS):
-        m = mid[start:start + _CHUNK_PANELS]
-        h = half[start:start + _CHUNK_PANELS]
-        vals = np.reshape(f((m[:, None] + h[:, None] * _GL_NODES).ravel()), (len(m), -1))
-        sums.append(h * (_GL_WEIGHTS * vals).sum(axis=1))
-    return np.concatenate(sums)
+    return half * (_GL_WEIGHTS * f(mid + half * _GL_NODES)).sum()
 
 
 def integrate_line(f, scale: float = 1.0, tol: float = 1e-10) -> LineIntegral:
@@ -141,13 +131,11 @@ def integrate_line(f, scale: float = 1.0, tol: float = 1e-10) -> LineIntegral:
     at scale sqrt(1/7.95) and tol 1e-11 it reads 2.26e-12, while the value
     is 6.02e-12 off the exact integral.
 
-    f must act elementwise on 1-D arrays of any length.  The bisection
-    runs level by level: one call of f (more for very wide levels, in
-    chunks of bounded size) evaluates both halves of every pending
-    interval.  Accepted panels are summed in descending position, so the
-    result is that of a depth-first bisection and does not depend on how
-    a level was split into calls.  A level that would take the panel
-    count past the budget of 40000 raises QuadratureError unevaluated.
+    f must act elementwise on 1-D arrays; each call evaluates the two
+    window edges or one panel.  The bisection is depth first, the
+    rightmost pending interval split next.  A split that would take the
+    panel count past the budget of 40000 raises QuadratureError
+    unevaluated.
     """
     if scale <= 0 or tol <= 0:
         raise ValueError("scale and tol must be positive")
@@ -168,40 +156,29 @@ def integrate_line(f, scale: float = 1.0, tol: float = 1e-10) -> LineIntegral:
 
     # Seed with a modest uniform split so narrow features are not missed.
     seeds = np.linspace(a, b, 17)
-    lo, hi = seeds[:-1], seeds[1:]
-    whole = _panels(f, lo, hi)
+    stack = [(lo, hi, _panel(f, lo, hi), 0) for lo, hi in zip(seeds[:-1], seeds[1:])]
     # Accept at tol relative to the seed estimate S0 where |S0| > 1: an
     # absolute tol far below the rounding noise of a large integral is
     # never met.
-    size = max(1.0, abs(complex(whole.sum())))
-    accepted = []
+    size = max(1.0, abs(complex(np.array([whole for _, _, whole, _ in stack]).sum())))
+    total = 0.0
+    defect = 0.0
     panels = 0
-    depth = 0
-    while len(lo):
-        panels += 2 * len(lo)
+    while stack:
+        lo, hi, whole, depth = stack.pop()
+        panels += 2
         if panels > _PANEL_BUDGET:
             raise QuadratureError(f"panel budget {_PANEL_BUDGET} exhausted")
         mid = 0.5 * (lo + hi)
-        halves = _panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = halves[:len(lo)], halves[len(lo):]
-        diff = left + right - whole
-        # hypot is the scalar abs of a complex number; numpy's vectorised
-        # complex abs can differ from it in the last bit.
-        err = np.hypot(diff.real, diff.imag)
-        done = (err <= tol * size * (hi - lo) / (b - a)) | (depth >= _MAX_DEPTH)
-        accepted.append((lo[done], left[done], right[done], err[done]))
-        todo = ~done
-        lo, hi = (np.concatenate([lo[todo], mid[todo]]),
-                  np.concatenate([mid[todo], hi[todo]]))
-        whole = np.concatenate([left[todo], right[todo]])
-        depth += 1
-
-    starts, left, right, err = (np.concatenate(parts) for parts in zip(*accepted))
-    total = 0.0
-    defect = 0.0
-    for i in np.argsort(starts)[::-1]:
-        total = total + left[i] + right[i]
-        defect += err[i]
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
+        err = abs(left + right - whole)
+        if err <= tol * size * (hi - lo) / (b - a) or depth >= _MAX_DEPTH:
+            total = total + left + right
+            defect += err
+        else:
+            stack.append((lo, mid, left, depth + 1))
+            stack.append((mid, hi, right, depth + 1))
     value = complex(total)
     if value.imag == 0.0:
         value = value.real

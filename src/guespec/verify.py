@@ -4,11 +4,15 @@ Each suite is a list of named checks with measured values in the detail
 string, so a failing run says what was observed, not just that something
 broke.  The suites deliberately cross routes: closed forms against
 quadrature, coefficient-space operators against pointwise evaluation,
-exact sampling statistics against Monte Carlo.
+exact sampling statistics against Monte Carlo.  The kernel transform
+behind ``guespec laplace --verify`` is checked by Gauss sums, exact at
+real s and with a certified remainder at complex s
+(``kernel_pair_transform``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +34,14 @@ def _check(name: str, passed, detail: str) -> CheckResult:
 
 
 def _integrate_interval(f, a: float, b: float, panels: int = 16) -> float:
-    """Integral over [a, b] by ``panels`` equal panels of ``integrate_line``'s rule."""
+    """Integral over [a, b] by ``panels`` equal panels of ``integrate_line``'s
+    15-point rule, all nodes in one call of f."""
     edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = f((mid[:, None] + half[:, None] * quadrature._GL_NODES).ravel()).reshape(panels, -1)
     # Panel sums added left to right (cumsum adds in order, sum pairwise).
-    return float(np.cumsum(quadrature._panels(f, edges[:-1], edges[1:]))[-1])
+    return float(np.cumsum(half * (quadrature._GL_WEIGHTS * vals).sum(axis=1))[-1])
 
 
 # ---------------------------------------------------------------- density
@@ -131,28 +139,92 @@ def suite_ode() -> list[CheckResult]:
 
 # ---------------------------------------------------------------- laplace
 
-#: Relative tolerance of the closed-form transform against quadrature:
+#: Relative tolerance of the closed-form transform against the Gauss sum:
 #: here relative to the value, in ``guespec laplace --verify`` to
-#: max(|value|, N) on top of the quadrature's own error bound.
+#: max(|value|, N) on top of the sum's certified remainder.
 _TRANSFORM_TOL = 1e-8
 
+#: At complex s the remainder is certified below 2^-44 max(|value|, N) on
+#: at most 1050 nodes: at the outermost node n u^2/4 is about m, and past
+#: 1050 the lifted start of the weighted recurrence leaves the normal range.
+_REMAINDER_TARGET, _MAX_NODES = 2.0 ** -44, 1050
 
-def kernel_pair_transform(n: int, s, offset: float) -> quadrature.LineIntegral:
-    """Numerical int e^{s lam} K_n(lam+offset, lam-offset) d lam.
 
-    Independent of the closed form: the off-diagonal kernel is rebuilt from
-    the top two rows of the weighted recurrence and integrated along the
-    real line.
+def _gauss_sum(n: int, s, offset: float, m: int):
+    """The m-node Gauss sum for int e^{s lam} K_n(lam+offset, lam-offset) d lam
+    and a bound on its error (Gautschi, Orthogonal Polynomials, 2004, ch. 1).
+
+    s = sigma + i tau, a = sigma/n: the integral is e^{sigma^2/2n - n
+    offset^2/2 + i tau a} int e^{-n u^2/2} e^{i tau u} P(u) du, P(u) =
+    sum_{j<n} htilde_j(u+a+offset) htilde_j(u+a-offset) of degree 2n - 2,
+    summed as sum_k lam_k e^{i tau u_k} C_k: lam_k = 1/sum_{j<m} psi_j(u_k)^2
+    is the weight times e^{n u_k^2/2}, C_k sums products of rows started at
+    e^{-W}, W = n(u_k^2 + offset^2)/4 - sigma^2/4n, so every factor is in
+    range where the integral is.  Real s: exact at m = n, bound 0.0.
+    Complex s: the first L = 2(m - n + 1) Taylor terms of e^{i tau u} are
+    integrated exactly; with |P| <= Sbar, the mean of the two Christoffel
+    sums, the rest is below (|tau|^L/L!) [2 Q_m(u^L Sbar) + n^{n-1-m}
+    m!/(n-1)!] e^{sigma^2/2n - n offset^2/2], the second term the Gauss
+    error of u^L Sbar, of degree 2m.
     """
-    if offset == 0.0:
-        def integrand(lam):
-            return np.exp(s * lam) * hermite.kernel_diag(n, lam)
-    else:
-        def integrand(lam):
-            # Rows 0 and 1: x = lam + offset and y = lam - offset, in one call.
-            (low, high), _ = hermite._top_rows(n, np.stack([lam + offset, lam - offset]))
-            return np.exp(s * lam) * (high[0] * low[1] - low[0] * high[1]) / (2.0 * offset)
-    return quadrature.integrate_line(integrand)
+    sigma, tau = s.real, s.imag
+    u = quadrature.gaussian_rule(n, m).nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = 1.0 / hermite._psi_squares(n, m - 1, u)
+        q = n * (u * u + offset * offset) / 4.0 - sigma * sigma / (4.0 * n)
+        start, lift, x = hermite._weighted_start(
+            n, np.concatenate([u + (sigma / n + offset), u + (sigma / n - offset)]), np.tile(q, 2))
+        cross, squares, work = np.zeros(m), np.zeros(2 * m), np.empty((4, 2 * m))
+        for _, row in hermite._rows(n, n - 1, x, start, hermite._ring(n - 1, work), work[3]):
+            cross += row[:m] * row[m:]
+            squares += row * row
+        lam *= np.exp(-2.0 * lift[:m])
+        if not tau:
+            return float(np.sum(lam * cross)), 0.0
+        phase = np.exp(1j * tau * u)
+        value = complex(np.sum(lam * cross * phase)) * cmath.exp(1j * tau * sigma / n)
+        order = 2 * (m - n + 1)
+        taylor = order * math.log(abs(tau)) - math.lgamma(order + 1)
+        # |tau u|^L / L! alone can pass the double range where its product
+        # with the weight does not: multiply as a sum of logarithms.
+        with np.errstate(divide="ignore"):
+            rule_part = np.sum(np.exp(order * np.log(np.abs(u)) + taylor
+                                      + np.log(lam * (squares[:m] + squares[m:]))))
+        gauss_error = np.exp(_gauss_error_log(n, tau, m) + sigma * sigma / (2.0 * n)
+                             - n * offset * offset / 2.0)
+    return value, float(rule_part + gauss_error)
+
+
+def _gauss_error_log(n: int, tau: float, m: int) -> float:
+    """log of (|tau|^L / L!) n^{n-1-m} m!/(n-1)!, L = 2(m - n + 1): the Gauss
+    error term of the remainder of ``_gauss_sum`` over its exponential."""
+    order = 2 * (m - n + 1)
+    return (order * math.log(abs(tau)) - math.lgamma(order + 1) + (n - 1 - m) * math.log(n)
+            + math.lgamma(m + 1) - math.lgamma(n))
+
+
+def kernel_pair_transform(n: int, s, offset: float):
+    """int e^{s lam} K_n(lam+offset, lam-offset) d lam by Gauss sums,
+    independent of the closed form, and a certified bound on its error:
+    (value, remainder).  Real s takes the exact n-node sum; complex s the
+    first of m = n + 1, n + 2, n + 4, ... nodes whose remainder meets the
+    target.
+    """
+    m = n + bool(s.imag)
+    while True:
+        # Only time is at stake: skip rungs whose Gauss error term alone,
+        # taken relative to its exponential, is above the target.
+        if not s.imag or _gauss_error_log(n, s.imag, m) <= math.log(_REMAINDER_TARGET):
+            value, remainder = _gauss_sum(n, s, offset, m)
+            if not cmath.isfinite(value):
+                raise ValueError(f"--s {s!r}: the Gauss sum of the kernel transform at "
+                                 f"N = {n} leaves the double range")
+            if remainder <= _REMAINDER_TARGET * max(abs(value), n):
+                return value, remainder
+        m = n + 2 * (m - n)
+        if m > _MAX_NODES:
+            raise ValueError(f"--s {s!r}: no Gauss rule of at most {_MAX_NODES} nodes "
+                             f"certifies the kernel transform at N = {n}")
 
 
 def suite_laplace() -> list[CheckResult]:
@@ -163,7 +235,7 @@ def suite_laplace() -> list[CheckResult]:
         for s in (0.0, 0.5, -0.5, 1.0, 2j):
             for offset in (0.0, 0.3, 1.0):
                 closed = laplace.kernel_laplace(n, s, offset)
-                direct = kernel_pair_transform(n, s, offset).value
+                direct, _ = kernel_pair_transform(n, s, offset)
                 diff = abs(closed - direct)
                 # two grid points are exact zeros of the closed form; there
                 # the absolute deviation is the only meaningful measure

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from guespec import (
+    cli,
     gegenbauer,
     hermite,
     laplace,
@@ -81,10 +82,8 @@ def test_criterion_4_entire_function_convergence():
     alphas_g = operators.correction_functionals(gauss, 15)
 
     def ref_gauss(n):
-        scale = math.sqrt(1.0 / max(n / 2.0 - sig, 0.25))
-        return quadrature.integrate_line(
-            lambda t: np.exp(sig * t * t) * hermite.density(n, t),
-            scale=scale, tol=1e-11).value
+        # The exact N-node Gauss rule of resum --compare.
+        return cli.reference_integral(cli.FunctionSpec("gauss", sig), n)
 
     threshold = operators.measure_convergence_threshold(
         alphas_g, ref_gauss, max_ensemble_size=12)

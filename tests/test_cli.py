@@ -206,6 +206,53 @@ def test_laplace_verify_at_the_largest_size_matches_mpmath(capsys):
     assert elapsed < 1.0
 
 
+# Each used to end in another layer's message: json's "Out of range float
+# values are not JSON compliant" (s^2 overflowed to inf, with a nan from
+# inf * 0.0 in the complex product) or math.exp's "math range error".
+@pytest.mark.parametrize("argv,code,out,err", [
+    (("--n", "4", "--s=0,1e200", "--density"), 0,
+     '{"lambda_minus":0.0,"n":4,"s":{"im":1e+200,"re":0.0},"value":{"im":0.0,"re":0.0}}\n', ""),
+    (("--n", "4", "--s=1e200"), 1, "",
+     "error: --s 1e200: the transform at N = 4 leaves the double range\n"),
+    (("--n", "256", "--s=700", "--density"), 1, "",
+     "error: --s 700: the transform at N = 256 leaves the double range\n"),
+    (("--n", "4", "--s=1e10", "--density"), 1, "",
+     "error: --s 1e10: the transform at N = 4 leaves the double range\n"),
+    (("--n", "4", "--s=0,100", "--verify"), 1, "",
+     "error: --s 100j: no Gauss rule of at most 1050 nodes certifies the kernel "
+     "transform at N = 4\n"),
+], ids=["imaginary-past-range", "real-past-range", "density-past-range", "math-range",
+        "node-cap"])
+def test_laplace_past_the_double_range(capsys, argv, code, out, err):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(capsys, "laplace", *argv) == (code, out, err)
+    assert [str(w.message) for w in caught] == []
+
+
+# The first two used to be refused: at s = 30 the quadrature's window
+# overflowed np.exp (two RuntimeWarnings) and its widening gave up; at
+# c = 1e-300 its divided difference over 2c returned 0.0.  The Gauss sums
+# answer them all, within 1e-13 of the value.
+@pytest.mark.parametrize("argv", [
+    ("--n", "4", "--s=30"),
+    ("--n", "4", "--s=1,1", "--lambda-minus", "1e-300"),
+    ("--n", "256", "--s=0,60"),
+    ("--n", "128", "--s=0,30", "--density"),
+], ids=["s-30", "offset-1e-300", "n-256-imaginary", "n-128-density"])
+def test_laplace_verify_answers(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "laplace", *argv, "--verify")
+    assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+    payload = json.loads(out)
+    value, quad = (complex(cell["re"], cell["im"]) if isinstance(cell, dict) else cell
+                   for cell in (payload["value"], payload["quadrature"]))
+    scale = 1.0 if "--density" in argv else float(payload["n"])
+    assert math.isfinite(payload["rel_err"])
+    assert abs(value - quad) <= 1e-13 * max(abs(value), scale)
+
+
 def test_laplace_complex_argument(capsys):
     code, out, _ = run(capsys, "laplace", "--n", "2", "--s", "0,2", "--density")
     payload = json.loads(out)
@@ -542,11 +589,9 @@ def _raise(error):
 
 
 @pytest.mark.parametrize("argv,module,name,error", [
-    (("moments", "--n", "4", "--max", "4"), quadrature, "density_rule",
-     quadrature.QuadratureError),
     (("sample", "--n", "4", "--count", "3", "--seed", "1", "--out", "{tmp}/s.bin"),
      montecarlo, "sample_spectra", tridiagonal.ConvergenceError),
-], ids=["quadrature", "convergence"])
+], ids=["convergence"])
 def test_layer_errors_exit_one(argv, module, name, error, monkeypatch, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     monkeypatch.setattr(module, name, _raise(error))

@@ -104,15 +104,17 @@ def test_kernel_is_the_frame_formula_bitwise(n, x, y):
 
 
 def test_pair_transform_holds_no_frame():
-    """Two (257, points) frames per integrand call peaked at 20 MiB; the
-    top rows take about 0.4 MiB."""
-    tracemalloc.start()
-    try:
-        verify.kernel_pair_transform(256, 1.0, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    """The Gauss sums stream the rows of the recurrence: at s = 60i the
+    ladder reaches 512 nodes, where one (256, 512) frame alone takes 1 MiB.
+    The peak is about 0.06 MiB at s = 1 and 0.13 MiB at s = 60i."""
+    for s in (1.0, 60j):
+        tracemalloc.start()
+        try:
+            verify.kernel_pair_transform(256, s, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, s
 
 
 def test_kernel_on_the_diagonal_at_the_largest_double():

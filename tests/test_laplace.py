@@ -116,12 +116,47 @@ def test_density_laplace_even_in_s():
             laplace.density_laplace(n, -0.8), rel=1e-14)
 
 
+TRANSFORM_GRID = [(n, s, c) for n in (1, 2, 8, 64, 256) for s in (0.5, 3.0, -2.0, 1 + 2j, 20j)
+                  for c in (0.0, 1e-300, 0.3, 1.0)] + [(2, 0.5, 0.0), (4, 1.0, 0.5), (3, 2j, 0.3)]
+
+# Rounding of the Gauss sums, in units of eps max(|value|, N): the worst
+# measured on the grid is 107 (N=256, s=3, c=0.3, where terms of size 5e3
+# cancel to 0.21).
+ROUNDING = 256 * np.finfo(float).eps
+
+
 def test_kernel_laplace_against_quadrature():
+    """The Gauss sums of verify.kernel_pair_transform against the 300-digit
+    sum: within their remainder plus rounding, with the remainder certified
+    below 2^-44 max(|value|, N) (0.0 at real s, where the sum is exact),
+    and the closed form within 1e-13 of them."""
     from guespec import verify
-    for (n, s, c) in [(2, 0.5, 0.0), (4, 1.0, 0.5), (3, 2j, 0.3)]:
-        closed = laplace.kernel_laplace(n, s, c)
-        direct = verify.kernel_pair_transform(n, s, c)
-        assert abs(closed - direct.value) <= 1e-9 * max(1.0, abs(closed))
+    for (n, s, c) in TRANSFORM_GRID:
+        want = laguerre_reference(n, s, c)
+        value, remainder = verify.kernel_pair_transform(n, s, c)
+        scale = max(abs(want), n)
+        assert isinstance(value, complex) == isinstance(s, complex), (n, s, c)
+        assert remainder == 0.0 if not isinstance(s, complex) else 0.0 < remainder
+        assert remainder <= 2.0 ** -44 * scale, (n, s, c, remainder)
+        assert abs(value - want) <= remainder + ROUNDING * scale, (n, s, c, value, want)
+        assert abs(laplace.kernel_laplace(n, s, c) - value) <= 1e-13 * scale, (n, s, c)
+
+
+@pytest.mark.parametrize("n,s,c", [(n, s, c) for n in (1, 2, 8, 64, 256) for s in (1 + 2j, 20j)
+                                   for c in (0.0, 0.3, 1.0)])
+def test_gauss_sum_remainder_is_never_below_its_error(n, s, c):
+    """Every rung of the node ladder, up to the certified one: the error of
+    the m-node sum, truncation and rounding, lies within its remainder
+    plus rounding."""
+    from guespec import verify
+    want = laguerre_reference(n, s, c)
+    m = n
+    while True:
+        value, remainder = verify._gauss_sum(n, s, c, m)
+        assert abs(value - want) <= remainder + ROUNDING * max(abs(want), n), (m, remainder)
+        if remainder <= 2.0 ** -44 * max(abs(value), n):
+            break
+        m = n + max(1, 2 * (m - n))
 
 
 def test_transform_depends_only_on_invariant_combination():

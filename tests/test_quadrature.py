@@ -1,7 +1,6 @@
 """Quadrature tests: exactness degrees, frozen moments, adaptive integrator."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -210,179 +209,96 @@ def test_gaussian_rule_weights_below_the_double_range_are_zero():
         pytest.approx(1.0, rel=1e-13)
 
 
-def stack_integrate_line(f, scale=1.0, tol=1e-10):
-    """Reference: the depth-first form of integrate_line, one 15-point
-    panel per integrand call, popping the rightmost pending interval.  It
-    reads the same module limits, so a test that patches one patches both."""
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        return half * (quadrature._GL_WEIGHTS * f(mid + half * quadrature._GL_NODES)).sum()
-
-    width = 4.0 * scale
-    for _ in range(quadrature._MAX_DOUBLINGS):
-        edges = np.array([-width, width])
-        tail = float(np.max(np.abs(f(edges)))) * scale * scale / (2.0 * width)
-        if tail < tol / 4.0:
-            break
-        width *= 2.0
-    else:
-        raise quadrature.QuadratureError("window widening budget exhausted")
-    a, b = -width, width
-    seeds = np.linspace(a, b, 17)
-    stack = [(lo, hi, panel(lo, hi), 0) for lo, hi in zip(seeds[:-1], seeds[1:])]
-    size = max(1.0, abs(complex(np.array([whole for _, _, whole, _ in stack]).sum())))
-    total = 0.0
-    defect = 0.0
-    panels = 0
-    while stack:
-        lo, hi, whole, depth = stack.pop()
-        panels += 2
-        if panels > quadrature._PANEL_BUDGET:
-            raise quadrature.QuadratureError(f"panel budget {quadrature._PANEL_BUDGET} exhausted")
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        err = abs(left + right - whole)
-        if err <= tol * size * (hi - lo) / (b - a) or depth >= quadrature._MAX_DEPTH:
-            total = total + left + right
-            defect += err
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    value = complex(total)
-    if value.imag == 0.0:
-        value = value.real
-    return quadrature.LineIntegral(value, defect + tail, panels, (a, b))
-
-
-def captured_integral(monkeypatch, call):
-    """The (f, keyword arguments) that call passes to integrate_line."""
-    seen = []
-    real = quadrature.integrate_line
-
-    def spy(f, **kwargs):
-        seen.append((f, kwargs))
-        return real(f, **kwargs)
-    monkeypatch.setattr(quadrature, "integrate_line", spy)
-    call()
-    monkeypatch.undo()
-    (f, kwargs), = seen
-    return f, kwargs
-
-
-def pair_transform(n, s, offset):
-    return lambda: verify.kernel_pair_transform(n, s, offset)
-
-
 def narrow_peak(t):
     return np.exp(-(t - 3.0) ** 2 * 40.0)
 
 
-def direct(f, max_depth=quadrature._MAX_DEPTH, **kwargs):
-    """A call of integrate_line(f, **kwargs) with the bisection depth capped
-    at max_depth."""
-    def call():
-        quadrature.integrate_line(f, **kwargs)
-    call.max_depth = max_depth
-    return call
+def gauss_integrand(n, sig):
+    """e^{sig t^2} p_N(t), with the scale and tolerance of the gauss reference
+    that integrated it."""
+    return (lambda t: np.exp(sig * t * t) * hermite.density(n, t),
+            {"scale": math.sqrt(1.0 / max(n / 2.0 - sig, 0.25)), "tol": 1e-11})
 
 
-def gauss_integral(n, sig):
-    """int e^{sig t^2} p_N(t) dt on a window scaled to the Gaussian decay."""
-    return direct(lambda t: np.exp(sig * t * t) * hermite.density(n, t),
-                  scale=math.sqrt(1.0 / max(n / 2.0 - sig, 0.25)), tol=1e-11)
+def pair_integrand(n, s, offset):
+    """e^{s lam} K_n(lam + offset, lam - offset), the off-diagonal kernel as a
+    divided difference of the top rows: the integrand the kernel transform
+    check integrated before its Gauss sums."""
+    if offset == 0.0:
+        return lambda lam: np.exp(s * lam) * hermite.kernel_diag(n, lam), {}
+
+    def integrand(lam):
+        (low, high), _ = hermite._top_rows(n, np.stack([lam + offset, lam - offset]))
+        return np.exp(s * lam) * (high[0] * low[1] - low[0] * high[1]) / (2.0 * offset)
+    return integrand, {}
 
 
-@pytest.mark.parametrize("call", [
-    gauss_integral(4, 0.3),
-    gauss_integral(16, 0.05),
-    gauss_integral(16, 1.5),
-    pair_transform(5, 0.5, 0.0),
-    pair_transform(5, 2j, 0.0),
-    pair_transform(10, -1.0, 0.3),
-    pair_transform(10, 1.0 + 1.0j, 0.3),
-    pair_transform(64, 3.0, 0.0),
-    pair_transform(256, 3.0, 0.0),
-    direct(narrow_peak, scale=2.0),
-    direct(narrow_peak, max_depth=1, scale=2.0),
-    direct(lambda t: np.exp(2j * t) * np.exp(-t * t / 2)),
+# The results of the level-batched bisection, which summed its accepted
+# panels in position order to give the depth-first bisection's bits:
+# (value, error_bound, panels, window) as repr.
+@pytest.mark.parametrize("case,max_depth,want", [
+    (gauss_integrand(4, 0.3), quadrature._MAX_DEPTH,
+     ("1.426158804397813", "3.634991493318383e-16", 32, 6.135719910778963)),
+    (gauss_integrand(16, 0.05), quadrature._MAX_DEPTH,
+     ("1.0526136972044735", "2.2593773563850808e-12", 32, 2.8373076085276345)),
+    (gauss_integrand(16, 1.5), quadrature._MAX_DEPTH,
+     ("19.638533445388227", "5.437485531279714e-12", 32, 6.275716324421889)),
+    (pair_integrand(5, 0.5, 0.0), quadrature._MAX_DEPTH,
+     ("5.652156672555971", "5.405344583554071e-12", 32, 4.0)),
+    (pair_integrand(5, 2j, 0.0), quadrature._MAX_DEPTH,
+     ("(-0.14049908164891037-1.8371681901111112e-16j)", "7.322213708666437e-13", 32, 4.0)),
+    (pair_integrand(10, -1.0, 0.3), quadrature._MAX_DEPTH,
+     ("-1.1735832989986719", "8.349022871521793e-16", 32, 4.0)),
+    (pair_integrand(10, 1.0 + 1.0j, 0.3), quadrature._MAX_DEPTH,
+     ("(-1.0181537954512376-0.5827052547117783j)", "1.395919690060263e-15", 32, 4.0)),
+    (pair_integrand(64, 3.0, 0.0), quadrature._MAX_DEPTH,
+     ("1309.1763607683054", "5.136060343871282e-09", 80, 4.0)),
+    (pair_integrand(256, 3.0, 0.0), quadrature._MAX_DEPTH,
+     ("5234.649011329951", "3.3836356059038786e-08", 276, 4.0)),
+    ((narrow_peak, {"scale": 2.0}), quadrature._MAX_DEPTH,
+     ("0.2802495608198964", "2.7763840953310867e-17", 40, 8.0)),
+    ((narrow_peak, {"scale": 2.0}), 1,
+     ("0.2802495608198964", "2.7763840953310867e-17", 40, 8.0)),
+    ((lambda t: np.exp(2j * t) * np.exp(-t * t / 2), {}), quadrature._MAX_DEPTH,
+     ("(0.33923524751609097+4.158771769327326e-18j)", "1.1059771828100355e-15", 32, 8.0)),
 ], ids=["gauss-4", "gauss-16", "gauss-16-wide", "pair-real", "pair-imag", "pair-offset",
         "pair-offset-complex", "pair-64", "pair-256", "narrow", "narrow-shallow", "oscillating"])
-def test_integrate_line_is_bitwise_the_stack_algorithm(monkeypatch, call):
-    f, kwargs = captured_integral(monkeypatch, call)
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", getattr(call, "max_depth", quadrature._MAX_DEPTH))
+def test_integrate_line_is_bitwise_the_stack_algorithm(monkeypatch, case, max_depth, want):
+    (f, kwargs), (value, bound, panels, half_width) = case, want
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
     got = quadrature.integrate_line(f, **kwargs)
-    want = stack_integrate_line(f, **kwargs)
-    assert type(got.value) is type(want.value)
-    assert repr(got.value) == repr(want.value)
-    assert repr(float(got.error_bound)) == repr(float(want.error_bound))
-    assert got.panels == want.panels
-    assert got.interval == want.interval
-
-
-def test_integrate_line_calls_the_integrand_once_per_level(monkeypatch):
-    f, kwargs = captured_integral(monkeypatch, gauss_integral(16, 1.5))
-    sizes = []
-
-    def counting(t):
-        sizes.append(t.size)
-        return f(t)
-    res = quadrature.integrate_line(counting, **kwargs)
-    # The window edges take 2 points per call; every other call is a
-    # whole bisection level (the 16 seed panels are level 0).
-    levels = [size for size in sizes if size != 2]
-    assert sum(levels) == 15 * (16 + res.panels)
-    assert len(sizes) <= 10 < 16 + res.panels
+    assert (repr(got.value), repr(float(got.error_bound)), got.panels, got.interval) == \
+        (value, bound, panels, (-half_width, half_width))
 
 
 @pytest.mark.parametrize("short", [0, 1, 2, 3])
 def test_integrate_line_refuses_where_the_stack_algorithm_does(monkeypatch, short):
-    budget = quadrature.integrate_line(narrow_peak, scale=2.0).panels - short
+    """The narrow peak takes 40 panels: a budget below that refuses."""
+    budget = 40 - short
     monkeypatch.setattr(quadrature, "_PANEL_BUDGET", budget)
-    outcomes = []
-    for integrate in (quadrature.integrate_line, stack_integrate_line):
-        try:
-            outcomes.append(integrate(narrow_peak, scale=2.0).panels)
-        except quadrature.QuadratureError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0] == (budget if short == 0 else f"panel budget {budget} exhausted")
-
-
-# int e^{3t} K_256(t, t) dt is about 5.2e3: a tolerance of 1e-16 relative to
-# it lies below the rounding noise of the panel sums, so bisection never ends.
-UNREACHABLE_TOL = 1e-16
+    try:
+        outcome = quadrature.integrate_line(narrow_peak, scale=2.0).panels
+    except quadrature.QuadratureError as exc:
+        outcome = str(exc)
+    assert outcome == (budget if short == 0 else f"panel budget {budget} exhausted")
 
 
 @pytest.mark.parametrize("budget", [10, 100, 1000])
 def test_integrate_line_evaluates_nothing_past_the_budget(monkeypatch, budget):
+    """int e^{3t - t^2} dt is about 16.7: its panels' rounding noise stays
+    above a tolerance of 1e-16 relative to it, so bisection never ends."""
     monkeypatch.setattr(quadrature, "_PANEL_BUDGET", budget)
     sizes = []
 
     def f(t):
         sizes.append(t.size)
-        return np.exp(3.0 * t) * hermite.kernel_diag(256, t)
+        return np.exp(3.0 * t - t * t)
     with pytest.raises(quadrature.QuadratureError, match=f"^panel budget {budget} exhausted$"):
-        quadrature.integrate_line(f, tol=UNREACHABLE_TOL)
-    # Beyond the 2-point window edges: the 16 seed panels and whole levels
-    # that fit in the budget.
-    assert sum(size for size in sizes if size != 2) <= 15 * (16 + budget)
-
-
-def test_integrate_line_memory_is_bounded_by_its_chunks():
-    """A call that runs out of panels at the default budget of 40000
-    holds one chunk of node values at a time, not a whole level."""
-    def f(t):
-        return np.exp(3.0 * t) * hermite.kernel_diag(256, t)
-    tracemalloc.start()
-    try:
-        with pytest.raises(quadrature.QuadratureError, match="panel budget 40000 exhausted"):
-            quadrature.integrate_line(f, tol=UNREACHABLE_TOL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+        quadrature.integrate_line(f, tol=1e-16)
+    # Beyond the 2-point window edges: the 16 seed panels and the panels
+    # that fit in the budget, one 15-point panel per call.
+    panels = [size for size in sizes if size != 2]
+    assert set(panels) == {15} and len(panels) <= 16 + budget
 
 
 @pytest.mark.parametrize("n,a,b,panels", [(4, 2.5, 10.5, 64), (16, 3.0, 11.0, 64),
