@@ -10,16 +10,15 @@ tails, on [-2, 2] and is expressed through the orthonormal functions
 where htilde_k is the degree-k Hermite polynomial orthonormal for the
 weight exp(-N x^2 / 2).  All evaluations use one stable three-term
 recurrence; no factorials or unnormalized polynomial values appear
-anywhere on the floating-point path.  It runs in place, each row
-written into a row of a frame or of three rotating buffers allocated once
-per call, so no row allocates.  Sums over k (kernel diagonal, density
-derivatives, Christoffel sums) run all rows on one block of at most
-``_BLOCK`` points before the next, in O(points) memory; the kernel's top
-rows rotate through the buffers over all points at once.  A 0-d x runs
-as one point.  The sums add rows in the order of numpy's axis-0
-reduction, so they agree bit for bit with the axis-0 sums over the
-frames.  Only ``normalized_hermite`` and ``weighted_frame`` build
-(k_max + 1, points) frames.
+anywhere on the floating-point path.  It runs in place, each row written
+into a row of a frame or of three rotating buffers, so no row allocates.
+Only ``normalized_hermite`` and ``weighted_frame`` build (k_max + 1,
+points) frames; the rest runs all rows on one block of at most ``_BLOCK``
+points before the next, in O(points) memory, a 0-d x as one point.  p_N
+and its derivatives take only the top rows N-2, N-1 and N (confluent
+Christoffel-Darboux); the sums over k that remain, the kernel diagonal
+and the Christoffel sums behind Gauss weights, add rows in the order of
+numpy's axis-0 reduction, so their bits agree with sums over the frames.
 
 Supported range: 1 <= N <= 256, any finite x.  The weighted recurrence
 starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
@@ -60,11 +59,10 @@ def _points(n: int, k_max: int, x) -> np.ndarray:
     return x
 
 
-# Points per block of the in-place sums over k.  On a 2-core Xeon with
-# 2 MiB of L2 per core, blocks of 8192 to 65536 points all cut the hermite
-# time of a benchmark density pass from about 0.61 s to 0.35-0.45 s, and
-# 16384 was the fastest over repeated runs: smaller blocks pay the per-row
-# ufunc call overhead more often, larger ones did no better.
+# Points per block of the in-place recurrence.  On a 2-core Xeon with 2 MiB
+# of L2 per core, blocks of 8192 to 65536 points all cut the hermite time of
+# a benchmark density pass from about 0.61 s to 0.35-0.45 s; 16384 was the
+# fastest over repeated runs (smaller blocks pay the per-row call overhead).
 _BLOCK = 16384
 
 
@@ -164,15 +162,27 @@ def _ladder(n: int, k: int, half_nx, prev, cur, out, tmp):
     return out
 
 
-def _square_sum(rows, total, tmp):
-    """Sum of squared rows into ``total``, accumulated from 0.0 in row order:
-    the order of numpy's axis-0 reduction of the stacked frame, so the bits
-    agree.  ``tmp`` is scratch shaped like the rows."""
-    total.fill(0.0)
-    for _, row in rows:
-        np.multiply(row, row, out=tmp)
-        total += tmp
-    return total
+def _square_sums(n: int, k_max: int, x, weighted: bool = True) -> np.ndarray:
+    """sum_{k <= k_max} psi_k(x)^2, or htilde_k(x)^2 unweighted, vectorized
+    over x in O(points) memory: at a node of the (k_max + 1)-node Gauss
+    rule, 1 / (weight * e^{n x^2/2}), or 1 / weight.  Rows are added from
+    0.0 in row order, the order of numpy's axis-0 reduction of the stacked
+    frame, so the bits agree.  No overflow check: an unweighted sum is inf
+    or nan exactly where the true sum lies past the double range."""
+    x = _points(n, k_max, x)
+    total = np.empty(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, (block,), work in _blocks(x, [total], 4):
+            start = _start(n)
+            if weighted:
+                start, lift, points = _weighted_start(n, points)
+            block.fill(0.0)
+            for _, row in _rows(n, k_max, points, start, _ring(k_max, work), work[3]):
+                np.multiply(row, row, out=work[3])
+                block += work[3]
+            if weighted:
+                block *= _unlift(lift, work[3])
+    return total[()]
 
 
 def _unlift(lift, out):
@@ -188,17 +198,6 @@ def _refuse_overflow(name: str, n: int, k_max: int, x: np.ndarray, finite) -> No
     if bad.size:
         raise ValueError(f"{name}(N={n}, k_max={k_max}) overflows the double range "
                          f"at x = {float(x.flat[bad[0]])!r}")
-
-
-def _christoffel(n: int, k_max: int, x: np.ndarray) -> np.ndarray:
-    """sum_{k <= k_max} htilde_k(x)^2 with no overflow check: inf or nan
-    exactly where the true sum lies past the double range."""
-    total = np.empty(x.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for points, (block,), work in _blocks(x, [total], 4):
-            rows = _rows(n, k_max, points, _start(n), _ring(k_max, work), work[3])
-            _square_sum(rows, block, work[3])
-    return total[()]
 
 
 def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
@@ -230,7 +229,7 @@ def christoffel_sum(n: int, k_max: int, x) -> np.ndarray:
     (at N=256, k_max=255 from |x| ~ 2.656 on).
     """
     x = _points(n, k_max, x)
-    total = _christoffel(n, k_max, x)
+    total = _square_sums(n, k_max, x, weighted=False)
     _refuse_overflow("christoffel_sum", n, k_max, x, np.isfinite(total))
     return total
 
@@ -239,8 +238,8 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     """psi_k(x) and psi_k'(x) for k = 0..k_max, vectorized over x.
 
     psi' follows the ladder psi_k' = sqrt(n k) psi_{k-1} - (n x / 2) psi_k.
-    Builds two (k_max + 1, points) frames; sums over k belong in
-    ``kernel_diag`` and ``density_derivatives``.
+    Builds two (k_max + 1, points) frames; the sum of squares belongs in
+    ``kernel_diag``, p_N and its derivatives in ``density_derivatives``.
     """
     x = _points(n, k_max, x)
     start, lift, flat = _weighted_start(n, x.reshape(-1))
@@ -257,41 +256,37 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     return psi, dpsi
 
 
+def _top_blocks(n: int, x: np.ndarray, outs, width: int):
+    """Yields (points, lift, rows, outputs, work) for the ``_blocks`` of x:
+    rows n-2, n-1 and n at ``points`` (n-2 None at n = 1), lifted by e^lift,
+    and ``width`` scratch rows, the first of them the recurrence's."""
+    for points, block, work in _blocks(x, outs, 3 + width):
+        start, lift, points = _weighted_start(n, points)
+        rows = _rows(n, n, points, start, _ring(n, work), work[3])
+        (below, _), (low, high) = deque(rows, maxlen=2)
+        del start  # row 0 holds it now: free it before the caller's work
+        yield points, lift, (below, low, high), block, work[3:]
+
+
 def _top_rows(n: int, x) -> tuple[tuple, tuple]:
     """(psi_{n-1}, psi_n) and (psi_{n-1}', psi_n') at x: rows n-1 and n of
     ``weighted_frame(n, n, x)`` bit for bit, in O(points) memory."""
     x = _points(n, n, x)
-    start, lift, flat = _weighted_start(n, x.reshape(-1))
-    half_nx = n * flat / 2.0
-    top = np.empty((4,) + x.shape)
-    psi = top.reshape(4, flat.size)
-    work = np.empty((4, flat.size))
-    # Rows n-1 and n are written straight into the result; the rows below
-    # rotate through the ring.
-    rows = _rows(n, n, flat, start, _ring(n, work)[:n - 1] + [psi[0], psi[1]], work[3])
-    (before, low), (_, high) = deque(rows, maxlen=2)
-    _ladder(n, n - 1, half_nx, before, low, psi[2], work[3])
-    _ladder(n, n, half_nx, low, high, psi[3], work[3])
-    psi *= np.exp(-lift)
-    low, high, dlow, dhigh = top
+    top = [np.empty(x.shape) for _ in range(4)]
+    for points, lift, (below, low, high), block, (tmp,) in _top_blocks(n, x, top, 1):
+        half_nx = n * points / 2.0
+        _ladder(n, n - 1, half_nx, below, low, block[2], tmp)
+        _ladder(n, n, half_nx, low, high, block[3], tmp)
+        unlift = np.exp(-lift)
+        for row, out in zip((low, high, block[2], block[3]), block):
+            np.multiply(row, unlift, out=out)
+    low, high, dlow, dhigh = (t[()] for t in top)
     return (low, high), (dlow, dhigh)
-
-
-def _psi_squares(n: int, k_max: int, x) -> np.ndarray:
-    """sum_{k <= k_max} psi_k(x)^2, vectorized over x in O(points) memory: at
-    a node of the (k_max + 1)-node Gauss rule, 1 / (weight * e^{n x^2/2})."""
-    x = _points(n, k_max, x)
-    total = np.empty(x.shape)
-    for points, (block,), work in _blocks(x, [total], 4):
-        start, lift, points = _weighted_start(n, points)
-        _square_sum(_rows(n, k_max, points, start, _ring(k_max, work), work[3]), block, work[3])
-        block *= _unlift(lift, work[3])
-    return total[()]
 
 
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
-    return _psi_squares(n, n - 1, x)
+    return _square_sums(n, n - 1, x)
 
 
 def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
@@ -317,58 +312,54 @@ def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
     return float((high[0] * low[1] - low[0] * high[1]) / (x - y))
 
 
+def _top_density(n: int, x, orders: int) -> tuple:
+    """p_N (orders = 1) or p_N and its first three derivatives (orders = 4)
+    at x from the lifted top rows, the products times e^{-2L}."""
+    x = _points(n, n, x)
+    outs = [np.empty(x.shape) for _ in range(orders)]
+    blocks = _top_blocks(n, x, outs, 1 if orders == 1 else 4)
+    for points, lift, (below, low, high), (p, *derivs), (tmp, *work) in blocks:
+        np.multiply(low, low, out=p)
+        if below is not None:
+            np.multiply(high, below, out=tmp)
+            tmp *= math.sqrt((n - 1) / n)
+            p -= tmp
+        unlift = _unlift(lift, work[0] if derivs else tmp)
+        p *= unlift
+        if not derivs:
+            continue
+        (d1, d2, d3), (_, dlow, dhigh) = derivs, work
+        half_nx = n * points / 2.0
+        _ladder(n, n - 1, half_nx, below, low, dlow, tmp)
+        _ladder(n, n, half_nx, low, high, dhigh, tmp)
+        np.multiply(high, low, out=d1)
+        np.multiply(dhigh, low, out=d2)
+        np.multiply(high, dlow, out=tmp)
+        d2 += tmp
+        np.multiply(n * n * points * points / 4.0 - n * n, d1, out=d3)
+        np.multiply(dhigh, dlow, out=tmp)
+        d3 += tmp
+        d3 *= 2.0
+        for d in (d1, d2, d3):
+            # From 0.0, so a zero product gives 0.0, never -0.0.
+            np.subtract(0.0, d, out=d)
+            d *= unlift
+    return tuple(o[()] for o in outs)
+
+
 def density(n: int, x) -> np.ndarray:
-    """Mean eigenvalue density p_N(x) = K_N(x, x) / N."""
-    return kernel_diag(n, x) / n
+    """Mean eigenvalue density p_N(x) = K_N(x, x) / N in O(points) memory, by
+    the confluent Christoffel-Darboux formula (DLMF 18.2(v)):
+    p_N = psi_{N-1}^2 - sqrt((N-1)/N) psi_N psi_{N-2}."""
+    return _top_density(n, x, 1)[0]
 
 
 def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """p_N and its first three derivatives, all analytic (no differencing).
-
-    Uses psi_k'' = (n^2 x^2/4 - n(k + 1/2)) psi_k together with the first
-    derivative ladder; the third derivative differentiates that relation
-    once more.  The four sums over k run in place over blocks of points,
-    in O(points) memory.
-    """
-    x = _points(n, n - 1, x)
-    sums = [np.empty(x.shape) for _ in range(4)]
-    for points, (s0, s1, s2, s3), work in _blocks(x, sums, 8):
-        start, lift, points = _weighted_start(n, points)
-        half_nx = n * points / 2.0
-        quad = n * n * points * points / 4.0
-        slope = n * n * points / 2.0
-        dpsi, osc, d2psi, tmp, tmp2 = work[3:]
-        for s in (s0, s1, s2, s3):
-            s.fill(0.0)
-        for k, (prev, psi) in enumerate(_rows(n, n - 1, points, start, _ring(n - 1, work), tmp)):
-            _ladder(n, k, half_nx, prev, psi, dpsi, tmp)
-            np.subtract(quad, n * (k + 0.5), out=osc)
-            np.multiply(osc, psi, out=d2psi)
-            np.multiply(psi, psi, out=tmp)
-            s0 += tmp
-            np.multiply(psi, dpsi, out=tmp)
-            s1 += tmp
-            np.multiply(dpsi, dpsi, out=tmp)
-            np.multiply(psi, d2psi, out=tmp2)
-            tmp += tmp2
-            s2 += tmp
-            # 3 dpsi d2psi + psi d3psi, d3psi = slope psi + osc dpsi
-            np.multiply(slope, psi, out=tmp2)
-            np.multiply(osc, dpsi, out=tmp)
-            tmp2 += tmp
-            tmp2 *= psi
-            np.multiply(3.0, dpsi, out=tmp)
-            tmp *= d2psi
-            tmp += tmp2
-            s3 += tmp
-        unlift = _unlift(lift, tmp)
-        s0 *= unlift
-        s0 /= n
-        for s in (s1, s2, s3):
-            s *= unlift
-            s *= 2.0
-            s /= n
-    return tuple(s[()] for s in sums)
+    """p_N (``density``'s bits) and its first three derivatives, all analytic:
+    p' = -psi_N psi_{N-1}, p'' = -(psi_N' psi_{N-1} + psi_N psi_{N-1}') and,
+    by psi_k'' = (N^2 x^2/4 - N(k + 1/2)) psi_k,
+    p''' = -2 ((N^2 x^2/4 - N^2) psi_N psi_{N-1} + psi_N' psi_{N-1}')."""
+    return _top_density(n, x, 4)
 
 
 def ode_residual(n: int, x) -> np.ndarray:

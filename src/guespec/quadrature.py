@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import christoffel_sum, _check_size, _christoffel
+from .hermite import christoffel_sum, _check_size, _square_sums
 from .tridiagonal import tridiagonal_eigenvalues
 
 
@@ -55,23 +55,24 @@ def semicircle_rule(count: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-def gaussian_rule(n: int, count: int) -> QuadratureRule:
-    """Gauss rule for integrals of f(t) exp(-n t^2 / 2) over the line.
-
-    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    with off-diagonal entries sqrt(k/n) (Golub-Welsch structure, solved by
-    ``tridiagonal_eigenvalues``: LAPACK dsterf from count 16 on, eigvalsh on
-    the dense matrix below that or where numpy ships no dsterf); the weight
-    at node t_j is the reciprocal Christoffel sum
-    1 / sum_{k<count} htilde_k(t_j)^2.
-    Exact for polynomials of degree 2*count - 1.
-    """
+def gauss_nodes(n: int, count: int) -> np.ndarray:
+    """Nodes of the count-point Gauss rule for the weight exp(-n t^2 / 2):
+    the eigenvalues of the Jacobi matrix with off-diagonal entries sqrt(k/n)
+    (Golub-Welsch), by ``tridiagonal_eigenvalues`` (LAPACK dsterf from count
+    16 on, eigvalsh below that or where numpy ships no dsterf)."""
     _check_size(n)
     if count < 1:
         raise ValueError("count must be >= 1")
-    nodes = tridiagonal_eigenvalues(np.zeros(count), np.sqrt(np.arange(1, count) / n))
+    return tridiagonal_eigenvalues(np.zeros(count), np.sqrt(np.arange(1, count) / n))
+
+
+def gaussian_rule(n: int, count: int) -> QuadratureRule:
+    """Gauss rule for integrals of f(t) exp(-n t^2 / 2) over the line, exact
+    for polynomials of degree 2*count - 1: the ``gauss_nodes``, weighted by
+    the reciprocal Christoffel sums 1 / sum_{k<count} htilde_k(t_j)^2."""
+    nodes = gauss_nodes(n, count)
     # A Christoffel sum past the double range means a weight below it.
-    sums = _christoffel(n, count - 1, nodes)
+    sums = _square_sums(n, count - 1, nodes, weighted=False)
     weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)
     return QuadratureRule(nodes, weights)
 

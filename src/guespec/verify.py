@@ -58,6 +58,18 @@ def suite_density() -> list[CheckResult]:
     out.append(_check("unit mass and m_2 = 1, N=1..32", worst_mass < 1e-10,
                       f"max |m_0-1|, |m_2-1| = {worst_mass:.3e} (tol 1e-10)"))
 
+    gaps = []
+    for n in (1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256):
+        grid = np.linspace(-1.0, 1.0, 2001) * math.sqrt(4380.0 / n)  # to N x^2/4 = 1095
+        squares = hermite.kernel_diag(n, grid) / n
+        normal = squares >= np.finfo(float).tiny
+        gap = np.abs(hermite.density(n, grid) - squares)[normal] / squares[normal]
+        gaps.append((float(gap.max()), n, float(grid[normal][gap.argmax()])))
+    gap, n, x = max(gaps)
+    out.append(_check("top-row density vs Christoffel square sum", gap <= 5e-13,
+                      f"max rel gap = {gap:.3e} at N={n}, x={x:.4g} "
+                      "(2001 points on +-sqrt(4380/N), normal sums, tol 5e-13)"))
+
     worst_tail = -math.inf
     tail_ok = True
     for n in (4, 8, 16):
@@ -168,9 +180,9 @@ def _gauss_sum(n: int, s, offset: float, m: int):
     error of u^L Sbar, of degree 2m.
     """
     sigma, tau = s.real, s.imag
-    u = quadrature.gaussian_rule(n, m).nodes
+    u = quadrature.gauss_nodes(n, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = 1.0 / hermite._psi_squares(n, m - 1, u)
+        lam = 1.0 / hermite._square_sums(n, m - 1, u)
         q = n * (u * u + offset * offset) / 4.0 - sigma * sigma / (4.0 * n)
         start, lift, x = hermite._weighted_start(
             n, np.concatenate([u + (sigma / n + offset), u + (sigma / n - offset)]), np.tile(q, 2))

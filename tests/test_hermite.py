@@ -164,15 +164,21 @@ def _mp_density(n, x):
     return total * mp.exp(-n * x * x / 2) / n
 
 
-@pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 64, 256])
 def test_density_and_derivatives_match_mpmath(n):
     """p_N, p_N' and p_N''' against mpmath at 40 digits (derivatives by
     mpmath's own differencing) at the centre, in the bulk, at the edges and
-    beyond; at N=256, x=3.5 the Gaussian factor alone underflows a double."""
-    xs = np.array([0.0, 0.7, -1.3, 2.0, -2.0, 2.6, 3.5])
+    beyond, where p_N = psi_{N-1}^2 - sqrt((N-1)/N) psi_N psi_{N-2} subtracts
+    two terms of one sign, and far out at N <= 8; at N=256, x=3.5 the
+    Gaussian factor alone underflows a double.  Below the normal range a
+    double holds fewer digits: there the tolerance is 1e-12 of the smallest
+    normal double, and a value below half the smallest subnormal is 0.0."""
+    far = [8.0, 20.0] if n <= 8 else []
+    xs = np.array([0.0, 0.7, -1.3, 2.0, -2.0, 2.3, 2.6, 3.0, 3.5, 5.0] + far)
     p0, p1, _, p3 = hermite.density_derivatives(n, xs)
     psi, _ = hermite.weighted_frame(n, n - 1, xs)
     by_order = {0: [hermite.density(n, xs), (psi * psi).sum(axis=0) / n, p0], 1: [p1], 3: [p3]}
+    tiny = np.finfo(float).tiny
     with mp.workdps(40):
         for i, x in enumerate(xs):
             for order, values in by_order.items():
@@ -181,7 +187,18 @@ def test_density_and_derivatives_match_mpmath(n):
                     continue
                 ref = mp.diff(lambda t: _mp_density(n, t), mp.mpf(x), order)
                 for v in values:
-                    assert abs(v[i] - ref) <= 1e-12 * abs(ref), (x, order, v[i], ref)
+                    assert abs(v[i] - ref) <= 1e-12 * max(abs(ref), tiny), (x, order, v[i], ref)
+
+
+@pytest.mark.parametrize("n", [*range(1, 40), 64, 100, 128, 200, 255, 256])
+def test_top_row_density_is_never_negative(n):
+    """psi_{N-1}^2 - sqrt((N-1)/N) psi_N psi_{N-2} is a difference of two
+    terms of one sign past the edge.  On 400001 points over 1.01 times the
+    span where the weighted start is nonzero (N x^2/4 <= 1095), the lifted
+    and subnormal tail included, no value falls below 0."""
+    grid = np.linspace(-1.01, 1.01, 400_001) * math.sqrt(4380.0 / n)
+    assert np.all(hermite.density(n, grid) >= 0.0)
+    assert np.all(hermite.density_derivatives(n, grid)[0] >= 0.0)
 
 
 def test_density_subnormal_tail_through_lifted_start():
@@ -217,15 +234,14 @@ def _same_bits(got, want) -> bool:
 
 
 def _frame_sums(n, x):
-    """p_N, p_N' and the Christoffel sum at x / 1.5 as axis-0 sums of the
+    """K_N(x, x) and the Christoffel sum at x / 1.5 as axis-0 sums of the
     frames, built on chunks of at most 1000 points (and at least 2, where
     the reduction runs row by row)."""
     parts = []
     for chunk in np.array_split(x.reshape(-1), -(-x.size // 1000)):
-        psi, dpsi = hermite.weighted_frame(n, n - 1, chunk)
+        psi, _ = hermite.weighted_frame(n, n - 1, chunk)
         h = hermite.normalized_hermite(n, n - 1, chunk / 1.5)
-        parts.append(((psi ** 2).sum(axis=0) / n, 2.0 * (psi * dpsi).sum(axis=0) / n,
-                      (h ** 2).sum(axis=0)))
+        parts.append(((psi ** 2).sum(axis=0), (h ** 2).sum(axis=0)))
     return [np.concatenate(p).reshape(x.shape) for p in zip(*parts)]
 
 
@@ -236,18 +252,19 @@ def _frame_sums(n, x):
                                     pytest.param((131, 130), id="130x131T")])
 def test_streamed_sums_equal_frame_sums_bitwise(n, points):
     """The sums over k add rows in the order of numpy's axis-0 reduction, so
-    on multi-point grids they reproduce the frame sums bit for bit: on
+    on multi-point grids they reproduce the frame sums bit for bit, and
+    p_N and its derivatives are the allocating top-row formulas' bits: on
     grids of a few points, at and across block boundaries, and for 1-D and
     2-D x (130x131T is a transposed, non-contiguous view)."""
     shape = points if isinstance(points, tuple) else (points,)
     grid = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)  # n x^2 / 4 <= 700: no lift
     if shape == (131, 130):
         grid = grid.reshape(130, 131).T
-    density, slope, christoffel = _frame_sums(n, grid)
-    assert _same_bits(hermite.density(n, grid), density)
-    assert _same_bits(hermite.density_derivatives(n, grid)[1], slope)
+    diag, christoffel = _frame_sums(n, grid)
+    assert _same_bits(hermite.kernel_diag(n, grid), diag)
     nodes = grid / 1.5  # where the unweighted sum stays finite at N=256
     assert _same_bits(hermite.christoffel_sum(n, n - 1, nodes), christoffel)
+    _assert_top_row_bits(n, grid)
 
 
 def _reference_rows(n, k_max, x, start):
@@ -264,29 +281,47 @@ def _reference_rows(n, k_max, x, start):
 
 
 def _reference_sums(n, x):
-    """K_N(x, x), p_N and its three derivatives, and the Christoffel sum,
-    one fresh array per operation."""
+    """K_N(x, x) and the Christoffel sum, one fresh array per operation."""
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.full(x.shape, (2.0 * math.pi / n) ** -0.25)
         christoffel = 0.0
         for _, row in _reference_rows(n, n - 1, x, start):
             christoffel = christoffel + row * row
     start, lift, x = hermite._weighted_start(n, x)
+    diag = 0.0
+    for _, psi in _reference_rows(n, n - 1, x, start):
+        diag = diag + psi * psi
+    return diag * np.exp(-2.0 * lift), christoffel
+
+
+def _reference_top(n, x):
+    """p_N and its three derivatives from rows n-2, n-1 and n of the
+    allocating recurrence by the formulas of ``density_derivatives``, one
+    fresh array per operation."""
+    start, lift, x = hermite._weighted_start(n, x)
+    below, low, high = ([None] + [row for _, row in _reference_rows(n, n, x, start)])[-3:]
     half_nx = n * x / 2.0
-    quad = n * n * x * x / 4.0
-    slope = n * n * x / 2.0
-    sums = [0.0] * 4
-    for k, (prev, psi) in enumerate(_reference_rows(n, n - 1, x, start)):
-        dpsi = -half_nx * psi if prev is None else math.sqrt(n * k) * prev - half_nx * psi
-        osc = quad - n * (k + 0.5)
-        d2psi = osc * psi
-        d3psi = slope * psi + osc * dpsi
-        terms = (psi * psi, psi * dpsi, dpsi * dpsi + psi * d2psi,
-                 3.0 * dpsi * d2psi + psi * d3psi)
-        sums = [s + t for s, t in zip(sums, terms)]
     unlift = np.exp(-2.0 * lift)
-    s0, s1, s2, s3 = (s * unlift for s in sums)
-    return s0, (s0 / n, 2.0 * s1 / n, 2.0 * s2 / n, 2.0 * s3 / n), christoffel
+    p = low * low
+    if below is None:
+        dlow = -half_nx * low
+    else:
+        p = p - high * below * math.sqrt((n - 1) / n)
+        dlow = math.sqrt(n * (n - 1)) * below - half_nx * low
+    dhigh = math.sqrt(n * n) * low - half_nx * high
+    d1 = 0.0 - high * low
+    d2 = 0.0 - (dhigh * low + high * dlow)
+    d3 = 0.0 - ((n * n * x * x / 4.0 - n * n) * (high * low) + dhigh * dlow) * 2.0
+    return tuple(v * unlift for v in (p, d1, d2, d3))
+
+
+def _assert_top_row_bits(n, x):
+    """density and all four outputs of density_derivatives are the bits of
+    ``_reference_top``."""
+    want = _reference_top(n, x)
+    assert _same_bits(hermite.density(n, x), want[0])
+    assert all(_same_bits(got, ref)
+               for got, ref in zip(hermite.density_derivatives(n, x), want, strict=True))
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
@@ -301,11 +336,10 @@ def test_sums_equal_the_allocating_recurrence_bitwise(n, span, points):
     [2.6, 3.6] is lifted from 3.31 and subnormal from 3.51 on; the
     Christoffel sums overflow on the lifted spans at larger N."""
     grid = np.linspace(*span, points) if points else np.asarray(span[0])
-    diag, derivs, christoffel = _reference_sums(n, grid)
+    diag, christoffel = _reference_sums(n, grid)
     assert _same_bits(hermite.kernel_diag(n, grid), diag)
-    assert all(_same_bits(got, want)
-               for got, want in zip(hermite.density_derivatives(n, grid), derivs, strict=True))
-    assert _same_bits(hermite._christoffel(n, n - 1, grid), christoffel)
+    _assert_top_row_bits(n, grid)
+    assert _same_bits(hermite._square_sums(n, n - 1, grid, weighted=False), christoffel)
     if np.all(np.isfinite(christoffel)):
         assert _same_bits(hermite.christoffel_sum(n, n - 1, grid), christoffel)
     else:
@@ -416,9 +450,9 @@ def test_sums_over_k_stream_in_output_sized_memory(func, points):
         tracemalloc.stop()
     out_bytes = sum(a.nbytes for a in out) if isinstance(out, tuple) else out.nbytes
     # One (256, points) frame alone would be 256 output rows.  The in-place
-    # blocks measured 2.59 (density: kernel_diag's output, its quotient by
-    # N and one block's buffers) and 4.77 (derivatives: one block of 10000
-    # points); the bounds leave about 15% for other numpy versions.
+    # blocks measured 2.54 (density: the output, one block's four work rows
+    # and its lift and points) and 4.02 (derivatives: one block of 10000
+    # points); the bounds leave 15% or more for other numpy versions.
     bound = {"density": 3.0, "density_derivatives": 5.5}[func.__name__]
     assert peak <= bound * out_bytes, (peak / out_bytes, bound)
 

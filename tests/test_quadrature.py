@@ -215,8 +215,9 @@ def narrow_peak(t):
 
 def gauss_integrand(n, sig):
     """e^{sig t^2} p_N(t), with the scale and tolerance of the gauss reference
-    that integrated it."""
-    return (lambda t: np.exp(sig * t * t) * hermite.density(n, t),
+    that integrated it.  p_N is the Christoffel square sum K_N(t, t) / N, the
+    bits ``hermite.density`` had when the reprs below were pinned."""
+    return (lambda t: np.exp(sig * t * t) * hermite.kernel_diag(n, t) / n,
             {"scale": math.sqrt(1.0 / max(n / 2.0 - sig, 0.25)), "tol": 1e-11})
 
 
