@@ -33,6 +33,8 @@ import numpy as np
 if TYPE_CHECKING:
     from .gegenbauer import BasisSeries
 
+#: Smallest Taylor degree of gauss:sigma data, the one kind still expanded from
+#: Taylor data (exp and cos take gegenbauer.plane_wave_series).
 DEFAULT_EXPANSION_DEGREE = 80
 
 #: The names of verify.SUITES, in its order, without importing verify.
@@ -152,26 +154,30 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
 
     if sigma is not None and spec.kind != "taylor-file":
         raise ValueError("--sigma applies to taylor-file functions only")
-    degree = max(DEFAULT_EXPANSION_DEGREE, 4 * terms + 20)
+    cap = gegenbauer._BAND_DEGREE_CAP
+    if spec.kind in ("exp", "cos", "gauss"):
+        # These series grow by four coefficients per correction pass, so a
+        # size past the cap is refused before any work.
+        least = 4 * terms + (20 if spec.kind == "gauss" else 0)
+        if least > cap:
+            raise ValueError(f"--terms {terms} needs a series of degree at least {least}, "
+                             f"past the cap {cap}")
     if spec.kind == "monomial":
         power = int(spec.parameter)
         coeffs = [0.0] * power + [1.0]
         return gegenbauer.BasisSeries(gegenbauer.taylor_to_basis(coeffs))
-    if spec.kind == "exp":
-        taylor = _powers_over_factorials(spec.parameter, degree)
-        return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol)
-    if spec.kind == "cos":
-        powers = _powers_over_factorials(spec.parameter, degree)
-        taylor = [0.0] * (degree + 1)
-        for j in range(degree // 2 + 1):
-            taylor[2 * j] = (-1) ** j * powers[2 * j]
-        return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol)
+    if spec.kind in ("exp", "cos"):
+        return gegenbauer.plane_wave_series(spec.kind, spec.parameter, terms)
     if spec.kind == "gauss":
         sig = spec.parameter
         # The certified band tail 2 * 3^n * C (8 e sigma / n)^{n/2} only
         # starts decaying past n ~ 72 e sigma; truncate beyond that or the
         # certificate is huge no matter how accurate the coefficients are.
-        degree = max(degree, 2 * (math.ceil(36.0 * math.e * sig) + 10))
+        degree = max(DEFAULT_EXPANSION_DEGREE, 4 * terms + 20,
+                     2 * (math.ceil(36.0 * math.e * sig) + 10))
+        if degree > cap:
+            raise ValueError(f"--function gauss parameter {sig!r} needs Taylor degree "
+                             f"{degree}, past the cap {cap}")
         taylor = [0.0] * (degree + 1)
         taylor[::2] = _powers_over_factorials(sig, degree // 2)
         return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sig), tol)

@@ -48,6 +48,12 @@ _GROWTH_FLOOR = 10  # indices below this are absorbed into the constant
 #: takes 0.03-0.11 s (2-core Xeon), at 2n 0.4-0.6 s and at 4n about 4 s.
 _BAND_DEGREE_CAP = 646
 
+#: plane_wave_series ends a series where every later coefficient is below
+#: this fraction of the largest, before the four indices per correction pass.
+_PLANE_WAVE_CUT = 2.0 ** -60
+
+_LOG_MAX = math.log(np.finfo(float).max)  # 709.78...
+
 _GROWTH_SAMPLES = 360  # equally spaced points on the circle of growth_bound_report
 
 
@@ -275,6 +281,115 @@ def _model_tail(a: np.ndarray, sigma: float) -> float:
         if total > 0 and term < total * 1e-18:
             break
     return total
+
+
+def _scaled_bessel(sign: float, b: float, top: int) -> np.ndarray:
+    """B_k(2b) / min(b, 1)^k for k = 0..top, up to one common factor, by
+    Miller's backward recurrence (DLMF 3.6) from B_{top+1} = 0.
+
+    B is I for sign = 1 and J for sign = -1, with B_{k-1} = (k/b) B_k +
+    sign B_{k+1}.  Where B_{k-1} > 0 (every k for I; k >= ceil(2b) - 1 for
+    J, whose first zero j_{nu,1} lies past nu + 2) it runs on the ratios
+    B_k / B_{k-1}, which neither overflow nor underflow, and the values
+    are their running products.  Below that, J runs on values, which stay
+    within a small factor of their largest there.  Dividing by min(b, 1)^k
+    keeps B_2 from underflowing against B_0 when b is tiny.
+    """
+    scale, mu2 = max(b, 1.0), min(b, 1.0) ** 2
+    low = max(0, math.ceil(2.0 * b) - 2) if sign < 0 else 0
+    ratios = [0.0] * (top + 1)
+    ratio = 0.0
+    for k in range(top, low, -1):
+        ratio = 1.0 / (k / scale + sign * mu2 * ratio)
+        ratios[k] = ratio
+    ratios[low] = 1.0
+    values = np.empty(top + 1)
+    values[low:] = np.cumprod(ratios[low:])
+    above = values[low + 1]
+    for k in range(low, 0, -1):
+        values[k - 1] = k / scale * values[k] + sign * mu2 * above
+        above = values[k]
+    return values
+
+
+def plane_wave_series(kind: str, a: float, depth: int) -> BasisSeries:
+    """Basis coefficients of e^{at} (kind "exp") or cos(at) (kind "cos").
+
+    Gegenbauer's plane-wave expansion (Watson, *Treatise on the Theory of
+    Bessel Functions*, ch. XI; DLMF 10.23) in f_n(t) = C_n^{(2)}(t/2):
+
+        e^{at}  = sum_n (n+2) I_{n+2}(2a) / a^2 f_n(t),
+        cos(at) = sum_{n even} (-1)^{n/2} (n+2) J_{n+2}(2a) / a^2 f_n(t).
+
+    The Bessel values come from ``_scaled_bessel``, normalised by
+    e^{2a} = I_0 + 2 sum_k I_k or 1 = J_0 + 2 sum_k J_{2k}.  The series
+    keeps L = 4 depth + c(a) coefficients, c(a) the first index past which
+    every coefficient is below 2^-60 of the largest: each of ``depth``
+    correction passes consumes four indices from the top.  tail_bound is
+    sum_{n >= L} |c_n| f_n(2), f_n(2) = (n+1)(n+2)(n+3)/6 being the
+    largest |f_n| on [-2, 2].  Refused (ValueError) where the largest
+    coefficient leaves the double range, or where the series would need
+    more than _BAND_DEGREE_CAP + 1 coefficients.
+    """
+    if kind not in ("exp", "cos"):
+        raise ValueError(f"kind must be 'exp' or 'cos', got {kind!r}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not math.isfinite(a):
+        raise ValueError(f"{kind} parameter must be finite, got {a!r}")
+    sign, b = (1.0 if kind == "exp" else -1.0), abs(a)
+    # Refused before any Bessel value: c_0 = 2 I_2(2b) / b^2 is past the
+    # double range once e^b is, and J_k(2b) is not small for k < 2b, so
+    # c(a) >= 2b - 2.
+    if sign > 0 and b > _LOG_MAX:
+        raise ValueError(f"exp parameter {a!r}: the basis coefficients leave the double range")
+    least = 4 * depth + (max(1, math.ceil(2.0 * b) - 2) if sign < 0 else 1)
+    if least > _BAND_DEGREE_CAP + 1:
+        raise ValueError(f"{kind} parameter {a!r} at depth {depth} needs at least {least} "
+                         f"basis coefficients, more than {_BAND_DEGREE_CAP + 1}")
+    # e^{2b} = e^{lift} e^{2b - lift}: the first factor goes into the
+    # normalisation, the second multiplies the coefficients last.
+    lift = min(2.0 * b, 700.0) if sign > 0 else 0.0
+    top = 4 * depth + math.ceil(2.0 * b + 16.0 * max(b, 1.0) ** (1.0 / 3.0)) + 32
+    while True:
+        values = _scaled_bessel(sign, b, top)
+        powers = min(b, 1.0) ** np.arange(top + 1.0)
+        terms = powers * values
+        norm = terms[0] + 2.0 * (terms[1:].sum() if sign > 0 else terms[2::2].sum())
+        n = np.arange(top - 1.0)
+        # (n+2) B_{n+2} / b^2 = (n+2) mu^n values[n+2] / max(b, 1)^2, mu = min(b, 1).
+        coeffs = (n + 2.0) * powers[:-2] * values[2:] / (norm * math.exp(-lift) * max(b, 1.0) ** 2)
+        if sign < 0:
+            # 0.0 - x, not -x: an underflowed coefficient stays +0.0.
+            coeffs[1::2] = 0.0
+            coeffs[2::4] = 0.0 - coeffs[2::4]
+        size = np.abs(coeffs)
+        length = 4 * depth + int(np.flatnonzero(size >= _PLANE_WAVE_CUT * size.max())[-1]) + 1
+        if length > _BAND_DEGREE_CAP + 1:
+            raise ValueError(f"{kind} parameter {a!r} at depth {depth} needs {length} basis "
+                             f"coefficients, more than {_BAND_DEGREE_CAP + 1}")
+        # The ratios, started from 0 at top, are right to (B_top / B_k)^2.
+        # The first top suffices wherever the length is in range (checked
+        # at depths 0-40); the doubling guards that accuracy, not speed.
+        if length + 4 <= top and values[top] <= 2.0 ** -30 * values[length + 2]:
+            break
+        top *= 2
+    if sign > 0:
+        with np.errstate(over="ignore"):
+            coeffs = coeffs * math.exp(2.0 * b - lift)
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"exp parameter {a!r}: the basis coefficients leave the double range")
+        if a < 0:
+            coeffs[1::2] = 0.0 - coeffs[1::2]
+    # What the cut drops up to top, and past top a geometric bound: the
+    # ratio of terms two indices apart falls from there on.  The factor
+    # 1 + 2^-40 covers the rounding of the coefficients (measured: 1.5e-15).
+    tail = np.abs(coeffs[length:]) * ((n + 1.0) * (n + 2.0) * (n + 3.0) / 6.0)[length:]
+    total = float(tail.sum())
+    if tail[-1] > 0.0:
+        step = float(tail[-1] / tail[-3])
+        total += float(tail[-1] + tail[-2]) * step / (1.0 - step) if step < 1.0 else math.inf
+    return BasisSeries(coeffs[:length], tail_bound=total * (1.0 + 2.0 ** -40))
 
 
 @dataclass(frozen=True)

@@ -363,8 +363,42 @@ def test_resum_whole_series_does_not_warn(capsys):
                          "--compare")
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert payload["tail_bound"] == 0.0
+    # What the cut of the series drops, not 0.0: the series is not whole.
+    assert 0.0 <= payload["tail_bound"] <= 2.0 ** -50 * abs(payload["reference"])
     assert payload["errors"][-1] <= 1e-12 * payload["reference"]
+
+
+def test_resum_cos_30_alpha_0_is_the_bessel_value(capsys):
+    # alpha_0 is the semicircle average J_1(2a)/a; a Taylor cut at degree 80
+    # printed 1.88e20 here, with tail_bound 0.0.
+    code, out, err = run(capsys, "resum", "--n", "128", "--function", "cos:30", "--terms", "4",
+                         "--compare")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert abs(payload["alphas"][0] - float(mp.besselj(1, 60) / 30)) <= 1e-12
+    assert payload["errors"][-1] <= payload["errors"][0]
+
+
+# Each size is refused from bounds known before any Taylor data or Bessel
+# value is built: the series of exp, cos and gauss grows by four
+# coefficients per term, and J_k(2a) is not small for k < 2a.  --terms
+# 100000 took 74 s before its refusal, cos:1e10 failed in an integer
+# division, and exp:800 printed alpha_0 = 6.49e134 (the true value,
+# I_1(1600)/800, is past the double range).
+@pytest.mark.parametrize("function,terms,message", [
+    ("exp:1", "100000", "--terms 100000 needs a series of degree at least 400000"),
+    ("gauss:0.1", "100000", "--terms 100000 needs a series of degree at least 400020"),
+    ("cos:1", "200", "--terms 200 needs a series of degree at least 800"),
+    ("cos:1e10", "3", "cos parameter 10000000000.0 at depth 3 needs at least"),
+    ("exp:800", "3", "exp parameter 800.0: the basis coefficients leave the double range"),
+], ids=["exp-terms", "gauss-terms", "cos-terms", "cos-parameter", "exp-parameter"])
+def test_resum_sizes_are_refused_before_work(capsys, function, terms, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resum", "--n", "4", "--function", function, "--terms", terms)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert elapsed < 0.1
 
 
 def test_resum_taylor_file(tmp_path, capsys):
