@@ -21,8 +21,8 @@ _EXPORTS = {name: module for module, names in {
                   "semicircle_functional taylor_to_basis",
     "hermite": "DensityProfile christoffel_sum density density_derivatives density_profile "
                "kernel kernel_diag normalized_hermite ode_residual",
-    "laplace": "StirlingTable characteristic_function density_laplace kernel_laplace "
-               "laplace_expansion stirling_table",
+    "laplace": "StirlingTable characteristic_function density_laplace gauss_average "
+               "kernel_laplace laplace_expansion polynomial_average stirling_table",
     "montecarlo": "SampleBatch empirical_moment read_binary sample_spectra",
     "operators": "correction correction_functionals differentiate eigenvalue_inverse "
                  "first_order_solve measure_convergence_threshold norm_probe "

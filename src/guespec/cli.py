@@ -11,7 +11,8 @@ Start-up: importing this module loads argparse, json and numpy, and no
 other module of the package.  Each command imports the layers it calls
 when it runs, and they import what they use in turn: density loads hermite
 and _floattext, sample montecarlo and tridiagonal, stirling and laplace
-only laplace, verify (and laplace --verify) every layer.  Compiled from
+only laplace, resum gegenbauer, operators and laplace, verify (and
+laplace --verify) every layer.  Compiled from
 source without cached bytecode the layers take tens of milliseconds, which
 every call would otherwise pay.  A layer's functions are looked up through
 its module at call time, so a rebinding of them (a test's monkeypatch, a
@@ -187,27 +188,27 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
 
 def reference_integral(spec: FunctionSpec, n: int) -> float:
     """Independent value of int f p_N dt for --compare."""
-    from . import hermite, laplace, quadrature
+    from . import laplace
 
-    if spec.kind == "monomial":
-        power = int(spec.parameter)
-        return float(quadrature.density_rule(n, power).integrate(lambda t: t ** power))
     if spec.kind == "exp":
-        return float(laplace.density_laplace(n, spec.parameter))
-    if spec.kind == "cos":
-        return laplace.characteristic_function(n, spec.parameter)
-    if spec.kind == "gauss":
+        value = float(laplace.density_laplace(n, spec.parameter))
+    elif spec.kind == "cos":
+        value = laplace.characteristic_function(n, spec.parameter)
+    elif spec.kind == "gauss":
         sig = spec.parameter
         if sig >= n / 2.0:
             raise ValueError(
                 f"reference integral diverges: gauss type {sig:g} >= N/2 = {n / 2:g}")
-        # e^{sig t^2} p_N(t) is e^{-N x^2/2} S(r x) / N at t = r x, with S the
-        # Christoffel sum of degree 2N - 2: an N-node Gauss rule is exact.
-        r = math.sqrt(n / (n - 2.0 * sig))
-        rule = quadrature.gaussian_rule(n, n)
-        return r * float(rule.integrate(lambda x: hermite.christoffel_sum(n, n - 1, r * x))) / n
-    rule = quadrature.density_rule(n, len(spec.coefficients) - 1)
-    return float(rule.integrate(lambda t: np.polynomial.polynomial.polyval(t, spec.coefficients)))
+        value = laplace.gauss_average(n, sig)
+    elif spec.kind == "monomial":
+        value = laplace.polynomial_average(n, [0.0] * int(spec.parameter) + [1.0])
+    else:
+        value = laplace.polynomial_average(n, spec.coefficients)
+    if not math.isfinite(value):
+        name = "" if spec.kind == "taylor-file" else f" parameter {spec.parameter:g}"
+        raise ValueError(f"--function {spec.kind}{name}: the reference at N = {n} "
+                         "leaves the double range")
+    return value
 
 
 # ------------------------------------------------------------- commands

@@ -16,6 +16,9 @@ an array of w); ``laplace_expansion`` rearranges it into a
 power series in 1/N whose coefficients are sums of the Harer-Zagier
 genus counts, summed exactly and rounded once.  The unsigned Stirling
 numbers of the first kind give a second form of the same coefficients.
+Two integrals against p_N follow without quadrature: ``gauss_average``
+(e^{sigma t^2}, the transform averaged over a Gaussian s) and
+``polynomial_average`` (exact even moments, rounded once).
 """
 
 from __future__ import annotations
@@ -185,6 +188,64 @@ def _genus_counts(m_max: int, g_max: int) -> list[list[int]]:
                 total += (m - 1) * (2 * m - 1) * (2 * m - 3) * rows[g - 1][m - 2]
             rows[g][m] = total // (m + 1)
     return rows
+
+
+def _even_moments(n: int, k_max: int) -> list[int]:
+    """N^k M_{2k} for k = 0..k_max, exact, where M_{2k} = int t^{2k} p_N(t) dt.
+
+    N^k M_{2k} = sum_g eps_g(k) N^{k-2g} (``_genus_counts``; eps_g(k) = 0
+    for 2g > k) is an integer.  The Harer-Zagier recursion
+    (k+2) M_{2k+2} = (4k+2) M_{2k} + k(4k^2-1) N^{-2} M_{2k-2}, scaled by
+    N^{k+1}, keeps every term an integer, so its division by k + 2 is exact.
+    """
+    out = [1, n][:k_max + 1]
+    for k in range(1, k_max):
+        out.append(((4 * k + 2) * n * out[k] + k * (4 * k * k - 1) * out[k - 1]) // (k + 2))
+    return out
+
+
+def polynomial_average(n: int, coefficients) -> float:
+    """int q(t) p_N(t) dt for q(t) = sum_p c_p t^p, from the Taylor coefficients c_p.
+
+    Each c_p is an integer over a power of two; the sum over the exact even
+    moments (``_even_moments``) is one integer over their common
+    denominator, divided once, so the result is the float of the exact
+    value: odd powers add exactly 0.  Past the double range it is +-inf.
+    """
+    if n < 1:
+        raise ValueError("ensemble size must be >= 1")
+    ratios = [float(c).as_integer_ratio() for c in coefficients[::2]]
+    top, den = len(ratios) - 1, max(q for _, q in ratios)
+    total = sum(p * (den // q) * m * n ** (top - k)
+                for k, ((p, q), m) in enumerate(zip(ratios, _even_moments(n, top))))
+    try:
+        return total / (den * n ** top)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def gauss_average(n: int, sigma: float) -> float:
+    """int e^{sigma t^2} p_N(t) dt for 0 <= sigma < N/2; inf past the double range.
+
+    e^{sigma t^2} is the average of e^{s t} over a Gaussian s of variance
+    2 sigma, so the integral is that average of density_laplace(N, s).
+    Term by term in the Laguerre sum it is
+    r sum_{j<N} C(N, j+1)/N C(2j, j) v^j, v = sigma/(N - 2 sigma),
+    r = sqrt(N/(N - 2 sigma)).  Every term is positive; each comes from the
+    last by its ratio, from C(N, 1)/N = 1, so a term leaves the double
+    range only where the sum does.
+    """
+    if n < 1:
+        raise ValueError("ensemble size must be >= 1")
+    if not 0.0 <= sigma < n / 2.0:
+        raise ValueError(f"int e^(sigma t^2) p_N diverges unless 0 <= sigma < N/2, "
+                         f"got sigma = {sigma!r}, N = {n}")
+    v = sigma / (n - 2.0 * sigma)
+    term = total = 1.0
+    for j in range(n - 1):
+        term *= (n - j - 1) * (4 * j + 2) / ((j + 1) * (j + 2)) * v
+        total += term
+    return math.sqrt(n / (n - 2.0 * sigma)) * total
 
 
 def _genus_sums(x: int, y: int, d: int, m_top: int, g_top: int) -> list[complex]:

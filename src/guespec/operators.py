@@ -28,6 +28,7 @@ amplification in the weighted norms of :class:`guespec.gegenbauer.NormParams`.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -52,25 +53,40 @@ def _per_row(values, ndim: int) -> np.ndarray:
     return np.reshape(values, (-1,) + (1,) * (ndim - 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _factors(size: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder factors n + 2, n < size - 1, and the eigenvalues
+    (n+1)(n+3), n < size, shaped by ``_per_row``: cached, as every pass over
+    a vector of one length takes the same ones, and read-only, as they are
+    shared."""
+    n = np.arange(size, dtype=float)
+    ladder, eigen = _per_row(n[1:] + 1.0, ndim), _per_row((n + 1.0) * (n + 3.0), ndim)
+    ladder.flags.writeable = eigen.flags.writeable = False
+    return ladder, eigen
+
+
 def differentiate(coefficients) -> np.ndarray:
     """Coefficients of g' given those of g: (Dg)_n = (n+2) sum of a_m, m > n, m - n odd."""
     a = np.asarray(coefficients, dtype=float)
+    size = len(a)
     # tail[m] = a_m + a_{m+2} + ..., added from the top down (cumsum adds in
-    # order); + 0.0 turns an all -0.0 sum into 0.0, as a zero-started
-    # accumulator would.
-    tail = np.empty_like(a)
-    for parity in (0, 1):
-        tail[parity::2] = np.cumsum(a[parity::2][::-1], axis=0)[::-1]
-    out = np.zeros_like(a)
-    out[:-1] = _per_row(np.arange(2.0, len(a) + 1.0), a.ndim) * (tail[1:] + 0.0)
+    # order): the vector reversed, a_0 dropped if that leaves the length
+    # odd, then one cumsum over its pairs runs both parities.  Row j of the
+    # sums is tail[size - 1 - j].  + 0.0 turns an all -0.0 sum into 0.0, as
+    # a zero-started accumulator would.
+    top = a[::-1][:size - size % 2]
+    tail = top.reshape((-1, 2) + a.shape[1:]).cumsum(axis=0).reshape(top.shape)
+    tail += 0.0
+    out = np.empty_like(a)
+    np.multiply(_factors(size, a.ndim)[0], tail[size - 2::-1], out=out[:-1])
+    out[size - 1:] = 0.0
     return out
 
 
 def eigenvalue_inverse(coefficients) -> np.ndarray:
     """Divide each coefficient by its eigenvalue (n+1)(n+3)."""
     a = np.asarray(coefficients, dtype=float)
-    n = _per_row(np.arange(len(a), dtype=float), a.ndim)
-    return a / ((n + 1.0) * (n + 3.0))
+    return a / _factors(len(a), a.ndim)[1]
 
 
 def first_order_solve(coefficients) -> np.ndarray:
@@ -124,7 +140,7 @@ def correction_functionals(series, depth: int) -> np.ndarray:
     vector triggers a RuntimeWarning and the computation proceeds; the
     functionals past the trusted depth come out of the zero-padded tail
     and may be wrong, since each pass amplifies the coefficients that the
-    truncation dropped.
+    truncation dropped.  The passes stop once one returns all zeros.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -143,12 +159,17 @@ def correction_functionals(series, depth: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    out = [semicircle_functional(coeffs)]
+    out = np.zeros(depth + 1)
+    out[0] = semicircle_functional(coeffs)
     cur = coeffs
-    for _ in range(depth):
+    for k in range(1, depth + 1):
         cur = correction(cur)
-        out.append(semicircle_functional(cur))
-    return np.array(out)
+        # A pass maps zeros to zeros, and its output holds no -0.0: once
+        # the vector is all zero, every later alpha is 0.0.
+        if not cur.any():
+            break
+        out[k] = semicircle_functional(cur)
+    return out
 
 
 def resum_partial_sums(functionals, ensemble_size: int) -> np.ndarray:

@@ -581,7 +581,10 @@ print(code, before, sorted(set(loaded()) - set(before)), file=sys.stderr)
     (("sample", "--n", "4", "--count", "3", "--seed", "1", "--out", "{tmp}/s.bin"),
      ["guespec.montecarlo", "guespec.tridiagonal"]),
     (("stirling", "--max-n", "4"), ["guespec.laplace"]),
-], ids=["import", "density", "sample", "stirling"])
+    # The references and the threshold calibration build no Gauss rule.
+    (("resum", "--n", "4", "--function", "gauss:0.3", "--terms", "4", "--compare"),
+     ["guespec.gegenbauer", "guespec.laplace", "guespec.operators"]),
+], ids=["import", "density", "sample", "stirling", "resum"])
 def test_a_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, _, err = _python("-c", _LOADED, *argv)
@@ -789,6 +792,47 @@ def test_resum_taylor_file_takes_sigma(tmp_path, capsys):
     code, _, _ = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
                      "--terms", "2", "--sigma", "0.5")
     assert code == 0
+
+
+def _exact_average(n, coefficients):
+    """int q p_N for Taylor coefficients q, in rationals: the genus-count
+    sums of the moments."""
+    counts = laplace._genus_counts(len(coefficients) // 2, len(coefficients) // 4)
+    return sum(Fraction(c) * sum(Fraction(row[p // 2], n ** (2 * g)) for g, row in enumerate(counts))
+               for p, c in enumerate(coefficients) if p % 2 == 0)
+
+
+@pytest.mark.parametrize("n,power", [(4, 6), (8, 10), (64, 18), (256, 26), (16, 13), (200, 23)])
+def test_monomial_reference_is_the_rounded_exact_moment(capsys, n, power):
+    code, out, _ = run(capsys, "resum", "--n", str(n), "--function", f"monomial:{power}",
+                       "--terms", "2", "--compare")
+    assert code == 0
+    # An odd moment is 0.0, where the Gauss rule left noise of about 1e-9.
+    want = float(_exact_average(n, [0.0] * power + [1.0]))
+    assert repr(json.loads(out)["reference"]) == repr(want)
+
+
+def test_taylor_file_reference_is_the_rounded_exact_value(tmp_path, capsys):
+    coefficients = [0.5, -1.25, 0.1, 3.0, -0.3, 0.0, 1e-3, 7.0, 2.0 ** -30]
+    path = tmp_path / "poly.txt"
+    path.write_text("\n".join(map(repr, coefficients)) + "\n")
+    code, out, _ = run(capsys, "resum", "--n", "3", "--function", f"taylor-file:{path}",
+                       "--terms", "3", "--compare")
+    assert code == 0
+    assert repr(json.loads(out)["reference"]) == repr(float(_exact_average(3, coefficients)))
+
+
+def test_references_past_the_double_range_are_refused(capsys):
+    # The gauss reference at N=256, sigma = 125.44 is 7.6e505; the series
+    # of that type is past the degree cap, so only the reference is asked.
+    with pytest.raises(ValueError, match=r"^--function gauss parameter 125\.44: the reference "
+                                         r"at N = 256 leaves the double range$"):
+        cli.reference_integral(cli.FunctionSpec("gauss", 125.44), 256)
+    code, out, err = run(capsys, "resum", "--n", "1", "--function", "monomial:640",
+                         "--terms", "2", "--compare")
+    assert (code, out) == (1, "")
+    assert err == ("error: --function monomial parameter 640: the reference at N = 1 "
+                   "leaves the double range\n")
 
 
 def test_gauss_compare_near_the_divergence_answers(capsys):

@@ -392,6 +392,80 @@ def test_genus_counts_are_the_moments():
             assert got == pytest.approx(float(want), rel=1e-12)
 
 
+def _fraction_moments(n, k_max):
+    """M_0, M_2, ..., M_{2 k_max} of p_N as Fractions, from the Harer-Zagier
+    recursion in M itself: (k+2) M_{2k+2} = (4k+2) M_{2k}
+    + k(4k^2-1) N^{-2} M_{2k-2}."""
+    moments = [Fraction(1), Fraction(1)]
+    for k in range(1, k_max):
+        moments.append(((4 * k + 2) * moments[k]
+                        + Fraction(k * (4 * k * k - 1), n * n) * moments[k - 1]) / (k + 2))
+    return moments[:k_max + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 256])
+def test_even_moments_are_the_fraction_recursion_and_the_genus_sums(n):
+    """N^k M_{2k} to degree 646, the largest the basis conversion takes."""
+    scaled = laplace._even_moments(n, 323)
+    assert all(type(m) is int for m in scaled)
+    assert [Fraction(m, n ** k) for k, m in enumerate(scaled)] == _fraction_moments(n, 323)
+    counts = laplace._genus_counts(323, 161)
+    for k, m in enumerate(scaled):
+        assert m == sum(row[k] * n ** (k - 2 * g) for g, row in enumerate(counts[:k // 2 + 1]))
+        assert not any(row[k] for row in counts[k // 2 + 1:])
+    assert laplace._even_moments(n, 0) == [1]
+
+
+@pytest.mark.parametrize("n,coefficients", [
+    (1, [0.0] * 4 + [1.0]), (2, [0.0] * 4 + [1.0]), (8, [0.0] * 10 + [1.0]),
+    (256, [0.0] * 26 + [1.0]), (256, [0.0] * 646 + [1.0]), (3, [0.0] * 7 + [1.0]),
+    (5, [0.3, -1.0, 0.1, 2.5, -0.7, 0.0, 1e-3]), (64, [-1.0] * 41), (4, [0.0] * 21 + [-1.0])],
+    ids=["t4-1", "t4-2", "t10-8", "t26-256", "t646-256", "odd", "mixed", "ones", "odd-neg"])
+def test_polynomial_average_is_the_rounded_exact_value(n, coefficients):
+    moments = _fraction_moments(n, len(coefficients) // 2)
+    want = sum(Fraction(c) * moments[p // 2] for p, c in enumerate(coefficients) if p % 2 == 0)
+    got = laplace.polynomial_average(n, coefficients)
+    assert type(got) is float and repr(got) == repr(float(want))
+
+
+def test_polynomial_average_past_the_double_range_is_infinite():
+    # M_640 at N=1 is 639!!, about 1e762.
+    assert laplace.polynomial_average(1, [0.0] * 640 + [1.0]) == math.inf
+    assert laplace.polynomial_average(1, [0.0] * 640 + [-1.0]) == -math.inf
+    assert laplace.polynomial_average(1, [1e308] * 3) == math.inf
+
+
+GAUSS_SIZES = list(range(1, 40)) + [64, 100, 128, 200, 255, 256]
+
+
+# Measured: at most 1.2e-14 relative over this grid (N=256, sigma = 76.8).
+@pytest.mark.parametrize("n", GAUSS_SIZES)
+def test_gauss_average_against_60_digits(n):
+    """r 2F1(1 - N, 1/2; 2; -4v) is the Laguerre sum term by term."""
+    sigmas = [0.0, 0.01, 0.05, 0.1, 0.2, 0.45, 0.95, 2.0, 0.1 * n, 0.3 * n, 0.45 * n, 0.49 * n]
+    with mp.workdps(60):
+        for sigma in sigmas:
+            if not sigma < n / 2:
+                continue
+            s = mp.mpf(sigma)
+            want = mp.sqrt(n / (n - 2 * s)) * mp.hyp2f1(1 - n, mp.mpf(1) / 2, 2, -4 * s / (n - 2 * s))
+            got = laplace.gauss_average(n, sigma)
+            if want > mp.mpf(np.finfo(float).max):
+                assert got == math.inf, sigma
+            else:
+                assert abs(got - want) <= 5e-14 * want, sigma
+
+
+def test_gauss_average_edges():
+    # N=256, sigma = 0.49 N: the integral is 7.6e505.
+    assert laplace.gauss_average(256, 125.44) == math.inf
+    for n, sigma in [(1, 0.0), (256, 0.0), (4, -0.0)]:
+        assert laplace.gauss_average(n, sigma) == 1.0
+    for n, sigma in [(2, 1.0), (4, -0.1), (4, math.nan), (256, 128.0)]:
+        with pytest.raises(ValueError, match="sigma < N/2"):
+            laplace.gauss_average(n, sigma)
+
+
 def _stirling_mirror(s, depth):
     """c_0..c_depth of laplace_expansion from the unsigned Stirling numbers
     of the first kind, in 120 digits: c_l = sum_j (s^2/2)^j / j! (-1)^(l-j)

@@ -169,3 +169,95 @@ def test_depth_validation():
         operators.correction_functionals(np.ones(5), -1)
     with pytest.raises(ValueError):
         operators.resum_partial_sums(np.ones(3), 0)
+
+
+def _reference_differentiate(coefficients):
+    """D as it was written before the pair cumsum: one cumsum per parity,
+    the factors built per call, the output zero-started.  The reference
+    for the bits of ``differentiate``."""
+    a = np.asarray(coefficients, dtype=float)
+    tail = np.empty_like(a)
+    for parity in (0, 1):
+        tail[parity::2] = np.cumsum(a[parity::2][::-1], axis=0)[::-1]
+    out = np.zeros_like(a)
+    factors = np.arange(2.0, len(a) + 1.0).reshape((-1,) + (1,) * (a.ndim - 1))
+    out[:-1] = factors * (tail[1:] + 0.0)
+    return out
+
+
+def _reference_eigenvalue_inverse(coefficients):
+    a = np.asarray(coefficients, dtype=float)
+    n = np.arange(len(a), dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
+    return a / ((n + 1.0) * (n + 3.0))
+
+
+def _reference_correction(coefficients):
+    d = _reference_differentiate
+    return d(d(d(_reference_eigenvalue_inverse(d(coefficients)))))
+
+
+def _signed_zero_data(size, rng):
+    """Random vectors of one length with exact zeros of both signs: mixed
+    magnitudes, every entry -0.0, one parity -0.0 under the other, and
+    -0.0 above one nonzero entry."""
+    mixed = rng.standard_normal(size) * rng.choice([0.0, 1.0, 1e-3, 1e3], size)
+    mixed[rng.random(size) < 0.3] *= -1.0
+    parity = rng.standard_normal(size)
+    parity[::2] = -0.0
+    low = np.full(size, -0.0)
+    low[0] = 1.5
+    return [mixed, np.full(size, -0.0), parity, low, rng.standard_normal(size)]
+
+
+@pytest.mark.parametrize("size", list(range(1, 13)) + [50, 51, 300, 647])
+def test_lean_operators_are_the_reference_bits(size):
+    rng = np.random.default_rng(size)
+    for a in _signed_zero_data(size, rng) + [np.eye(size)]:
+        for got, want in [(operators.differentiate(a), _reference_differentiate(a)),
+                          (operators.eigenvalue_inverse(a), _reference_eigenvalue_inverse(a)),
+                          (operators.correction(a), _reference_correction(a))]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_cached_factors_are_not_writable():
+    operators.differentiate(np.ones(9))
+    for factors in operators._factors(9, 1):
+        assert not factors.flags.writeable
+
+
+def _full_loop(coefficients, depth):
+    """Every correction pass to the full depth, as the functionals were
+    computed before they stopped at an all-zero pass."""
+    out = [gegenbauer.semicircle_functional(coefficients)]
+    cur = coefficients
+    for _ in range(depth):
+        cur = operators.correction(cur)
+        out.append(gegenbauer.semicircle_functional(cur))
+    return np.array(out)
+
+
+def test_functionals_stop_at_a_zero_pass_with_the_full_loop_bits():
+    from guespec import cli
+
+    specs = [cli.FunctionSpec("monomial", float(p)) for p in range(41)]
+    rng = np.random.default_rng(24)
+    taylor = rng.uniform(-1.0, 1.0, 37)
+    taylor[5] = -0.0
+    specs.append(cli.FunctionSpec("taylor-file", coefficients=tuple(taylor)))
+    # t^4 - 2: alpha_0 is 0.0, alpha_1 is not.
+    specs.append(cli.FunctionSpec("taylor-file", coefficients=(-2.0, 0.0, 0.0, 0.0, 1.0)))
+    for spec in specs:
+        series = cli.build_series(spec, 0, None, 1e-12)
+        for depth in (0, 1, 2, 5, 11, 12, 60):
+            got = operators.correction_functionals(series, depth)
+            want = _full_loop(series.coefficients, depth)
+            assert got.tobytes() == want.tobytes(), (spec.kind, spec.parameter, depth)
+
+
+def test_functionals_of_a_short_polynomial_take_one_pass(monkeypatch):
+    passes = []
+    correction = operators.correction
+    monkeypatch.setattr(operators, "correction", lambda a: passes.append(1) or correction(a))
+    got = operators.correction_functionals(gegenbauer.taylor_to_basis([0.0, 0.0, 1.0]), 100000)
+    assert got.tolist() == [1.0] + [0.0] * 100000
+    assert len(passes) == 1
