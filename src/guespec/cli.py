@@ -165,6 +165,10 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
                              f"past the cap {cap}")
     if spec.kind == "monomial":
         power = int(spec.parameter)
+        # The exact conversion's cost grows with the degree (about 4 s at
+        # degree 5000), so a power past the cap is refused before it runs.
+        if power > cap:
+            raise ValueError(f"--function monomial:{power} has degree {power}, past the cap {cap}")
         coeffs = [0.0] * power + [1.0]
         return gegenbauer.BasisSeries(gegenbauer.taylor_to_basis(coeffs))
     if spec.kind in ("exp", "cos"):
@@ -295,13 +299,18 @@ def cmd_resum(args) -> int:
     spec = parse_function_spec(args.function)
     series = build_series(spec, args.terms, args.sigma, args.tol)
     # Shown as a plain line: Python's warning display would print the
-    # source path and line of this call.
-    with warnings.catch_warnings(record=True) as caught:
+    # source path and line of this call.  The passes' own overflow is not
+    # relayed pass by pass: a non-finite result is refused once below.
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("always")
         alphas = operators.correction_functionals(series, args.terms)
+        partial = operators.resum_partial_sums(alphas, args.n)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    partial = operators.resum_partial_sums(alphas, args.n)
+    if not (np.isfinite(alphas).all() and np.isfinite(partial).all()):
+        raise ValueError(f"--terms {args.terms}: the correction passes of {args.function} "
+                         "leave the double range")
     payload = {
         "alphas": [float(v) for v in alphas],
         "function": args.function,
@@ -358,6 +367,14 @@ def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
 def cmd_moments(args) -> int:
     from . import gegenbauer, operators, quadrature
 
+    # Every moment is at least its genus-0 term, the Catalan number C_k
+    # (the genus expansion's terms are nonnegative), so a --max whose C_k
+    # lies past the double range is refused before any rule is built.
+    k = args.max // 2
+    if k > 0 and (math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)
+                  > math.log(sys.float_info.max)):
+        raise ValueError(f"--max {args.max}: the moment of order {2 * k} is at least the "
+                         f"Catalan number C_{k}, past the double range")
     rows = []
     # A moment past the double range comes out inf or nan; numpy's warnings
     # about it would print ahead of the refusal, with source paths.  The

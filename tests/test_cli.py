@@ -391,7 +391,9 @@ def test_resum_cos_30_alpha_0_is_the_bessel_value(capsys):
     ("cos:1", "200", "--terms 200 needs a series of degree at least 800"),
     ("cos:1e10", "3", "cos parameter 10000000000.0 at depth 3 needs at least"),
     ("exp:800", "3", "exp parameter 800.0: the basis coefficients leave the double range"),
-], ids=["exp-terms", "gauss-terms", "cos-terms", "cos-parameter", "exp-parameter"])
+    ("monomial:5000", "2", "--function monomial:5000 has degree 5000, past the cap 646"),
+], ids=["exp-terms", "gauss-terms", "cos-terms", "cos-parameter", "exp-parameter",
+        "monomial-degree"])
 def test_resum_sizes_are_refused_before_work(capsys, function, terms, message):
     start = time.perf_counter()
     code, out, err = run(capsys, "resum", "--n", "4", "--function", function, "--terms", terms)
@@ -399,6 +401,21 @@ def test_resum_sizes_are_refused_before_work(capsys, function, terms, message):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert elapsed < 0.1
+
+
+# The passes overflow long before the cap: each used to print its numpy
+# warning as a line of its own (95 of them), and without --compare the last
+# line was the JSON encoder's.  No Python warning escapes either.
+@pytest.mark.parametrize("compare", [(), ("--compare",)], ids=["plain", "compare"])
+def test_resum_overflowing_passes_are_refused_once(capsys, compare):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "resum", "--n", "4", "--function", "monomial:646",
+                             "--terms", "200", *compare)
+    assert (code, out) == (1, "")
+    assert err == ("error: --terms 200: the correction passes of monomial:646 leave the "
+                   "double range\n")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_resum_taylor_file(tmp_path, capsys):
@@ -454,6 +471,25 @@ def test_moments_table(capsys):
     assert rows[4]["quadrature"] == pytest.approx(2.0625, rel=1e-12)
     assert rows[4]["expansion"] == pytest.approx(2.0625, rel=1e-12)
     assert rows[4]["difference"] < 1e-12
+
+
+# Every moment is at least the Catalan number C_{max // 2}: C_519 is below
+# the largest double and C_520 above it.  --max 100000 used to build a
+# 50001-node rule for about 50 s before its refusal.
+@pytest.mark.parametrize("top", ["1040", "100000"])
+def test_moments_past_the_catalan_bound_are_refused_before_work(monkeypatch, capsys, top):
+    monkeypatch.setattr(quadrature, "density_rule", _raise(AssertionError))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "moments", "--n", "256", "--max", top)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --max {top}: ") and err.count("\n") == 1
+    assert elapsed < 0.1
+
+
+def test_moments_below_the_catalan_bound_build_their_rule(monkeypatch, capsys):
+    monkeypatch.setattr(quadrature, "density_rule", _raise(ValueError))
+    assert run(capsys, "moments", "--n", "256", "--max", "1039") == (1, "", "error: injected\n")
 
 
 def test_stirling_json_and_csv(capsys):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from guespec import _floattext
 
@@ -52,6 +53,41 @@ def test_special_families_print_as_repr():
                              _neighbours(extremes), [0.0, -0.0]])
     family = family[np.isfinite(family)]
     _check_line(np.concatenate([family, -family]))
+
+
+# Bit patterns that take the kernel's rare branches, found by a scan of the
+# branch conditions over doubles near 2^50..2^64 and over uniform bits,
+# which reach most of them only by chance of the seed.  r is z mod 1000,
+# delta the interval's width, both in units of 10^m; the fraction words
+# of z and delta decide, and where they tie, Dragonbox's parity product.
+# No double was found that ties on the middle and has the other parity.
+_RARE_BRANCHES = {
+    # r = 0, z an integer and c odd: the right end is excluded
+    # (1.8014398509481988e+16, not ...990).
+    "right-end-excluded": [0x4350000000000001, 0x435000000000000B],
+    # r = delta: 1000 f is in the interval ...
+    "left-end-inside": [0x64FEB75E34E5062F, 0x2CF78D820B7C39FE],
+    # ... or not, and the small divisor decides.
+    "left-end-outside": [0x6C200A7E17385EF0, 0x1EF2EABC012CAB01],
+    # The same two, where the fraction words tie.
+    "left-end-tie-inside": [0x4350000000000002, 0x435000000000000C],
+    "left-end-tie-outside": [0x4350000000000007, 0x4350000000000011],
+    # A small-divisor remainder divisible by 100 whose middle has the other
+    # parity: one less.
+    "middle-one-less": [0x43E00000000000B5, 0x43E0000000000132, 0x3F112D842E42D193],
+    # The middle halfway between two candidates: the even one
+    # (2^50 + 0.25 prints as 1125899906842624.2).
+    "middle-tie-to-even": [0x4310000000000001, 0x4310000000000005],
+    # Powers of two whose symmetric interval would give another decimal
+    # (2^64 would print as 1.844674407370955e+19).
+    "shorter-interval": [0x0040000000000000, 0x0060000000000000, 0x43F0000000000000],
+}
+
+
+@pytest.mark.parametrize("branch", list(_RARE_BRANCHES))
+def test_rare_branches_print_as_repr(branch):
+    values = np.array(_RARE_BRANCHES[branch], dtype=np.uint64).view(np.float64)
+    _check_line(np.concatenate([values, -values]))
 
 
 def test_rows_are_lines_of_comma_separated_cells():
