@@ -34,10 +34,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .gegenbauer import BasisSeries
 
-#: Smallest Taylor degree of gauss:sigma data, the one kind still expanded from
-#: Taylor data (exp and cos take gegenbauer.plane_wave_series).
-DEFAULT_EXPANSION_DEGREE = 80
-
 #: The names of verify.SUITES, in its order, without importing verify.
 VERIFY_SUITES = ("density", "ode", "laplace", "moments", "operators", "basis",
                  "stirling", "sampling", "probe")
@@ -135,20 +131,6 @@ def read_taylor_file(path: str) -> list[float]:
     return coeffs
 
 
-def _powers_over_factorials(a: float, degree: int) -> list[float]:
-    """a^k / k! for k = 0..degree, each correctly rounded: with a = p / q
-    exactly, p^k / (q^k k!) is one int / int true division of exact
-    integers (OverflowError past the double range)."""
-    p, q = a.as_integer_ratio()
-    num, den = 1, 1
-    out = [1.0]
-    for k in range(1, degree + 1):
-        num *= p
-        den *= q * k
-        out.append(num / den)
-    return out
-
-
 def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
                  tol: float) -> BasisSeries:
     from . import gegenbauer
@@ -156,13 +138,6 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
     if sigma is not None and spec.kind != "taylor-file":
         raise ValueError("--sigma applies to taylor-file functions only")
     cap = gegenbauer._BAND_DEGREE_CAP
-    if spec.kind in ("exp", "cos", "gauss"):
-        # These series grow by four coefficients per correction pass, so a
-        # size past the cap is refused before any work.
-        least = 4 * terms + (20 if spec.kind == "gauss" else 0)
-        if least > cap:
-            raise ValueError(f"--terms {terms} needs a series of degree at least {least}, "
-                             f"past the cap {cap}")
     if spec.kind == "monomial":
         power = int(spec.parameter)
         # The exact conversion's cost grows with the degree (about 4 s at
@@ -171,21 +146,12 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
             raise ValueError(f"--function monomial:{power} has degree {power}, past the cap {cap}")
         coeffs = [0.0] * power + [1.0]
         return gegenbauer.BasisSeries(gegenbauer.taylor_to_basis(coeffs))
-    if spec.kind in ("exp", "cos"):
+    if spec.kind in ("exp", "cos", "gauss"):
+        # Four coefficients per correction pass: a size past the cap is refused before work.
+        if 4 * terms > cap:
+            raise ValueError(f"--terms {terms} needs a series of degree at least {4 * terms}, "
+                             f"past the cap {cap}")
         return gegenbauer.plane_wave_series(spec.kind, spec.parameter, terms)
-    if spec.kind == "gauss":
-        sig = spec.parameter
-        # The certified band tail 2 * 3^n * C (8 e sigma / n)^{n/2} only
-        # starts decaying past n ~ 72 e sigma; truncate beyond that or the
-        # certificate is huge no matter how accurate the coefficients are.
-        degree = max(DEFAULT_EXPANSION_DEGREE, 4 * terms + 20,
-                     2 * (math.ceil(36.0 * math.e * sig) + 10))
-        if degree > cap:
-            raise ValueError(f"--function gauss parameter {sig!r} needs Taylor degree "
-                             f"{degree}, past the cap {cap}")
-        taylor = [0.0] * (degree + 1)
-        taylor[::2] = _powers_over_factorials(sig, degree // 2)
-        return gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sig), tol)
     return gegenbauer.expand_entire(
         gegenbauer.TaylorSeries(spec.coefficients, sigma if sigma is not None else 0.0), tol)
 
@@ -235,8 +201,8 @@ def cmd_density(args) -> int:
         closers = [f'],"{key}":[' for key in keys[1:]] + [f'],"n":{args.n}}}\n']
         write(f'{{"{keys[0]}":[')
         for piece in _floattext.format_rows(np.stack([columns[key] for key in keys])):
-            # A newline ends a row: close its array, open the next one.
-            *lines, rest = piece.split("\n")
+            # A newline ends a row: close its array, open the next (most pieces hold none).
+            *lines, rest = piece.split("\n") if "\n" in piece else (piece,)
             for line in lines:
                 write(line + closers.pop(0))
             write(rest)

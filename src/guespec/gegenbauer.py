@@ -20,12 +20,13 @@ integers and rounded once: exact Fractions or correctly rounded floats
 at any degree.
 
 Entire functions of order <= 2 and finite type sigma admit rapidly
-decaying expansions in this basis; ``expand_entire`` converts truncated
-Taylor data, keeps every coefficient, bounds for a positive type what
-lies past the input degree on the band |z| <= 3 with the nominal envelope
-|f_n| <= 2 * 3^n, and rejects coefficient growth inconsistent with the
-declared type.  Note the envelope is an honest bound only on the real
-interval; ``growth_bound_report`` measures (and reports, rather than
+decaying expansions in this basis: ``plane_wave_series`` gives those of
+e^{at}, cos(at) and e^{sigma t^2} from Bessel values.  ``expand_entire``
+converts Taylor data, keeps every coefficient, bounds for a positive type
+what lies past the input degree on the band |z| <= 3 with the nominal
+envelope |f_n| <= 2 * 3^n, and rejects coefficient growth inconsistent
+with the declared type.  Note the envelope is an honest bound only on the
+real interval; ``growth_bound_report`` measures (and reports, rather than
 hides) how far the complex-circle maxima exceed it.
 """
 
@@ -48,9 +49,14 @@ _GROWTH_FLOOR = 10  # indices below this are absorbed into the constant
 #: takes 0.03-0.11 s (2-core Xeon), at 2n 0.4-0.6 s and at 4n about 4 s.
 _BAND_DEGREE_CAP = 646
 
-#: plane_wave_series ends a series where every later coefficient is below
-#: this fraction of the largest, before the four indices per correction pass.
+#: plane_wave_series ends a series where every later coefficient, and
+#: every later term of its deepest functional, is below this fraction of
+#: the largest.
 _PLANE_WAVE_CUT = 2.0 ** -60
+
+#: Largest type sigma of e^{sigma t^2} in plane_wave_series, whose
+#: connection cancels like sigma^2 (see the README's resum section).
+_GAUSS_TYPE_CAP = 3.2
 
 _LOG_MAX = math.log(np.finfo(float).max)  # 709.78...
 
@@ -313,7 +319,8 @@ def _scaled_bessel(sign: float, b: float, top: int) -> np.ndarray:
 
 
 def plane_wave_series(kind: str, a: float, depth: int) -> BasisSeries:
-    """Basis coefficients of e^{at} (kind "exp") or cos(at) (kind "cos").
+    """Basis coefficients of e^{at} (kind "exp"), cos(at) (kind "cos") or
+    e^{at^2} (kind "gauss", 0 <= a <= _GAUSS_TYPE_CAP).
 
     Gegenbauer's plane-wave expansion (Watson, *Treatise on the Theory of
     Bessel Functions*, ch. XI; DLMF 10.23) in f_n(t) = C_n^{(2)}(t/2):
@@ -321,29 +328,39 @@ def plane_wave_series(kind: str, a: float, depth: int) -> BasisSeries:
         e^{at}  = sum_n (n+2) I_{n+2}(2a) / a^2 f_n(t),
         cos(at) = sum_{n even} (-1)^{n/2} (n+2) J_{n+2}(2a) / a^2 f_n(t).
 
-    The Bessel values come from ``_scaled_bessel``, normalised by
-    e^{2a} = I_0 + 2 sum_k I_k or 1 = J_0 + 2 sum_k J_{2k}.  The series
-    keeps L = 4 depth + c(a) coefficients, c(a) the first index past which
-    every coefficient is below 2^-60 of the largest: each of ``depth``
-    correction passes consumes four indices from the top.  tail_bound is
-    sum_{n >= L} |c_n| f_n(2), f_n(2) = (n+1)(n+2)(n+3)/6 being the
-    largest |f_n| on [-2, 2].  Refused (ValueError) where the largest
-    coefficient leaves the double range, or where the series would need
-    more than _BAND_DEGREE_CAP + 1 coefficients.
+    With t = 2 cos(theta), e^{at^2} = e^{2a} [I_0(2a) + 2 sum_k I_k(2a)
+    T_{2k}(t/2)] (DLMF 10.35); two connection steps (DLMF 18.9) take its
+    Chebyshev coefficients c_m to u_0 = c_0 - c_2/2, u_m = (c_m - c_{m+2})/2
+    (in U_m) and to u_n/(n+1) - u_{n+2}/(n+3) (in f_n).  The Bessel values
+    come from ``_scaled_bessel``, normalised by e^{2a} = I_0 + 2 sum_k I_k
+    or 1 = J_0 + 2 sum_k J_{2k}.
+
+    The series ends after the last b_n of at least 2^-60 of the largest, after
+    the last term b_n <T^depth f_n> of alpha_depth above 2^-60 of its largest,
+    and not before 4 depth + 1 (zeros where those underflow).  The weights
+    grow steeply (1.1e43 at n = 64, depth 12), so alpha_depth reads past the
+    function's cut, far past for gauss, whose b_n fall like a^{n/2} / (n/2)!.
+    They vanish at odd n and n < 4g; exact passes for g <= 4 give
+    n (n-2) ... (n-4g+2) (n+2)^2 (n+4) ... (n+4g+2) times a polynomial of
+    degree 2g - 2, taken as (n+2)^{2g-2}.  tail_bound is sum_{n >= L} |b_n|
+    f_n(2), f_n(2) = (n+1)(n+2)(n+3)/6 = max |f_n| on [-2, 2].  Refused
+    (ValueError) where the largest coefficient leaves the double range, for a
+    gauss type outside [0, _GAUSS_TYPE_CAP], or past _BAND_DEGREE_CAP + 1 b_n.
     """
-    if kind not in ("exp", "cos"):
-        raise ValueError(f"kind must be 'exp' or 'cos', got {kind!r}")
+    if kind not in ("exp", "cos", "gauss"):
+        raise ValueError(f"kind must be 'exp', 'cos' or 'gauss', got {kind!r}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not math.isfinite(a):
         raise ValueError(f"{kind} parameter must be finite, got {a!r}")
-    sign, b = (1.0 if kind == "exp" else -1.0), abs(a)
-    # Refused before any Bessel value: c_0 = 2 I_2(2b) / b^2 is past the
-    # double range once e^b is, and J_k(2b) is not small for k < 2b, so
-    # c(a) >= 2b - 2.
-    if sign > 0 and b > _LOG_MAX:
+    sign, b = (-1.0 if kind == "cos" else 1.0), abs(a)
+    # Refused before any Bessel value: c_0 = 2 I_2(2b) / b^2 is past the double range
+    # once e^b is, and cos keeps 2b - 2 coefficients or more (J_k(2b) is large for k < 2b).
+    if kind == "exp" and b > _LOG_MAX:
         raise ValueError(f"exp parameter {a!r}: the basis coefficients leave the double range")
-    least = 4 * depth + (max(1, math.ceil(2.0 * b) - 2) if sign < 0 else 1)
+    if kind == "gauss" and not 0.0 <= a <= _GAUSS_TYPE_CAP:
+        raise ValueError(f"gauss parameter {a!r} is outside [0, {_GAUSS_TYPE_CAP}]")
+    least = max(4 * depth + 1, math.ceil(2.0 * b) - 2 if sign < 0 else 1)
     if least > _BAND_DEGREE_CAP + 1:
         raise ValueError(f"{kind} parameter {a!r} at depth {depth} needs at least {least} "
                          f"basis coefficients, more than {_BAND_DEGREE_CAP + 1}")
@@ -356,15 +373,31 @@ def plane_wave_series(kind: str, a: float, depth: int) -> BasisSeries:
         powers = min(b, 1.0) ** np.arange(top + 1.0)
         terms = powers * values
         norm = terms[0] + 2.0 * (terms[1:].sum() if sign > 0 else terms[2::2].sum())
-        n = np.arange(top - 1.0)
-        # (n+2) B_{n+2} / b^2 = (n+2) mu^n values[n+2] / max(b, 1)^2, mu = min(b, 1).
-        coeffs = (n + 2.0) * powers[:-2] * values[2:] / (norm * math.exp(-lift) * max(b, 1.0) ** 2)
+        if kind == "gauss":
+            # c_{2k} = 2 e^{2b} I_k(2b), c_0 doubled so that u_0 is like u_m.  An odd
+            # length ends the series on an even index, which the tail below reads.
+            n = np.arange(top + 1.0 - top % 2)
+            c = np.zeros(len(n) + 4)
+            c[::2] = terms[:len(n) // 2 + 3] * (2.0 * math.exp(2.0 * b) / (norm * math.exp(-lift)))
+            u = 0.5 * (c[:-2] - c[2:])
+            coeffs = u[:-2] / (n + 1.0) - u[2:] / (n + 3.0)
+        else:
+            n = np.arange(top - 1.0)
+            # (n+2) B_{n+2} / b^2 = (n+2) mu^n values[n+2] / max(b, 1)^2, mu = min(b, 1).
+            coeffs = (n + 2.0) * powers[:-2] * values[2:] / (norm * math.exp(-lift) * max(b, 1.0) ** 2)
         if sign < 0:
             # 0.0 - x, not -x: an underflowed coefficient stays +0.0.
             coeffs[1::2] = 0.0
             coeffs[2::4] = 0.0 - coeffs[2::4]
+        # log |b_n| (m+2g+1)! / (m-2g)! (m+1)^{2g-1} + const at n = 2m = 4g + 2j, g = depth.
         size = np.abs(coeffs)
-        length = 4 * depth + int(np.flatnonzero(size >= _PLANE_WAVE_CUT * size.max())[-1]) + 1
+        j = np.arange((len(size) + 1) // 2 - 2 * depth, dtype=float)
+        with np.errstate(divide="ignore"):
+            reads = (np.log(size[4 * depth::2]) + (2 * depth - 1) * np.log(j + 2 * depth + 1)
+                     + np.log((j + 4 * depth + 1) / np.maximum(j, 1)).cumsum())
+        read = np.flatnonzero(reads > reads.max() + math.log(_PLANE_WAVE_CUT))
+        length = 1 + max(int(np.flatnonzero(size >= _PLANE_WAVE_CUT * size.max())[-1]),
+                         4 * depth + 2 * int(read.max(initial=0)))
         if length > _BAND_DEGREE_CAP + 1:
             raise ValueError(f"{kind} parameter {a!r} at depth {depth} needs {length} basis "
                              f"coefficients, more than {_BAND_DEGREE_CAP + 1}")

@@ -274,7 +274,16 @@ def test_expand_entire_rejects_unachievable_tolerance():
 
 def _plane_wave_reference(kind, a, length):
     """(n+2) I_{n+2}(2a) / a^2, or (-1)^{n/2} (n+2) J_{n+2}(2a) / a^2 on even
-    n and 0 on odd n, by mpmath at 30 digits, rounded once."""
+    n and 0 on odd n, by mpmath at 30 digits, rounded once; for gauss, the
+    Chebyshev coefficients of e^{at^2} and their two connection steps (see
+    plane_wave_series) at 50 digits."""
+    if kind == "gauss":
+        with mp.workdps(50):
+            a = mp.mpf(a)
+            c = [mp.e ** (2 * a) * mp.besseli(k // 2, 2 * a) * (2 - (k == 0)) * (1 - k % 2)
+                 for k in range(length + 4)]
+            u = [c[0] - c[2] / 2] + [(c[m] - c[m + 2]) / 2 for m in range(1, length + 2)]
+            return np.array([float(u[n] / (n + 1) - u[n + 2] / (n + 3)) for n in range(length)])
     with mp.workdps(30):
         a = mp.mpf(a)
         if kind == "exp":
@@ -327,23 +336,51 @@ def test_plane_wave_negative_parameter():
                 == gegenbauer.plane_wave_series("cos", a, 4).coefficients.tolist())
 
 
-@pytest.mark.parametrize("kind,a", [("exp", 1.0), ("exp", 30.0), ("cos", 2.5), ("cos", 40.0)])
+# The two differences of the connection cancel like sigma^2: the measured
+# worst coefficient is 1.4e-18, 4.6e-16, 1.4e-15, 2.4e-15 and 1.7e-15 of the
+# largest at these types.
+def test_gauss_coefficients_against_mpmath():
+    for sigma in (0.25, 1.0, 2.0, 3.198, 3.2):
+        got = gegenbauer.plane_wave_series("gauss", sigma, 3).coefficients
+        want = _plane_wave_reference("gauss", sigma, len(got))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sigma
+
+
+def _cut_length(coefficients, depth):
+    """The length plane_wave_series's docstring states, term by term: one
+    past the last index with a coefficient of at least 2^-60 of the largest,
+    or with a term above 2^-60 of the largest in alpha_depth, whose weight
+    at n = 2m is (m+2g+1)! / (m-2g)! (m+1)^{2g-1}, g = depth, up to a
+    constant; and at least 4 depth + 1."""
+    size = np.abs(coefficients)
+    last = max(n for n in range(len(size)) if size[n] >= 2.0 ** -60 * size.max())
+    g = depth
+    reads = {n: math.log(size[n]) + math.lgamma(n / 2 + 2 * g + 2) - math.lgamma(n / 2 - 2 * g + 1)
+             + (2 * g - 1) * math.log(n / 2 + 1) for n in range(4 * g, len(size), 2) if size[n]}
+    if reads:
+        most = max(reads.values())
+        last = max(last, max(n for n, r in reads.items() if r > most - 60 * math.log(2)))
+    return max(last, 4 * depth) + 1
+
+
+@pytest.mark.parametrize("kind,a", [("exp", 1.0), ("exp", 30.0), ("cos", 2.5), ("cos", 40.0),
+                                    ("gauss", 0.5), ("gauss", 3.2)])
 def test_plane_wave_length_and_tail(kind, a):
-    """L = 4 depth + c(a); every coefficient past c(a) is below 2^-60 of the
-    largest; tail_bound covers sum_{n >= L} |c_n| f_n(2) of the exact series."""
-    base = gegenbauer.plane_wave_series(kind, a, 0).coefficients
-    size = np.abs(base)
-    cut = len(base)
-    assert size[cut - 1] >= 2.0 ** -60 * size.max()
-    for depth in (1, 5):
+    """L is the cut of ``_cut_length`` on the exact series: every coefficient
+    past it is below 2^-60 of the largest; tail_bound covers
+    sum_{n >= L} |c_n| f_n(2) of the exact series."""
+    size = np.abs(gegenbauer.plane_wave_series(kind, a, 0).coefficients)
+    assert size[-1] >= 2.0 ** -60 * size.max()
+    for depth in (0, 1, 5, 12):
         series = gegenbauer.plane_wave_series(kind, a, depth)
         length = len(series.coefficients)
-        assert length == 4 * depth + cut
+        exact = _plane_wave_reference(kind, a, length + 200)
+        assert length == _cut_length(exact, depth)
         n = np.arange(length, length + 200)
-        dropped = np.abs(_plane_wave_reference(kind, a, length + 200)[length:])
+        dropped = np.abs(exact[length:])
         assert (dropped < 2.0 ** -60 * size.max()).all()
-        exact = float(np.sum(dropped * (n + 1.0) * (n + 2.0) * (n + 3.0) / 6.0))
-        assert exact <= series.tail_bound <= 1.01 * exact
+        total = float(np.sum(dropped * (n + 1.0) * (n + 2.0) * (n + 3.0) / 6.0))
+        assert total <= series.tail_bound <= 1.01 * total
     # f_n(2) = (n+1)(n+2)(n+3)/6 is the largest |f_n| on [-2, 2].
     t = np.linspace(-2.0, 2.0, 401)
     m = np.arange(40.0)
@@ -376,6 +413,10 @@ def test_plane_wave_refusals():
     for a in (math.nan, math.inf):
         with pytest.raises(ValueError, match="cos parameter must be finite"):
             gegenbauer.plane_wave_series("cos", a, 2)
+    # A gauss type past the cap, or negative, is refused before any work.
+    for a in (3.2000000000000006, 50.0, -0.1, math.inf):
+        with pytest.raises(ValueError, match="gauss parameter"):
+            gegenbauer.plane_wave_series("gauss", a, 2)
     with pytest.raises(ValueError, match="kind"):
         gegenbauer.plane_wave_series("sin", 1.0, 2)
 
