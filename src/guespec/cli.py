@@ -330,8 +330,27 @@ def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
         return None
 
 
+def _moment_rows(n: int, rule, powers) -> list[tuple]:
+    """(p, quadrature, expansion, difference) for each power p: the
+    expansion from ceil(p/4) correction passes, run once for all powers on
+    the matrix of the monomials' basis vectors."""
+    from . import gegenbauer, operators
+
+    vectors = [gegenbauer.taylor_to_basis([0.0] * p + [1.0]) for p in powers]
+    alphas = operators.batched_functionals(vectors, [math.ceil(p / 4) for p in powers])
+    rows = []
+    for power, a in zip(powers, alphas):
+        series_val = float(operators.resum_partial_sums(a, n)[-1])
+        quad_val = float(rule.integrate(lambda t: t ** power))
+        row = (power, quad_val, series_val, abs(quad_val - series_val))
+        if not all(map(math.isfinite, row)):
+            raise ValueError("refusing to print a non-finite number")
+        rows.append(row)
+    return rows
+
+
 def cmd_moments(args) -> int:
-    from . import gegenbauer, operators, quadrature
+    from . import quadrature
 
     # Every moment is at least its genus-0 term, the Catalan number C_k
     # (the genus expansion's terms are nonnegative), so a --max whose C_k
@@ -341,23 +360,14 @@ def cmd_moments(args) -> int:
                   > math.log(sys.float_info.max)):
         raise ValueError(f"--max {args.max}: the moment of order {2 * k} is at least the "
                          f"Catalan number C_{k}, past the double range")
-    rows = []
     # A moment past the double range comes out inf or nan; numpy's warnings
     # about it would print ahead of the refusal, with source paths.  The
-    # highest orders are the ones that leave the range, so they are computed
-    # first and refused before the lower orders cost anything.
+    # highest order is the first to leave the range, so it is computed
+    # alone first and refused before the lower orders cost anything.
     with np.errstate(over="ignore", invalid="ignore"):
         rule = quadrature.density_rule(args.n, args.max)
-        for power in range(args.max, -1, -1):
-            mono = [0.0] * power + [1.0]
-            a = gegenbauer.taylor_to_basis(mono)
-            series_val = operators.resummed_integral(a, args.n, math.ceil(power / 4))
-            quad_val = float(rule.integrate(lambda t: t ** power))
-            row = (power, quad_val, series_val, abs(quad_val - series_val))
-            if not all(map(math.isfinite, row)):
-                raise ValueError("refusing to print a non-finite number")
-            rows.append(row)
-    rows.reverse()
+        top = _moment_rows(args.n, rule, [args.max])
+        rows = _moment_rows(args.n, rule, range(args.max)) + top
     if args.format == "json":
         _emit_json({
             "moments": [{"difference": d, "expansion": s, "p": p, "quadrature": q}

@@ -162,27 +162,38 @@ def _ladder(n: int, k: int, half_nx, prev, cur, out, tmp):
     return out
 
 
-def _square_sums(n: int, k_max: int, x, weighted: bool = True) -> np.ndarray:
+def _square_sums(n: int, k_max: int, x, weighted: bool = True, inner: int | None = None):
     """sum_{k <= k_max} psi_k(x)^2, or htilde_k(x)^2 unweighted, vectorized
     over x in O(points) memory: at a node of the (k_max + 1)-node Gauss
     rule, 1 / (weight * e^{n x^2/2}), or 1 / weight.  Rows are added from
     0.0 in row order, the order of numpy's axis-0 reduction of the stacked
     frame, so the bits agree.  No overflow check: an unweighted sum is inf
-    or nan exactly where the true sum lies past the double range."""
+    or nan exactly where the true sum lies past the double range.
+
+    With ``inner`` = j <= k_max, returns (the sum to j, the sum to k_max)
+    from the one pass: the running sum after row j is the sum to j bit for
+    bit."""
     x = _points(n, k_max, x)
     total = np.empty(x.shape)
+    outs = [total] if inner is None else [total, np.empty(x.shape)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for points, (block,), work in _blocks(x, [total], 4):
+        for points, (block, *partial), work in _blocks(x, outs, 4):
             start = _start(n)
             if weighted:
                 start, lift, points = _weighted_start(n, points)
             block.fill(0.0)
-            for _, row in _rows(n, k_max, points, start, _ring(k_max, work), work[3]):
+            rows = _rows(n, k_max, points, start, _ring(k_max, work), work[3])
+            for k, (_, row) in enumerate(rows):
                 np.multiply(row, row, out=work[3])
                 block += work[3]
+                if k == inner:
+                    np.copyto(partial[0], block)
             if weighted:
-                block *= _unlift(lift, work[3])
-    return total[()]
+                for sums in (block, *partial):
+                    sums *= _unlift(lift, work[3])
+    if inner is None:
+        return total[()]
+    return outs[1][()], total[()]
 
 
 def _unlift(lift, out):
@@ -220,18 +231,27 @@ def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
     return out
 
 
-def christoffel_sum(n: int, k_max: int, x) -> np.ndarray:
+def christoffel_sum(n: int, k_max: int, x, extend_to: int | None = None):
     """sum_{k <= k_max} htilde_k(x)^2, vectorized over x in O(points) memory.
 
     Its reciprocal is the Gauss weight at a node of the (k_max + 1)-point
     rule; times exp(-n x^2 / 2) / n at k_max = n - 1 it is p_N(x).  Raises
     ValueError at the first point where the sum overflows the double range
     (at N=256, k_max=255 from |x| ~ 2.656 on).
+
+    With ``extend_to`` = K >= k_max the same recurrence pass runs on to
+    row K and returns (the sum to k_max, the sum to K); only the first is
+    refused, the second is inf or nan where it passes the double range.
     """
     x = _points(n, k_max, x)
-    total = _square_sums(n, k_max, x, weighted=False)
+    if extend_to is None:
+        total = _square_sums(n, k_max, x, weighted=False)
+    elif extend_to < k_max:
+        raise ValueError(f"extend_to = {extend_to} below k_max = {k_max}")
+    else:
+        total, extended = _square_sums(n, extend_to, x, weighted=False, inner=k_max)
     _refuse_overflow("christoffel_sum", n, k_max, x, np.isfinite(total))
-    return total
+    return total if extend_to is None else (total, extended)
 
 
 def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:

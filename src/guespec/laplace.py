@@ -171,22 +171,24 @@ def stirling_table(max_n: int) -> StirlingTable:
     return StirlingTable(max_n=max_n, rows=tuple(rows))
 
 
-def _genus_counts(m_max: int, g_max: int) -> list[list[int]]:
+def _genus_counts(m_max: int, g_max: int, rows=None) -> list[list[int]]:
     """Harer-Zagier genus counts eps_g(m), rows g = 0..g_max, columns m = 0..m_max.
 
     int t^{2m} p_N(t) dt = sum_g eps_g(m) N^{-2g}.  The table comes from
     eps_0(0) = 1 and (m+1) eps_g(m) = 2(2m-1) eps_g(m-1)
     + (m-1)(2m-1)(2m-3) eps_{g-1}(m-2) (Harer and Zagier, Invent. Math. 85,
-    1986), whose division by m + 1 is exact.
+    1986), whose division by m + 1 is exact.  Given ``rows``, a table of an
+    earlier call with the same g_max, the columns it lacks are appended to
+    it in place, and it is returned.
     """
-    rows = [[0] * (m_max + 1) for _ in range(g_max + 1)]
-    rows[0][0] = 1
-    for m in range(1, m_max + 1):
-        for g in range(g_max + 1):
-            total = 2 * (2 * m - 1) * rows[g][m - 1]
+    if rows is None:
+        rows = [[1]] + [[0] for _ in range(g_max)]
+    for m in range(len(rows[0]), m_max + 1):
+        for g, row in enumerate(rows):
+            total = 2 * (2 * m - 1) * row[m - 1]
             if g and m >= 2:
                 total += (m - 1) * (2 * m - 1) * (2 * m - 3) * rows[g - 1][m - 2]
-            rows[g][m] = total // (m + 1)
+            row.append(total // (m + 1))
     return rows
 
 
@@ -248,11 +250,12 @@ def gauss_average(n: int, sigma: float) -> float:
     return math.sqrt(n / (n - 2.0 * sigma)) * total
 
 
-def _genus_sums(x: int, y: int, d: int, m_top: int, g_top: int) -> list[complex]:
-    """sum_{m <= m_top} eps_g(m) w^m / (2m)! for g = 0..g_top, w = (x + iy) / d:
+def _genus_sums(x: int, y: int, d: int, m_top: int, counts) -> list[complex]:
+    """sum_{m <= m_top} eps_g(m) w^m / (2m)! for the rows g of ``counts``
+    (``_genus_counts`` through column m_top at least), w = (x + iy) / d:
     Horner's rule over integers, one division per part at the end."""
     out = []
-    for row in _genus_counts(m_top, g_top):
+    for row in counts:
         re, im, den = row[m_top], 0, 1
         for m in range(m_top - 1, -1, -1):
             den *= d * (2 * m + 1) * (2 * m + 2)
@@ -284,12 +287,14 @@ def laplace_expansion(s, depth: int) -> np.ndarray:
     r = abs(z) ** 2 / 2.0
     g_top = depth // 2
     m_top, need = -1, 2 * g_top  # the first nonzero term of c_{2 g_top}
+    counts = None  # one table, extended as M grows
     while need != m_top:
         if need > _MAX_TERMS:
             raise ValueError(f"the expansion at |s| = {abs(z):.3g} to depth {depth} "
                              f"needs more than {_MAX_TERMS} terms")
         m_top = need
-        sums = _genus_sums(x, y, d, m_top, g_top)
+        counts = _genus_counts(m_top, g_top, counts)
+        sums = _genus_sums(x, y, d, m_top, counts)
         # Below the smallest normal double the rounding grid is fixed.
         log_floor = math.log(max(min(map(abs, sums)), 2.0 ** -1022)) - 60 * math.log(2.0)
         # Once M + 2 > r the tail is below r^{M+1} / (M+1)! over 1 - r / (M+2).

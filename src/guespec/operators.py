@@ -11,7 +11,11 @@ Everything here acts on coefficient vectors in the f_n basis of
   of g (the sum of its even coefficients).
 
 Each acts along axis 0, so applied to a matrix it acts on every column,
-bit for bit as on that column alone.
+bit for bit as on that column alone, zero padding below the column
+included.  The semicircle average of a column is another matter: numpy's
+pairwise ``sum`` orders its additions by the length summed, so a batch of
+series keeps its bits only when each column's functional is taken at that
+column's own length (``batched_functionals``).
 
 Composing, the correction operator T = D^3 o H o D converts moments of
 the finite-N eigenvalue density into semicircle data: for polynomial
@@ -169,6 +173,37 @@ def correction_functionals(series, depth: int) -> np.ndarray:
         if not cur.any():
             break
         out[k] = semicircle_functional(cur)
+    return out
+
+
+def batched_functionals(vectors, depths) -> list[np.ndarray]:
+    """``correction_functionals(v, depth)`` for each exact coefficient vector
+    v and its depth, bit for bit, from max(depths) passes over one matrix
+    whose columns are the vectors, zero-padded to the longest.
+
+    A pass leaves a padded column's entries those of a pass on the column
+    alone and zeros past its length, as the sums of ``differentiate`` run
+    from the top, where zeros add nothing.  The functionals are not: the
+    order of numpy's pairwise ``sum`` depends on the length summed, so each
+    is taken over its column's own length.  Columns whose depth is reached
+    leave the matrix.
+    """
+    lengths = [len(v) for v in vectors]
+    out = [np.zeros(depth + 1) for depth in depths]
+    if not vectors:
+        return out
+    cur = np.zeros((max(lengths), len(vectors)))
+    for j, v in enumerate(vectors):
+        cur[:lengths[j], j] = v
+    active = list(range(len(vectors)))
+    for k in range(max(depths) + 1):
+        if k:
+            cur = correction(cur)
+        for i, j in enumerate(active):
+            out[j][k] = semicircle_functional(cur[:lengths[j], i])
+        keep = [i for i, j in enumerate(active) if depths[j] > k]
+        if len(keep) < len(active):
+            cur, active = cur[:, keep], [active[i] for i in keep]
     return out
 
 

@@ -66,14 +66,25 @@ def gauss_nodes(n: int, count: int) -> np.ndarray:
     return tridiagonal_eigenvalues(np.zeros(count), np.sqrt(np.arange(1, count) / n))
 
 
-def gaussian_rule(n: int, count: int) -> QuadratureRule:
+def gaussian_rule(n: int, count: int, density: bool = False) -> QuadratureRule:
     """Gauss rule for integrals of f(t) exp(-n t^2 / 2) over the line, exact
     for polynomials of degree 2*count - 1: the ``gauss_nodes``, weighted by
-    the reciprocal Christoffel sums 1 / sum_{k<count} htilde_k(t_j)^2."""
+    the reciprocal Christoffel sums 1 / sum_{k<count} htilde_k(t_j)^2.
+
+    With ``density`` (count >= n), the rule for f(t) p_n(t) instead: each
+    weight also takes p_n's factor sum_{k<n} htilde_k(t_j)^2 / n, the
+    running sum after row n - 1 of the same recurrence pass, which is
+    ``christoffel_sum(n, n - 1)`` bit for bit and refused as it is.
+    """
     nodes = gauss_nodes(n, count)
+    if density:
+        kernel, sums = christoffel_sum(n, n - 1, nodes, extend_to=count - 1)
+    else:
+        sums = _square_sums(n, count - 1, nodes, weighted=False)
     # A Christoffel sum past the double range means a weight below it.
-    sums = _square_sums(n, count - 1, nodes, weighted=False)
     weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)
+    if density:
+        weights = weights * kernel / n
     return QuadratureRule(nodes, weights)
 
 
@@ -89,8 +100,7 @@ def density_rule(n: int, degree: int) -> QuadratureRule:
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    rule = gaussian_rule(n, (degree + 2 * (n - 1)) // 2 + 1)
-    return QuadratureRule(rule.nodes, rule.weights * christoffel_sum(n, n - 1, rule.nodes) / n)
+    return gaussian_rule(n, (degree + 2 * (n - 1)) // 2 + 1, density=True)
 
 
 @dataclass(frozen=True)

@@ -162,9 +162,20 @@ _TRANSFORM_TOL = 1e-8
 _REMAINDER_TARGET, _MAX_NODES = 2.0 ** -44, 1050
 
 
-def _gauss_sum(n: int, s, offset: float, m: int):
+def _kernel_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m Gauss nodes u_k for exp(-n u^2/2) and lam_k = 1/sum_{j<m}
+    psi_j(u_k)^2, the weights times e^{n u_k^2/2}: ``_gauss_sum``'s rule,
+    which depends on (n, m) alone."""
+    u = quadrature.gauss_nodes(n, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u, 1.0 / hermite._square_sums(n, m - 1, u)
+
+
+def _gauss_sum(n: int, s, offset: float, m: int, rule=None):
     """The m-node Gauss sum for int e^{s lam} K_n(lam+offset, lam-offset) d lam
-    and a bound on its error (Gautschi, Orthogonal Polynomials, 2004, ch. 1).
+    and a bound on its error (Gautschi, Orthogonal Polynomials, 2004, ch. 1),
+    on ``rule`` = ``_kernel_rule(n, m)`` (built if not given), which it
+    leaves unchanged.
 
     s = sigma + i tau, a = sigma/n: the integral is e^{sigma^2/2n - n
     offset^2/2 + i tau a} int e^{-n u^2/2} e^{i tau u} P(u) du, P(u) =
@@ -180,9 +191,8 @@ def _gauss_sum(n: int, s, offset: float, m: int):
     error of u^L Sbar, of degree 2m.
     """
     sigma, tau = s.real, s.imag
-    u = quadrature.gauss_nodes(n, m)
+    u, lam = _kernel_rule(n, m) if rule is None else rule
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = 1.0 / hermite._square_sums(n, m - 1, u)
         q = n * (u * u + offset * offset) / 4.0 - sigma * sigma / (4.0 * n)
         start, lift, x = hermite._weighted_start(
             n, np.concatenate([u + (sigma / n + offset), u + (sigma / n - offset)]), np.tile(q, 2))
@@ -190,7 +200,7 @@ def _gauss_sum(n: int, s, offset: float, m: int):
         for _, row in hermite._rows(n, n - 1, x, start, hermite._ring(n - 1, work), work[3]):
             cross += row[:m] * row[m:]
             squares += row * row
-        lam *= np.exp(-2.0 * lift[:m])
+        lam = lam * np.exp(-2.0 * lift[:m])
         if not tau:
             return float(np.sum(lam * cross)), 0.0
         phase = np.exp(1j * tau * u)
@@ -215,19 +225,24 @@ def _gauss_error_log(n: int, tau: float, m: int) -> float:
             + math.lgamma(m + 1) - math.lgamma(n))
 
 
-def kernel_pair_transform(n: int, s, offset: float):
+def kernel_pair_transform(n: int, s, offset: float, rules: dict | None = None):
     """int e^{s lam} K_n(lam+offset, lam-offset) d lam by Gauss sums,
     independent of the closed form, and a certified bound on its error:
     (value, remainder).  Real s takes the exact n-node sum; complex s the
     first of m = n + 1, n + 2, n + 4, ... nodes whose remainder meets the
-    target.
+    target.  ``rules`` maps (n, m) to the ``_kernel_rule`` built for it: a
+    caller with many s and offsets passes one dict to all its calls, and
+    each rule is built once.
     """
+    rules = {} if rules is None else rules
     m = n + bool(s.imag)
     while True:
         # Only time is at stake: skip rungs whose Gauss error term alone,
         # taken relative to its exponential, is above the target.
         if not s.imag or _gauss_error_log(n, s.imag, m) <= math.log(_REMAINDER_TARGET):
-            value, remainder = _gauss_sum(n, s, offset, m)
+            if (n, m) not in rules:
+                rules[n, m] = _kernel_rule(n, m)
+            value, remainder = _gauss_sum(n, s, offset, m, rules[n, m])
             if not cmath.isfinite(value):
                 raise ValueError(f"--s {s!r}: the Gauss sum of the kernel transform at "
                                  f"N = {n} leaves the double range")
@@ -243,11 +258,12 @@ def suite_laplace() -> list[CheckResult]:
     out = []
     worst = 0.0
     worst_at = None
+    rules = {}
     for n in (1, 2, 5, 10):
         for s in (0.0, 0.5, -0.5, 1.0, 2j):
             for offset in (0.0, 0.3, 1.0):
                 closed = laplace.kernel_laplace(n, s, offset)
-                direct, _ = kernel_pair_transform(n, s, offset)
+                direct, _ = kernel_pair_transform(n, s, offset, rules)
                 diff = abs(closed - direct)
                 # two grid points are exact zeros of the closed form; there
                 # the absolute deviation is the only meaningful measure
@@ -315,9 +331,8 @@ def suite_moments() -> list[CheckResult]:
     zeros_ok = True
     rules = {n: quadrature.density_rule(n, 12) for n in (2, 4, 8)}
     counts = laplace._genus_counts(6, 4)
-    for p in range(13):
-        mono = [0.0] * p + [1.0]
-        alphas = operators.correction_functionals(gegenbauer.taylor_to_basis(mono), 4)
+    monomials = [gegenbauer.taylor_to_basis([0.0] * p + [1.0]) for p in range(13)]
+    for p, alphas in enumerate(operators.batched_functionals(monomials, [4] * 13)):
         for g, alpha in enumerate(alphas):
             want = 0 if p % 2 else counts[g][p // 2]
             if want == 0:

@@ -507,6 +507,51 @@ def test_moments_past_the_catalan_bound_are_refused_before_work(monkeypatch, cap
     assert elapsed < 0.1
 
 
+# A moment past the double range is refused from the top order alone,
+# before the lower orders are computed; the overflow of the rule's
+# Christoffel factor is refused as christoffel_sum's.
+@pytest.mark.parametrize("n,top,message", [
+    (8, 302, "refusing to print a non-finite number"),
+    (1, 236, "refusing to print a non-finite number"),
+    (256, 400, "refusing to print a non-finite number"),
+    (256, 426, "christoffel_sum(N=256, k_max=255) overflows the double range "
+               "at x = -2.6559746558804935"),
+])
+def test_moments_past_the_double_range_are_refused_quickly(capsys, n, top, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "moments", "--n", str(n), "--max", str(top))
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert elapsed < 0.1
+
+
+def _per_power_moments(n, top):
+    """The moments table from one resummed_integral per power, each on its
+    own basis vector: the route before the passes ran on one matrix."""
+    from guespec import gegenbauer, operators
+
+    rule = quadrature.density_rule(n, top)
+    rows = []
+    for p in range(top + 1):
+        a = gegenbauer.taylor_to_basis([0.0] * p + [1.0])
+        expansion = operators.resummed_integral(a, n, math.ceil(p / 4))
+        moment = float(rule.integrate(lambda t: t ** p))
+        rows.append({"difference": abs(moment - expansion), "expansion": expansion, "p": p,
+                     "quadrature": moment})
+    return rows
+
+
+@pytest.mark.parametrize("n,top", [(1, 0), (4, 1), (35, 16), (8, 40), (64, 120)])
+def test_batched_moments_are_the_per_power_route(capsys, n, top):
+    code, out, _ = run(capsys, "moments", "--n", str(n), "--max", str(top))
+    assert code == 0
+    got = json.loads(out)["moments"]
+    want = _per_power_moments(n, top)
+    assert [p["p"] for p in got] == list(range(top + 1))
+    assert [{k: repr(v) for k, v in row.items()} for row in got] == \
+        [{k: repr(v) for k, v in row.items()} for row in want]
+
+
 def test_moments_below_the_catalan_bound_build_their_rule(monkeypatch, capsys):
     monkeypatch.setattr(quadrature, "density_rule", _raise(ValueError))
     assert run(capsys, "moments", "--n", "256", "--max", "1039") == (1, "", "error: injected\n")
@@ -814,14 +859,17 @@ def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message
 
 
 # Each command builds each quadrature rule once: one Jacobi eigenproblem per
-# ensemble size, however many polynomials it integrates, and for the basis
-# suite one semicircle rule for the Gram matrix and one for the averages.
+# ensemble size, however many polynomials it integrates, for the basis
+# suite one semicircle rule for the Gram matrix and one for the averages,
+# and for the laplace suite one Gauss rule per (N, node count) of its
+# kernel transforms, shared by their s values and offsets (65 transforms).
 @pytest.mark.parametrize("argv,name,builds", [
     (("moments", "--n", "256", "--max", "8"), "tridiagonal_eigenvalues", 1),
     (("verify", "--suite", "moments"), "tridiagonal_eigenvalues", 3),
     (("verify", "--suite", "operators"), "tridiagonal_eigenvalues", 2),
     (("verify", "--suite", "basis"), "semicircle_rule", 2),
-], ids=["moments", "verify-moments", "verify-operators", "verify-basis"])
+    (("verify", "--suite", "laplace"), "gauss_nodes", 10),
+], ids=["moments", "verify-moments", "verify-operators", "verify-basis", "verify-laplace"])
 def test_quadrature_rules_are_built_once(monkeypatch, capsys, argv, name, builds):
     calls = []
     build = getattr(quadrature, name)

@@ -482,3 +482,29 @@ def test_size_and_argument_validation():
         hermite.normalized_hermite(3, 4, np.array([0.0, np.inf]))
     with pytest.raises(ValueError):
         hermite.weighted_frame(3, 4, np.array([np.nan]))
+
+
+@pytest.mark.parametrize("n,k_max,extend_to", [(1, 0, 0), (3, 2, 9), (64, 63, 100),
+                                               (256, 255, 299), (256, 255, 450)])
+def test_extended_christoffel_sum_is_both_sums_from_one_pass(n, k_max, extend_to):
+    """The running sum after row k_max is christoffel_sum(n, k_max) bit for
+    bit, refused as it is, while the sum to extend_to is the unrefused
+    longer sum (inf or nan past the double range: 450 rows at N=256)."""
+    x = np.linspace(-2.6, 2.6, BLOCK + 5)
+    inner, outer = hermite.christoffel_sum(n, k_max, x, extend_to=extend_to)
+    assert _same_bits(inner, hermite.christoffel_sum(n, k_max, x))
+    assert _same_bits(outer, hermite._square_sums(n, extend_to, x, weighted=False))
+    if extend_to == 450:
+        assert not np.isfinite(outer).all()
+    with pytest.raises(ValueError, match=re.escape("x = -3.0")):
+        hermite.christoffel_sum(256, 255, np.array([1.0, -3.0]), extend_to=300)
+    with pytest.raises(ValueError, match="below k_max"):
+        hermite.christoffel_sum(n, k_max, x, extend_to=k_max - 1)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_weighted_running_sum_is_the_shorter_sum(n):
+    grid = np.linspace(-40.0, 40.0, 2001)  # past N x^2/4 = 700: lifted starts
+    inner, outer = hermite._square_sums(n, 2 * n, grid, inner=n - 1)
+    assert _same_bits(inner, hermite.kernel_diag(n, grid))
+    assert _same_bits(outer, hermite._square_sums(n, 2 * n, grid))

@@ -569,3 +569,45 @@ def test_density_polynomial_route_consistency():
     # <t^2> under the density equals the l=0 and l=2 terms: 1 + 0/N^2
     got = quadrature.density_rule(7, 2).integrate(lambda t: t * t)
     assert got == pytest.approx(1.0, rel=1e-13)
+
+
+def test_shared_kernel_rules_keep_the_bits_of_fresh_ones():
+    """One rules dict across N, s and offsets, as suite_laplace passes it:
+    every transform equals its call without the dict bit for bit, each rule
+    is keyed by (N, node count) and left as built, and the complex s take
+    two more rungs of the node ladder (the rungs between, whose Gauss error
+    term alone misses the target, are skipped unbuilt)."""
+    from guespec import verify
+    rules = {}
+    # At N = 64, c = 7 the weighted rows start lifted (N c^2 / 4 > 700),
+    # and the sum takes e^{-2L} into its weights.
+    for n, c in ((2, 0.0), (2, 0.3), (5, 0.0), (5, 0.3), (64, 7.0)):
+        for s in (0.5, -1.0, 2j, 1 + 3j):
+            shared = verify.kernel_pair_transform(n, s, c, rules)
+            assert repr(shared) == repr(verify.kernel_pair_transform(n, s, c)), (n, s, c)
+    assert sorted(rules) == [(2, 2), (2, 18), (2, 34), (5, 5), (5, 21), (5, 37), (64, 64),
+                             (64, 80)]
+    for (n, m), (u, lam) in rules.items():
+        fresh_u, fresh_lam = verify._kernel_rule(n, m)
+        assert u.tobytes() == fresh_u.tobytes() and lam.tobytes() == fresh_lam.tobytes()
+
+
+def test_genus_counts_extend_in_place():
+    table = laplace._genus_counts(4, 3)
+    assert laplace._genus_counts(30, 3, table) is table
+    assert table == laplace._genus_counts(30, 3)
+
+
+def test_laplace_expansion_builds_one_count_table(monkeypatch):
+    """The table is built once per call and extended as the term count M
+    grows, here from 4 to 35."""
+    tables, sizes = [], []
+    counts = laplace._genus_counts
+
+    def spy(m_max, g_max, rows=None):
+        tables.append(rows is None)
+        sizes.append(m_max)
+        return counts(m_max, g_max, rows)
+    monkeypatch.setattr(laplace, "_genus_counts", spy)
+    laplace.laplace_expansion(3.0, 4)
+    assert (tables, sizes) == ([True, False], [4, 35])

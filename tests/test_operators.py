@@ -261,3 +261,33 @@ def test_functionals_of_a_short_polynomial_take_one_pass(monkeypatch):
     got = operators.correction_functionals(gegenbauer.taylor_to_basis([0.0, 0.0, 1.0]), 100000)
     assert got.tolist() == [1.0] + [0.0] * 100000
     assert len(passes) == 1
+
+
+def test_batched_functionals_are_the_per_vector_bits():
+    """Columns of many lengths in one matrix, depths past the point where a
+    polynomial's passes reach zero, signed zeros, and one column alone:
+    every functional is correction_functionals' on that vector alone."""
+    rng = np.random.default_rng(27)
+    vectors, depths = [], []
+    for size in (1, 2, 5, 9, 16, 17, 33, 64, 65, 130):
+        for a in _signed_zero_data(size, rng):
+            vectors.append(a)
+            depths.append(int(rng.integers(0, size // 3 + 3)))
+    vectors += [gegenbauer.taylor_to_basis([0.0] * p + [1.0]) for p in range(41)]
+    depths += [math.ceil(p / 4) for p in range(41)]
+    for got, a, depth in zip(operators.batched_functionals(vectors, depths), vectors, depths):
+        assert got.tobytes() == operators.correction_functionals(a, depth).tobytes()
+    for a, depth in [(vectors[-1], 10), (np.ones(3), 0)]:
+        (got,) = operators.batched_functionals([a], [depth])
+        assert got.tobytes() == operators.correction_functionals(a, depth).tobytes()
+    assert operators.batched_functionals([], []) == []
+
+
+def test_batched_functionals_run_the_deepest_column_passes(monkeypatch):
+    passes = []
+    correction = operators.correction
+    monkeypatch.setattr(operators, "correction", lambda a: passes.append(a.shape) or correction(a))
+    vectors = [gegenbauer.taylor_to_basis([0.0] * p + [1.0]) for p in range(17)]
+    operators.batched_functionals(vectors, [math.ceil(p / 4) for p in range(17)])
+    # Four passes, each over the columns whose depth is not yet reached.
+    assert passes == [(17, 16), (17, 12), (17, 8), (17, 4)]

@@ -346,3 +346,16 @@ def gauss_series(n, sig):
 def test_gauss_reference_matches_the_moment_series(n, sig):
     got = cli.reference_integral(cli.parse_function_spec(f"gauss:{sig}"), n)
     assert got == pytest.approx(gauss_series(n, sig), rel=2e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 255, 256])
+@pytest.mark.parametrize("degree", [0, 2, 8, 40])
+def test_density_rule_is_the_two_pass_construction_bitwise(n, degree):
+    """One recurrence pass gives both Christoffel sums: the rule equals the
+    Gauss rule's weights times christoffel_sum(n, n - 1) / n, each from its
+    own pass, bit for bit."""
+    rule = quadrature.density_rule(n, degree)
+    gauss = quadrature.gaussian_rule(n, (degree + 2 * (n - 1)) // 2 + 1)
+    weights = gauss.weights * hermite.christoffel_sum(n, n - 1, gauss.nodes) / n
+    assert rule.nodes.tobytes() == gauss.nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
