@@ -140,12 +140,10 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
     cap = gegenbauer._BAND_DEGREE_CAP
     if spec.kind == "monomial":
         power = int(spec.parameter)
-        # The exact conversion's cost grows with the degree (about 4 s at
-        # degree 5000), so a power past the cap is refused before it runs.
+        # Refused before any work, as a series of any other kind past the cap is.
         if power > cap:
             raise ValueError(f"--function monomial:{power} has degree {power}, past the cap {cap}")
-        coeffs = [0.0] * power + [1.0]
-        return gegenbauer.BasisSeries(gegenbauer.taylor_to_basis(coeffs))
+        return gegenbauer.BasisSeries(gegenbauer.monomial_to_basis(power))
     if spec.kind in ("exp", "cos", "gauss"):
         # Four coefficients per correction pass: a size past the cap is refused before work.
         if 4 * terms > cap:
@@ -336,7 +334,7 @@ def _moment_rows(n: int, rule, powers) -> list[tuple]:
     the matrix of the monomials' basis vectors."""
     from . import gegenbauer, operators
 
-    vectors = [gegenbauer.taylor_to_basis([0.0] * p + [1.0]) for p in powers]
+    vectors = [gegenbauer.monomial_to_basis(p) for p in powers]
     alphas = operators.batched_functionals(vectors, [math.ceil(p / 4) for p in powers])
     rows = []
     for power, a in zip(powers, alphas):

@@ -164,6 +164,27 @@ def taylor_to_basis(coefficients, exact: bool = False):
     return _round_once(quotients, exact)
 
 
+def monomial_to_basis(power: int) -> np.ndarray:
+    """Basis coefficients of t^power: a_n = p! (n+2) / (l! (n+l+2)!) at
+    n = p - 2l, and 0.0 at n of the other parity.
+
+    Each is one int / int division of the quotient ``taylor_to_basis``
+    forms for the monomial, so the bits are its bits (and past the double
+    range the same OverflowError), from O(p) big-integer products instead
+    of its O(p^2) Horner steps.
+    """
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    fact = [1]
+    for j in range(1, power + 3):
+        fact.append(fact[-1] * j)
+    a = np.zeros(power + 1)
+    for l in range(power // 2 + 1):
+        n = power - 2 * l
+        a[n] = (n + 2) * fact[power] / (fact[l] * fact[n + l + 2])
+    return a
+
+
 def basis_to_taylor(coefficients, exact: bool = False):
     """Monomial coefficients b_j of sum_n a_n f_n (inverse of taylor_to_basis).
 

@@ -181,11 +181,8 @@ def _square_sums(n: int, k_max: int, x, weighted: bool = True, inner: int | None
             start = _start(n)
             if weighted:
                 start, lift, points = _weighted_start(n, points)
-            block.fill(0.0)
             rows = _rows(n, k_max, points, start, _ring(k_max, work), work[3])
-            for k, (_, row) in enumerate(rows):
-                np.multiply(row, row, out=work[3])
-                block += work[3]
+            for k, _ in enumerate(_add_squares(rows, k_max, block, work[3])):
                 if k == inner:
                     np.copyto(partial[0], block)
             if weighted:
@@ -194,6 +191,19 @@ def _square_sums(n: int, k_max: int, x, weighted: bool = True, inner: int | None
     if inner is None:
         return total[()]
     return outs[1][()], total[()]
+
+
+def _add_squares(rows, k_max: int, sums, tmp):
+    """Passes the (previous, current) rows of ``_rows`` on, first adding the
+    squares of rows 0..k_max into ``sums`` from 0.0 in row order, so that
+    after row k it holds the sum to k.  ``tmp`` may be the recurrence's
+    scratch, which is free while a row is yielded."""
+    sums.fill(0.0)
+    for k, (prev, row) in enumerate(rows):
+        if k <= k_max:
+            np.multiply(row, row, out=tmp)
+            sums += tmp
+        yield prev, row
 
 
 def _unlift(lift, out):
@@ -276,13 +286,17 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     return psi, dpsi
 
 
-def _top_blocks(n: int, x: np.ndarray, outs, width: int):
+def _top_blocks(n: int, x: np.ndarray, outs, width: int, squares: bool = False):
     """Yields (points, lift, rows, outputs, work) for the ``_blocks`` of x:
     rows n-2, n-1 and n at ``points`` (n-2 None at n = 1), lifted by e^lift,
-    and ``width`` scratch rows, the first of them the recurrence's."""
+    and ``width`` scratch rows, the first of them the recurrence's.  With
+    ``squares`` the last output holds the sum of the squares of rows
+    0..n-1, lifted by e^{2 lift}."""
     for points, block, work in _blocks(x, outs, 3 + width):
         start, lift, points = _weighted_start(n, points)
         rows = _rows(n, n, points, start, _ring(n, work), work[3])
+        if squares:
+            rows = _add_squares(rows, n - 1, block[-1], work[3])
         (below, _), (low, high) = deque(rows, maxlen=2)
         del start  # row 0 holds it now: free it before the caller's work
         yield points, lift, (below, low, high), block, work[3:]
@@ -332,13 +346,16 @@ def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
     return float((high[0] * low[1] - low[0] * high[1]) / (x - y))
 
 
-def _top_density(n: int, x, orders: int) -> tuple:
+def _top_density(n: int, x, orders: int, squares: bool = False) -> tuple:
     """p_N (orders = 1) or p_N and its first three derivatives (orders = 4)
-    at x from the lifted top rows, the products times e^{-2L}."""
+    at x from the lifted top rows, the products times e^{-2L}.  With
+    ``squares``, K_N(x, x) follows them, taken from the same pass with
+    ``kernel_diag``'s bits."""
     x = _points(n, n, x)
-    outs = [np.empty(x.shape) for _ in range(orders)]
-    blocks = _top_blocks(n, x, outs, 1 if orders == 1 else 4)
-    for points, lift, (below, low, high), (p, *derivs), (tmp, *work) in blocks:
+    outs = [np.empty(x.shape) for _ in range(orders + squares)]
+    blocks = _top_blocks(n, x, outs, 1 if orders == 1 else 4, squares)
+    for points, lift, (below, low, high), block, (tmp, *work) in blocks:
+        p, *derivs = block[:orders]
         np.multiply(low, low, out=p)
         if below is not None:
             np.multiply(high, below, out=tmp)
@@ -346,6 +363,8 @@ def _top_density(n: int, x, orders: int) -> tuple:
             p -= tmp
         unlift = _unlift(lift, work[0] if derivs else tmp)
         p *= unlift
+        if squares:
+            block[-1] *= unlift
         if not derivs:
             continue
         (d1, d2, d3), (_, dlow, dhigh) = derivs, work
@@ -374,6 +393,13 @@ def density(n: int, x) -> np.ndarray:
     return _top_density(n, x, 1)[0]
 
 
+def density_and_kernel_diag(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """``density`` and ``kernel_diag`` at x, bit for bit, from one
+    recurrence pass: the top-row Christoffel-Darboux value and the square
+    sum it stands for."""
+    return _top_density(n, x, 1, squares=True)
+
+
 def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """p_N (``density``'s bits) and its first three derivatives, all analytic:
     p' = -psi_N psi_{N-1}, p'' = -(psi_N' psi_{N-1} + psi_N psi_{N-1}') and,
@@ -382,10 +408,13 @@ def density_derivatives(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return _top_density(n, x, 4)
 
 
-def ode_residual(n: int, x) -> np.ndarray:
+def ode_residual(n: int, x, derivatives=None) -> np.ndarray:
     """Residual of p_N''' / N^2 + (4 - x^2) p_N' + x p_N, which vanishes
-    identically for the exact density."""
-    p0, p1, _, p3 = density_derivatives(n, x)
+    identically for the exact density.  ``derivatives``, if given, is
+    ``density_derivatives(n, x)``, whose pass is then not run again."""
+    if derivatives is None:
+        derivatives = density_derivatives(n, x)
+    p0, p1, _, p3 = derivatives
     x = np.asarray(x, dtype=float)
     return p3 / (n * n) + (4.0 - x * x) * p1 + x * p0
 

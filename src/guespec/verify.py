@@ -61,9 +61,10 @@ def suite_density() -> list[CheckResult]:
     gaps = []
     for n in (1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256):
         grid = np.linspace(-1.0, 1.0, 2001) * math.sqrt(4380.0 / n)  # to N x^2/4 = 1095
-        squares = hermite.kernel_diag(n, grid) / n
+        top_row, diag = hermite.density_and_kernel_diag(n, grid)
+        squares = diag / n
         normal = squares >= np.finfo(float).tiny
-        gap = np.abs(hermite.density(n, grid) - squares)[normal] / squares[normal]
+        gap = np.abs(top_row - squares)[normal] / squares[normal]
         gaps.append((float(gap.max()), n, float(grid[normal][gap.argmax()])))
     gap, n, x = max(gaps)
     out.append(_check("top-row density vs Christoffel square sum", gap <= 5e-13,
@@ -118,8 +119,9 @@ def suite_ode() -> list[CheckResult]:
     worst = 0.0
     worst_n = 0
     for n in range(1, 17):
-        p0, p1, _, p3 = hermite.density_derivatives(n, grid)
-        res = hermite.ode_residual(n, grid)
+        derivatives = hermite.density_derivatives(n, grid)
+        p0, p1, _, p3 = derivatives
+        res = hermite.ode_residual(n, grid, derivatives)
         scale = np.maximum(np.abs(p0), np.maximum(np.abs(p1), np.abs(p3) / (n * n)))
         scaled = float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
         if scaled > worst:
@@ -331,7 +333,7 @@ def suite_moments() -> list[CheckResult]:
     zeros_ok = True
     rules = {n: quadrature.density_rule(n, 12) for n in (2, 4, 8)}
     counts = laplace._genus_counts(6, 4)
-    monomials = [gegenbauer.taylor_to_basis([0.0] * p + [1.0]) for p in range(13)]
+    monomials = [gegenbauer.monomial_to_basis(p) for p in range(13)]
     for p, alphas in enumerate(operators.batched_functionals(monomials, [4] * 13)):
         for g, alpha in enumerate(alphas):
             want = 0 if p % 2 else counts[g][p // 2]

@@ -878,6 +878,27 @@ def test_quadrature_rules_are_built_once(monkeypatch, capsys, argv, name, builds
     assert code == 0 and len(calls) == builds, len(calls)
 
 
+def test_verify_density_runs_one_recurrence_per_gap_grid(monkeypatch, capsys):
+    """The gap check takes p_N and K_N(x, x) from one pass per 2001-point
+    grid, one grid for each of its 11 values of N."""
+    sizes = []
+    rows = hermite._rows
+    monkeypatch.setattr(hermite, "_rows", lambda n, k_max, x, *args: sizes.append(x.size)
+                        or rows(n, k_max, x, *args))
+    code, _, _ = run(capsys, "verify", "--suite", "density")
+    assert code == 0 and sizes.count(2001) == 11, sizes.count(2001)
+
+
+def test_verify_ode_takes_its_residuals_from_its_derivative_passes(monkeypatch, capsys):
+    """16 grids and 3 stencils, one derivative pass each."""
+    calls = []
+    derivatives = hermite.density_derivatives
+    monkeypatch.setattr(hermite, "density_derivatives",
+                        lambda n, x: calls.append(n) or derivatives(n, x))
+    code, _, _ = run(capsys, "verify", "--suite", "ode")
+    assert code == 0 and len(calls) == 19, len(calls)
+
+
 def test_resum_refuses_sigma_without_a_taylor_file(capsys):
     code, out, err = run(capsys, "resum", "--n", "8", "--function", "exp:1", "--terms", "4",
                          "--sigma", "5")

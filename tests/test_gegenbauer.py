@@ -107,6 +107,18 @@ def test_taylor_to_basis_frozen_examples():
                        [1.0, 0.0, 0.8, 0.0, 0.2], rtol=1e-14)
 
 
+@pytest.mark.parametrize("power", [0, 1, 2, 3, 12, 13, 40, 41, 150, 301, 646])
+def test_monomial_columns_are_the_taylor_conversion_bitwise(power):
+    got = gegenbauer.monomial_to_basis(power)
+    want = gegenbauer.taylor_to_basis([0.0] * power + [1.0])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_monomial_columns_refuse_a_negative_power():
+    with pytest.raises(ValueError, match="power"):
+        gegenbauer.monomial_to_basis(-1)
+
+
 def test_basis_to_taylor_inverts():
     a = np.array([0.3, -1.0, 0.0, 2.5, 0.7, 0.1])
     back = gegenbauer.taylor_to_basis(gegenbauer.basis_to_taylor(a))

@@ -508,3 +508,25 @@ def test_weighted_running_sum_is_the_shorter_sum(n):
     inner, outer = hermite._square_sums(n, 2 * n, grid, inner=n - 1)
     assert _same_bits(inner, hermite.kernel_diag(n, grid))
     assert _same_bits(outer, hermite._square_sums(n, 2 * n, grid))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256])
+@pytest.mark.parametrize("points", [2001, 2 * BLOCK + 3, pytest.param((), id="0-d")])
+def test_shared_pass_is_density_and_kernel_diag_bitwise(n, points):
+    """One pass gives p_N and K_N(x, x) with the bits of ``density`` and
+    ``kernel_diag``: on the verify gap check's grid, out to N x^2/4 = 1095
+    where the lift binds, across block boundaries and at a 0-d point."""
+    if points == ():
+        grid = np.float64(math.sqrt(2900.0 / n))  # N x^2/4 = 725: lifted
+    else:
+        grid = np.linspace(-1.0, 1.0, points) * math.sqrt(4380.0 / n)
+    top_row, diag = hermite.density_and_kernel_diag(n, grid)
+    assert _same_bits(top_row, hermite.density(n, grid))
+    assert _same_bits(diag, hermite.kernel_diag(n, grid))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_ode_residual_from_given_derivatives_is_its_own_pass(n):
+    x = np.linspace(-4.0, 4.0, 401)
+    derivatives = hermite.density_derivatives(n, x)
+    assert _same_bits(hermite.ode_residual(n, x, derivatives), hermite.ode_residual(n, x))
