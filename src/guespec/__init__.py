@@ -19,9 +19,9 @@ _EXPORTS = {name: module for module, names in {
     "gegenbauer": "BasisSeries NormParams TaylorSeries basis_to_taylor basis_values "
                   "evaluate_series expand_entire growth_bound_report monomial_to_basis "
                   "plane_wave_series semicircle_functional taylor_to_basis",
-    "hermite": "DensityProfile christoffel_sum density density_and_kernel_diag "
-               "density_derivatives density_profile kernel kernel_diag normalized_hermite "
-               "ode_residual",
+    "hermite": "DensityProfile density density_and_kernel_diag density_derivatives "
+               "density_profile kernel kernel_diag normalized_hermite ode_residual "
+               "square_sums",
     "laplace": "StirlingTable characteristic_function density_laplace gauss_average "
                "kernel_laplace laplace_expansion polynomial_average stirling_table",
     "montecarlo": "SampleBatch empirical_moment read_binary sample_spectra",

@@ -96,38 +96,40 @@ class FunctionSpec:
 
 
 def parse_function_spec(text: str) -> FunctionSpec:
+    """The spec of ``--function``; every refusal names the option."""
     kind, sep, arg = text.partition(":")
     if not sep:
-        raise ValueError(f"function spec {text!r} needs the form kind:parameter")
+        raise ValueError(f"--function {text!r} needs the form kind:parameter")
     if kind == "monomial":
-        power = int(arg)
+        power = int(arg) if arg.isdecimal() else -1
         if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        return FunctionSpec("monomial", float(power))
+            raise ValueError(f"--function monomial power must be an integer >= 0, got {arg!r}")
+        return FunctionSpec("monomial", power)
     if kind in ("exp", "cos"):
         return FunctionSpec(kind, _finite(f"--function {kind} parameter", arg))
     if kind == "gauss":
         sigma = _finite("--function gauss parameter", arg)
         if sigma < 0:
-            raise ValueError("gauss type parameter must be >= 0")
+            raise ValueError(f"--function gauss parameter must be >= 0, got {arg!r}")
         return FunctionSpec("gauss", sigma)
     if kind == "taylor-file":
         return FunctionSpec("taylor-file", coefficients=tuple(read_taylor_file(arg)))
-    raise ValueError(f"unknown function kind {kind!r} "
+    raise ValueError(f"--function kind {kind!r} is unknown "
                      "(choose monomial, exp, gauss, cos, taylor-file)")
 
 
 def read_taylor_file(path: str) -> list[float]:
-    """One coefficient per line, '#' comments and blank lines ignored."""
+    """One finite coefficient per line, '#' comments and blank lines
+    ignored; a refusal names the file and the line."""
     coeffs = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            coeffs.append(float(line))
+            coeffs.append(_finite(f"--function taylor-file:{path} line {number}", line))
     if not coeffs:
-        raise ValueError(f"no coefficients found in {path}")
+        raise ValueError(f"--function taylor-file:{path} holds no coefficients")
     return coeffs
 
 
@@ -260,6 +262,8 @@ def cmd_resum(args) -> int:
     # A NaN tolerance would pass every tail check: tail > nan is False.
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
+    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise ValueError(f"--sigma must be finite and >= 0, got {args.sigma!r}")
     spec = parse_function_spec(args.function)
     series = build_series(spec, args.terms, args.sigma, args.tol)
     # Shown as a plain line: Python's warning display would print the

@@ -25,9 +25,10 @@ starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
 e^L back out at the end, so a value is lost to underflow only where it
 lies below the smallest subnormal anyway: where the clip binds
 (N x^2/4 >= 1050), p_N < 1e-500 and every psi_k < 1e-249 for N <= 256.
-The unweighted ``normalized_hermite`` and ``christoffel_sum`` lack the
-factor exp(-N x^2/4) (squared in the sum) and pass the double range far
-sooner; they raise ValueError at the first point where a value does.
+``square_sums`` is the one Christoffel-sum pass: every Gauss weight is
+built from its lifted sums.  The unweighted ``normalized_hermite`` lacks
+the factor exp(-N x^2/4) and passes the double range far sooner; it
+raises ValueError at the first point where a value does.
 """
 
 from __future__ import annotations
@@ -162,32 +163,28 @@ def _ladder(n: int, k: int, half_nx, prev, cur, out, tmp):
     return out
 
 
-def _square_sums(n: int, k_max: int, x, weighted: bool = True, inner: int | None = None):
-    """sum_{k <= k_max} psi_k(x)^2, or htilde_k(x)^2 unweighted, vectorized
-    over x in O(points) memory: at a node of the (k_max + 1)-node Gauss
-    rule, 1 / (weight * e^{n x^2/2}), or 1 / weight.  Rows are added from
-    0.0 in row order, the order of numpy's axis-0 reduction of the stacked
-    frame, so the bits agree.  No overflow check: an unweighted sum is inf
-    or nan exactly where the true sum lies past the double range.
+def square_sums(n: int, k_max: int, x, inner: int | None = None):
+    """W_{k_max}(x) = sum_{k <= k_max} psi_k(x)^2, vectorized over x in
+    O(points) memory: at a node t of the (k_max + 1)-node Gauss rule for
+    exp(-n t^2/2) the weight is e^{-n t^2/2} / W_{k_max}(t) (Golub-Welsch),
+    and W_{n-1} = K_N(x, x).  The rows start lifted (``_weighted_start``),
+    so a sum leaves the double range only where its true value does.  Rows
+    are added from 0.0 in row order, the order of numpy's axis-0 reduction
+    of the stacked frame, so the bits agree.
 
-    With ``inner`` = j <= k_max, returns (the sum to j, the sum to k_max)
-    from the one pass: the running sum after row j is the sum to j bit for
-    bit."""
+    With ``inner`` = j <= k_max, returns (W_j, W_{k_max}) from the one
+    pass: the running sum after row j is W_j bit for bit."""
     x = _points(n, k_max, x)
     total = np.empty(x.shape)
     outs = [total] if inner is None else [total, np.empty(x.shape)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for points, (block, *partial), work in _blocks(x, outs, 4):
-            start = _start(n)
-            if weighted:
-                start, lift, points = _weighted_start(n, points)
-            rows = _rows(n, k_max, points, start, _ring(k_max, work), work[3])
-            for k, _ in enumerate(_add_squares(rows, k_max, block, work[3])):
-                if k == inner:
-                    np.copyto(partial[0], block)
-            if weighted:
-                for sums in (block, *partial):
-                    sums *= _unlift(lift, work[3])
+    for points, (block, *partial), work in _blocks(x, outs, 4):
+        start, lift, points = _weighted_start(n, points)
+        rows = _rows(n, k_max, points, start, _ring(k_max, work), work[3])
+        for k, _ in enumerate(_add_squares(rows, k_max, block, work[3])):
+            if k == inner:
+                np.copyto(partial[0], block)
+        for sums in (block, *partial):
+            sums *= _unlift(lift, work[3])
     if inner is None:
         return total[()]
     return outs[1][()], total[()]
@@ -212,23 +209,15 @@ def _unlift(lift, out):
     return np.exp(out, out=out)
 
 
-def _refuse_overflow(name: str, n: int, k_max: int, x: np.ndarray, finite) -> None:
-    """ValueError naming the first point of x (flat order) where ``finite``
-    is False."""
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise ValueError(f"{name}(N={n}, k_max={k_max}) overflows the double range "
-                         f"at x = {float(x.flat[bad[0]])!r}")
-
-
 def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
     """Values htilde_0(x) .. htilde_{k_max}(x), vectorized over x.
 
     Recurrence: htilde_{k+1} = x sqrt(n/(k+1)) htilde_k - sqrt(k/(k+1)) htilde_{k-1},
     htilde_0 = (2 pi / n)^(-1/4).  Orthonormal for the weight exp(-n x^2 / 2).
     Builds the whole (k_max + 1, points) frame; sums over k belong in
-    ``christoffel_sum``.  Raises ValueError at the first point where a value
-    overflows the double range (at N=256, k_max=255 from |x| ~ 2.66 on).
+    ``square_sums``.  Raises ValueError at the first point (flat order)
+    where a value overflows the double range (at N=256, k_max=255 from
+    |x| ~ 2.66 on).
     """
     x = _points(n, k_max, x)
     out = np.empty((k_max + 1,) + x.shape)
@@ -237,31 +226,11 @@ def normalized_hermite(n: int, k_max: int, x) -> np.ndarray:
         for _ in _rows(n, k_max, flat, _start(n), out.reshape(k_max + 1, flat.size),
                        np.empty(flat.size)):
             pass
-    _refuse_overflow("normalized_hermite", n, k_max, x, np.isfinite(out).all(axis=0))
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+    if bad.size:
+        raise ValueError(f"normalized_hermite(N={n}, k_max={k_max}) overflows the double "
+                         f"range at x = {float(x.flat[bad[0]])!r}")
     return out
-
-
-def christoffel_sum(n: int, k_max: int, x, extend_to: int | None = None):
-    """sum_{k <= k_max} htilde_k(x)^2, vectorized over x in O(points) memory.
-
-    Its reciprocal is the Gauss weight at a node of the (k_max + 1)-point
-    rule; times exp(-n x^2 / 2) / n at k_max = n - 1 it is p_N(x).  Raises
-    ValueError at the first point where the sum overflows the double range
-    (at N=256, k_max=255 from |x| ~ 2.656 on).
-
-    With ``extend_to`` = K >= k_max the same recurrence pass runs on to
-    row K and returns (the sum to k_max, the sum to K); only the first is
-    refused, the second is inf or nan where it passes the double range.
-    """
-    x = _points(n, k_max, x)
-    if extend_to is None:
-        total = _square_sums(n, k_max, x, weighted=False)
-    elif extend_to < k_max:
-        raise ValueError(f"extend_to = {extend_to} below k_max = {k_max}")
-    else:
-        total, extended = _square_sums(n, extend_to, x, weighted=False, inner=k_max)
-    _refuse_overflow("christoffel_sum", n, k_max, x, np.isfinite(total))
-    return total if extend_to is None else (total, extended)
 
 
 def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +289,7 @@ def _top_rows(n: int, x) -> tuple[tuple, tuple]:
 
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
-    return _square_sums(n, n - 1, x)
+    return square_sums(n, n - 1, x)
 
 
 def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:

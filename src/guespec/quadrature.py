@@ -8,7 +8,7 @@ Three integration needs show up repeatedly:
   whose nodes are the eigenvalues of the Jacobi matrix, from LAPACK dsterf,
   or from eigvalsh below order 16 or without the library: see
   ``tridiagonal``), and against p_N with the Christoffel factor folded into
-  the same rule's weights;
+  the same rule's weights, both from one ``hermite.square_sums`` pass;
 * general rapidly decaying integrands on the line (adaptive panels).
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import christoffel_sum, _check_size, _square_sums
+from .hermite import _check_size, square_sums
 from .tridiagonal import tridiagonal_eigenvalues
 
 
@@ -69,23 +69,24 @@ def gauss_nodes(n: int, count: int) -> np.ndarray:
 def gaussian_rule(n: int, count: int, density: bool = False) -> QuadratureRule:
     """Gauss rule for integrals of f(t) exp(-n t^2 / 2) over the line, exact
     for polynomials of degree 2*count - 1: the ``gauss_nodes``, weighted by
-    the reciprocal Christoffel sums 1 / sum_{k<count} htilde_k(t_j)^2.
+    e^{-n t_j^2/2} / W_{count-1}(t_j), W_k = sum_{j<=k} psi_j^2 the lifted
+    Christoffel sums of ``square_sums`` (Golub-Welsch).
 
-    With ``density`` (count >= n), the rule for f(t) p_n(t) instead: each
-    weight also takes p_n's factor sum_{k<n} htilde_k(t_j)^2 / n, the
-    running sum after row n - 1 of the same recurrence pass, which is
-    ``christoffel_sum(n, n - 1)`` bit for bit and refused as it is.
+    With ``density`` (count >= n), the rule for f(t) p_n(t) instead:
+    W_{n-1}(t_j) / (n W_{count-1}(t_j)), both sums from the one pass.  The
+    weight function cancels, so a weight leaves the double range only where
+    its true value does.
     """
     nodes = gauss_nodes(n, count)
     if density:
-        kernel, sums = christoffel_sum(n, n - 1, nodes, extend_to=count - 1)
+        top, sums = square_sums(n, count - 1, nodes, inner=n - 1)
+        sums = n * sums
     else:
-        sums = _square_sums(n, count - 1, nodes, weighted=False)
-    # A Christoffel sum past the double range means a weight below it.
-    weights = np.where(np.isfinite(sums), 1.0 / sums, 0.0)
-    if density:
-        weights = weights * kernel / n
-    return QuadratureRule(nodes, weights)
+        top, sums = np.exp(-n * nodes * nodes / 2.0), square_sums(n, count - 1, nodes)
+    # From n t^2/4 ~ 1095 on (outer nodes of rules past about 1100 nodes) the
+    # lifted start underflows, so both sums are 0.0; the true weight there
+    # lies below e^{-2190}.
+    return QuadratureRule(nodes, np.divide(top, sums, out=np.zeros(count), where=sums > 0.0))
 
 
 def density_rule(n: int, degree: int) -> QuadratureRule:

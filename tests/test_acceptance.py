@@ -6,10 +6,11 @@ counts, so the command and the test suite share one implementation of each
 cross-check: density mass and ODE residual, the kernel transform against
 quadrature, the monomial expansions against the genus counts, the
 operator and basis identities, the Stirling table, Monte Carlo
-concordance at 20000 spectra and the norm probe.  Criteria 4, 5 and 8 below check what no verify suite
-checks at the same strength (entire-function convergence, the inverse-power
-decay slope in 50-digit arithmetic, concordance at 1e5 spectra); criterion 9
-keeps the norm probe's 10% truncation-spread bound under its own name.
+concordance at 20000 spectra (criterion 8, folded into the ``sampling``
+suite) and the norm probe.  Criteria 4 and 5 below check what no verify
+suite checks at the same strength (entire-function convergence, the
+inverse-power decay slope in 50-digit arithmetic); criterion 9 keeps the
+norm probe's 10% truncation-spread bound under its own name.
 
 Each test prints its measured figures (visible with ``pytest -s`` or on
 failure), then asserts the stated tolerance and the runtime budget.
@@ -22,16 +23,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import (
-    cli,
-    gegenbauer,
-    hermite,
-    laplace,
-    montecarlo,
-    operators,
-    quadrature,
-    verify,
-)
+from guespec import cli, gegenbauer, laplace, operators, verify
 
 
 #: Runtime budget of one verify suite, the smallest budget of the criteria
@@ -170,47 +162,3 @@ def test_criterion_9_norm_probe_stability():
           f"probe values {values[0]:.6f} / {values[1]:.6f} / {values[2]:.6f} "
           f"at truncations 50/100/200, spread = {spread:.2%} (tol 10%)",
           elapsed, 5.0)
-
-
-def test_criterion_8_monte_carlo_concordance():
-    t0 = time.perf_counter()
-    n, count = 8, 100_000
-    batch = montecarlo.sample_spectra(n, count, seed=20260815)
-    flat = batch.eigenvalues.ravel()
-
-    edges = np.linspace(-3.0, 3.0, 41)
-    observed, _ = np.histogram(flat, bins=edges)
-    nodes, wts = np.polynomial.legendre.leggauss(32)
-    worst_z = 0.0
-    for b in range(40):
-        lo, hi = edges[b], edges[b + 1]
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        q = 0.5 * (hi - lo) * float(np.sum(wts * hermite.density(n, x)))
-        se = math.sqrt(flat.size * q * (1.0 - q))
-        worst_z = max(worst_z, abs(observed[b] - flat.size * q) / se)
-    hist_ok = worst_z < 4.0
-
-    m2, se2 = montecarlo.empirical_moment(batch, 2)
-    m4, se4 = montecarlo.empirical_moment(batch, 4)
-    m2_exact = float(quadrature.density_rule(n, 2).integrate(lambda t: t * t))
-    m4_exact = 2.0 + 1.0 / n ** 2
-    z2 = abs(m2 - m2_exact) / se2
-    z4 = abs(m4 - m4_exact) / se4
-    moments_ok = z2 < 3.0 and z4 < 3.0
-
-    edge_ok = True
-    edge_detail = []
-    for r in (0.5, 0.75, 1.0):
-        bound = n * math.exp(-n * r * r / 2.0)
-        freq = montecarlo.edge_tail_frequency(batch, 2.0 + r)
-        sigma = math.sqrt(bound * (1.0 - bound) / count) if bound < 1.0 else 0.0
-        edge_ok &= freq <= bound + 4.0 * sigma
-        edge_detail.append(f"r={r}: {freq:.1e} vs {bound + 4.0 * sigma:.2e}")
-
-    elapsed = time.perf_counter() - t0
-    ok = hist_ok and moments_ok and edge_ok
-    _line(8, "sampled spectra match the exact density", ok,
-          f"N=8, 1e5 spectra: worst histogram |z| = {worst_z:.2f} over 40 bins (tol 4), "
-          f"|z| of m2 = {z2:.2f}, m4 = {z4:.2f} (tol 3), "
-          f"edge tail {'; '.join(edge_detail)}",
-          elapsed, 180.0)

@@ -508,14 +508,13 @@ def test_moments_past_the_catalan_bound_are_refused_before_work(monkeypatch, cap
 
 
 # A moment past the double range is refused from the top order alone,
-# before the lower orders are computed; the overflow of the rule's
-# Christoffel factor is refused as christoffel_sum's.
+# before the lower orders are computed.  At N=256 the rule stays finite
+# past degree 426; the float expansion column overflows first.
 @pytest.mark.parametrize("n,top,message", [
     (8, 302, "refusing to print a non-finite number"),
     (1, 236, "refusing to print a non-finite number"),
     (256, 400, "refusing to print a non-finite number"),
-    (256, 426, "christoffel_sum(N=256, k_max=255) overflows the double range "
-               "at x = -2.6559746558804935"),
+    (256, 426, "refusing to print a non-finite number"),
 ])
 def test_moments_past_the_double_range_are_refused_quickly(capsys, n, top, message):
     start = time.perf_counter()
@@ -856,6 +855,47 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
 def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# Each refusal of --sigma and of a --function spec is one error line naming
+# the option (and a taylor-file's line): --sigma nan and inf used to exit 0
+# with tail_bound 0.0, --sigma -1 named type_hint, the monomial and gauss
+# refusals named no option (a power past the float range failed converting
+# to float), and a bad taylor-file line surfaced as a float conversion
+# message.  "FILE" stands for a taylor-file holding FILE_TEXT.
+@pytest.mark.parametrize("function,extra,file_text,message", [
+    ("taylor-file:FILE", ("--sigma", "nan"), "1.0\n", "--sigma must be finite and >= 0, got nan"),
+    ("taylor-file:FILE", ("--sigma", "inf"), "1.0\n", "--sigma must be finite and >= 0, got inf"),
+    ("taylor-file:FILE", ("--sigma=-1",), "1.0\n", "--sigma must be finite and >= 0, got -1.0"),
+    ("exp:1", ("--sigma", "nan"), None, "--sigma must be finite and >= 0, got nan"),
+    ("monomial:abc", (), None, "--function monomial power must be an integer >= 0, got 'abc'"),
+    ("monomial:1e3", (), None, "--function monomial power must be an integer >= 0, got '1e3'"),
+    ("monomial:-1", (), None, "--function monomial power must be an integer >= 0, got '-1'"),
+    ("gauss:-1", (), None, "--function gauss parameter must be >= 0, got '-1'"),
+    ("monomial:" + "9" * 400, (), None, f"--function monomial:{'9' * 400} has degree "
+                                        f"{'9' * 400}, past the cap 646"),
+    ("sinh:1", (), None, "--function kind 'sinh' is unknown "
+                         "(choose monomial, exp, gauss, cos, taylor-file)"),
+    ("exp", (), None, "--function 'exp' needs the form kind:parameter"),
+    ("taylor-file:FILE", (), "1.0\n# note\n\nabc\n", "--function taylor-file:FILE line 4 "
+                                                      "must be finite, got 'abc'"),
+    ("taylor-file:FILE", (), "1.0\nnan\n", "--function taylor-file:FILE line 2 "
+                                           "must be finite, got 'nan'"),
+    ("taylor-file:FILE", (), "inf\n", "--function taylor-file:FILE line 1 "
+                                     "must be finite, got 'inf'"),
+    ("taylor-file:FILE", (), "# only a comment\n", "--function taylor-file:FILE "
+                                                  "holds no coefficients"),
+], ids=["sigma-nan", "sigma-inf", "sigma-negative", "sigma-nan-exp", "monomial-text",
+        "monomial-float", "monomial-negative", "gauss-negative", "monomial-past-float",
+        "unknown-kind", "no-colon", "file-text", "file-nan", "file-inf", "file-empty"])
+def test_spec_and_sigma_refusals_name_their_option(tmp_path, capsys, function, extra,
+                                                   file_text, message):
+    path = tmp_path / "coeffs.txt"
+    if file_text is not None:
+        path.write_text(file_text)
+    code, out, err = run(capsys, "resum", "--n", "4", "--terms", "2",
+                         "--function", function.replace("FILE", str(path)), *extra)
+    assert (code, out, err) == (1, "", f"error: {message.replace('FILE', str(path))}\n")
 
 
 # Each command builds each quadrature rule once: one Jacobi eigenproblem per

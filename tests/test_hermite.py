@@ -234,15 +234,13 @@ def _same_bits(got, want) -> bool:
 
 
 def _frame_sums(n, x):
-    """K_N(x, x) and the Christoffel sum at x / 1.5 as axis-0 sums of the
-    frames, built on chunks of at most 1000 points (and at least 2, where
-    the reduction runs row by row)."""
+    """K_N(x, x) as axis-0 sums of the frames, built on chunks of at most
+    1000 points (and at least 2, where the reduction runs row by row)."""
     parts = []
     for chunk in np.array_split(x.reshape(-1), -(-x.size // 1000)):
         psi, _ = hermite.weighted_frame(n, n - 1, chunk)
-        h = hermite.normalized_hermite(n, n - 1, chunk / 1.5)
-        parts.append(((psi ** 2).sum(axis=0), (h ** 2).sum(axis=0)))
-    return [np.concatenate(p).reshape(x.shape) for p in zip(*parts)]
+        parts.append((psi ** 2).sum(axis=0))
+    return np.concatenate(parts).reshape(x.shape)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
@@ -260,10 +258,7 @@ def test_streamed_sums_equal_frame_sums_bitwise(n, points):
     grid = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)  # n x^2 / 4 <= 700: no lift
     if shape == (131, 130):
         grid = grid.reshape(130, 131).T
-    diag, christoffel = _frame_sums(n, grid)
-    assert _same_bits(hermite.kernel_diag(n, grid), diag)
-    nodes = grid / 1.5  # where the unweighted sum stays finite at N=256
-    assert _same_bits(hermite.christoffel_sum(n, n - 1, nodes), christoffel)
+    assert _same_bits(hermite.kernel_diag(n, grid), _frame_sums(n, grid))
     _assert_top_row_bits(n, grid)
 
 
@@ -280,18 +275,13 @@ def _reference_rows(n, k_max, x, start):
         yield prev, cur
 
 
-def _reference_sums(n, x):
-    """K_N(x, x) and the Christoffel sum, one fresh array per operation."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = np.full(x.shape, (2.0 * math.pi / n) ** -0.25)
-        christoffel = 0.0
-        for _, row in _reference_rows(n, n - 1, x, start):
-            christoffel = christoffel + row * row
+def _reference_diag(n, x):
+    """K_N(x, x), one fresh array per operation."""
     start, lift, x = hermite._weighted_start(n, x)
     diag = 0.0
     for _, psi in _reference_rows(n, n - 1, x, start):
         diag = diag + psi * psi
-    return diag * np.exp(-2.0 * lift), christoffel
+    return diag * np.exp(-2.0 * lift)
 
 
 def _reference_top(n, x):
@@ -333,18 +323,10 @@ def test_sums_equal_the_allocating_recurrence_bitwise(n, span, points):
     so the reference is an allocating recurrence, one fresh array per
     operation: across block boundaries and at 0-d x (points None), which
     runs as a one-point block and comes back as a numpy scalar.  At N=256,
-    [2.6, 3.6] is lifted from 3.31 and subnormal from 3.51 on; the
-    Christoffel sums overflow on the lifted spans at larger N."""
+    [2.6, 3.6] is lifted from 3.31 and subnormal from 3.51 on."""
     grid = np.linspace(*span, points) if points else np.asarray(span[0])
-    diag, christoffel = _reference_sums(n, grid)
-    assert _same_bits(hermite.kernel_diag(n, grid), diag)
+    assert _same_bits(hermite.kernel_diag(n, grid), _reference_diag(n, grid))
     _assert_top_row_bits(n, grid)
-    assert _same_bits(hermite._square_sums(n, n - 1, grid, weighted=False), christoffel)
-    if np.all(np.isfinite(christoffel)):
-        assert _same_bits(hermite.christoffel_sum(n, n - 1, grid), christoffel)
-    else:
-        with pytest.raises(ValueError, match="overflows the double range"):
-            hermite.christoffel_sum(n, n - 1, grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
@@ -419,17 +401,6 @@ def test_frames_equal_the_allocating_recurrence_bitwise(n, span, shape):
     assert all(_same_bits(frame, copy) for frame, copy in zip(frames, kept))
 
 
-def test_christoffel_sum_refuses_overflow():
-    # At N=256, k_max=255 the sum of htilde_k^2 passes the double range from
-    # |x| ~ 2.656 on; the first such point (flat order) is named.
-    assert np.all(np.isfinite(hermite.christoffel_sum(256, 255, np.array([0.0, 2.5, -2.6]))))
-    for x in (2.656, 3.0):
-        with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
-            hermite.christoffel_sum(256, 255, np.array([0.0, x, -x]))
-    with pytest.raises(ValueError, match=re.escape("x = -3.0")):
-        hermite.christoffel_sum(256, 255, np.array([[1.0, 2.0], [-3.0, 0.0]]))
-
-
 def test_normalized_hermite_refuses_overflow():
     # The values themselves stay finite further out: htilde_255(3) ~ 1e169
     assert np.all(np.isfinite(hermite.normalized_hermite(256, 255, np.array([3.0, -8.0]))))
@@ -487,27 +458,23 @@ def test_size_and_argument_validation():
 @pytest.mark.parametrize("n,k_max,extend_to", [(1, 0, 0), (3, 2, 9), (64, 63, 100),
                                                (256, 255, 299), (256, 255, 450)])
 def test_extended_christoffel_sum_is_both_sums_from_one_pass(n, k_max, extend_to):
-    """The running sum after row k_max is christoffel_sum(n, k_max) bit for
-    bit, refused as it is, while the sum to extend_to is the unrefused
-    longer sum (inf or nan past the double range: 450 rows at N=256)."""
-    x = np.linspace(-2.6, 2.6, BLOCK + 5)
-    inner, outer = hermite.christoffel_sum(n, k_max, x, extend_to=extend_to)
-    assert _same_bits(inner, hermite.christoffel_sum(n, k_max, x))
-    assert _same_bits(outer, hermite._square_sums(n, extend_to, x, weighted=False))
-    if extend_to == 450:
-        assert not np.isfinite(outer).all()
-    with pytest.raises(ValueError, match=re.escape("x = -3.0")):
-        hermite.christoffel_sum(256, 255, np.array([1.0, -3.0]), extend_to=300)
-    with pytest.raises(ValueError, match="below k_max"):
-        hermite.christoffel_sum(n, k_max, x, extend_to=k_max - 1)
+    """The running sum after row k_max is square_sums(n, k_max) bit for bit,
+    and the sum to extend_to the longer sum; lifted, both stay finite where
+    the unweighted sums left the double range (450 rows at N=256, or
+    |x| >= 2.656 at 256 rows)."""
+    x = np.linspace(-3.0, 3.0, BLOCK + 5)
+    inner, outer = hermite.square_sums(n, extend_to, x, inner=k_max)
+    assert _same_bits(inner, hermite.square_sums(n, k_max, x))
+    assert _same_bits(outer, hermite.square_sums(n, extend_to, x))
+    assert np.isfinite(outer).all() and np.all(outer >= inner) and np.all(inner > 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
 def test_weighted_running_sum_is_the_shorter_sum(n):
     grid = np.linspace(-40.0, 40.0, 2001)  # past N x^2/4 = 700: lifted starts
-    inner, outer = hermite._square_sums(n, 2 * n, grid, inner=n - 1)
+    inner, outer = hermite.square_sums(n, 2 * n, grid, inner=n - 1)
     assert _same_bits(inner, hermite.kernel_diag(n, grid))
-    assert _same_bits(outer, hermite._square_sums(n, 2 * n, grid))
+    assert _same_bits(outer, hermite.square_sums(n, 2 * n, grid))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256])

@@ -180,12 +180,13 @@ def test_rule_argument_validation():
 
 
 def test_gaussian_rule_at_the_largest_size_keeps_its_weights():
-    """gaussian_rule(256, 300) is the frame-sum rule bit for bit, and
-    density_rule(256, ...) gives the exact moments: the
-    overflow refusal of the public Christoffel sum does not reach them."""
+    """gaussian_rule(256, 300) is the frame-sum rule bit for bit (no node
+    is lifted: n t^2 / 4 <= 700), and density_rule(256, ...) gives the
+    exact moments."""
     rule = quadrature.gaussian_rule(256, 300)
-    h = hermite.normalized_hermite(256, 299, rule.nodes)
-    assert np.array_equal(rule.weights, 1.0 / (h ** 2).sum(axis=0))
+    psi, _ = hermite.weighted_frame(256, 299, rule.nodes)
+    weight = np.exp(-256 * rule.nodes * rule.nodes / 2.0)
+    assert np.array_equal(rule.weights, weight / (psi ** 2).sum(axis=0))
     assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / 256), rel=1e-13)
     for p, want in [(0, 1.0), (2, 1.0), (4, 2.0 + 1.0 / 256 ** 2), (6, 5.0 + 10.0 / 256 ** 2)]:
         got = quadrature.density_rule(256, p).integrate(lambda t: t ** p)
@@ -193,13 +194,17 @@ def test_gaussian_rule_at_the_largest_size_keeps_its_weights():
 
 
 def test_gaussian_rule_weights_below_the_double_range_are_zero():
-    # From 370 nodes on, the outermost Christoffel sums pass the double range
-    # (inf, or nan once inf - inf appears in the recurrence); the true weights
-    # there lie below it.
-    for count in (400, 1000):
-        rule = quadrature.gaussian_rule(256, count)
-        assert np.all(np.isfinite(rule.weights)) and np.any(rule.weights == 0.0)
-        assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / 256), rel=1e-13)
+    # At 400 nodes and more, the outermost true weights lie below the double
+    # range (e^{-n t^2/2} < 1e-323 from n t^2/2 ~ 745 on) and come out 0.0;
+    # no weight is inf or nan, at the 1050 nodes of the kernel transform's
+    # node ladder or past 1100, where the outermost lifted starts underflow.
+    # Worst mass error over every count up to 1050: 1.6e-15 relative, at 846.
+    for n in (1, 256):
+        for count in (400, 846, 1000, 1050, 1500):
+            rule = quadrature.gaussian_rule(n, count)
+            assert np.all(np.isfinite(rule.weights)) and np.any(rule.weights == 0.0)
+            assert float(rule.weights.sum()) == pytest.approx(math.sqrt(2 * math.pi / n),
+                                                              rel=2e-15)
     # degree 300 needs 406 nodes, some with zero weight
     assert quadrature.density_rule(256, 300).integrate(lambda t: t ** 2) == \
         pytest.approx(1.0, rel=1e-13)
@@ -351,11 +356,34 @@ def test_gauss_reference_matches_the_moment_series(n, sig):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 255, 256])
 @pytest.mark.parametrize("degree", [0, 2, 8, 40])
 def test_density_rule_is_the_two_pass_construction_bitwise(n, degree):
-    """One recurrence pass gives both Christoffel sums: the rule equals the
-    Gauss rule's weights times christoffel_sum(n, n - 1) / n, each from its
-    own pass, bit for bit."""
+    """One recurrence pass gives both Christoffel sums: the rule's weights
+    are K_N(t, t) / (n W_{count-1}(t)), each sum from its own pass, bit for
+    bit."""
     rule = quadrature.density_rule(n, degree)
-    gauss = quadrature.gaussian_rule(n, (degree + 2 * (n - 1)) // 2 + 1)
-    weights = gauss.weights * hermite.christoffel_sum(n, n - 1, gauss.nodes) / n
-    assert rule.nodes.tobytes() == gauss.nodes.tobytes()
+    count = (degree + 2 * (n - 1)) // 2 + 1
+    nodes = quadrature.gauss_nodes(n, count)
+    weights = hermite.kernel_diag(n, nodes) / (n * hermite.square_sums(n, count - 1, nodes))
+    assert rule.nodes.tobytes() == nodes.tobytes()
     assert rule.weights.tobytes() == weights.tobytes()
+
+
+# Degrees where a ratio of unweighted Christoffel sums loses accuracy
+# (3.3e-13 at 330, 8.9e-10 at 400) and overflows (from 426 on).  Measured
+# worst even moment, relative: 5.5e-14, 4.7e-14, 1.3e-13, 7.6e-14, 5.1e-14.
+@pytest.mark.parametrize("degree", [330, 400, 426, 500, 600])
+def test_density_rule_past_the_unweighted_range_gives_the_exact_moments(degree):
+    """Every even moment whose t^p stays finite at the nodes is within
+    2e-13 of the exact Harer-Zagier value."""
+    rule = quadrature.density_rule(256, degree)
+    assert np.isfinite(rule.weights).all()
+    exact = harer_zagier_moments(256, degree)
+    checked = 0
+    with np.errstate(over="ignore"):
+        for p in range(0, degree + 1, 2):
+            powers = rule.nodes ** p
+            if not np.isfinite(powers).all():
+                continue
+            want = float(exact[p // 2])
+            assert abs(float((rule.weights * powers).sum()) - want) <= 2e-13 * want, p
+            checked += 1
+    assert checked > degree // 4
