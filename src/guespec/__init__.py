@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 # Each exported name and the module that defines it.
 _EXPORTS = {name: module for module, names in {
-    "gegenbauer": "BasisSeries NormParams TaylorSeries basis_to_taylor basis_values "
-                  "evaluate_series expand_entire growth_bound_report monomial_to_basis "
-                  "plane_wave_series semicircle_functional taylor_to_basis",
+    "gegenbauer": "BasisSeries NormParams basis_to_taylor basis_values evaluate_series "
+                  "growth_bound_report monomial_to_basis plane_wave_series "
+                  "semicircle_functional taylor_to_basis",
     "hermite": "DensityProfile density density_and_kernel_diag density_derivatives "
                "density_profile kernel kernel_diag normalized_hermite ode_residual "
                "square_sums",
@@ -26,8 +26,7 @@ _EXPORTS = {name: module for module, names in {
                "kernel_laplace laplace_expansion polynomial_average stirling_table",
     "montecarlo": "SampleBatch empirical_moment read_binary sample_spectra",
     "operators": "correction correction_functionals differentiate eigenvalue_inverse "
-                 "first_order_solve measure_convergence_threshold norm_probe "
-                 "resum_partial_sums resummed_integral",
+                 "first_order_solve norm_probe resum_partial_sums resummed_integral",
     "quadrature": "LineIntegral QuadratureRule gaussian_rule integrate_line semicircle_rule",
     "tridiagonal": "ConvergenceError tridiagonal_eigenvalues",
     "verify": "run_suites",

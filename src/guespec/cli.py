@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -133,12 +132,9 @@ def read_taylor_file(path: str) -> list[float]:
     return coeffs
 
 
-def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
-                 tol: float) -> BasisSeries:
+def build_series(spec: FunctionSpec, terms: int) -> BasisSeries:
     from . import gegenbauer
 
-    if sigma is not None and spec.kind != "taylor-file":
-        raise ValueError("--sigma applies to taylor-file functions only")
     cap = gegenbauer._BAND_DEGREE_CAP
     if spec.kind == "monomial":
         power = int(spec.parameter)
@@ -152,8 +148,11 @@ def build_series(spec: FunctionSpec, terms: int, sigma: float | None,
             raise ValueError(f"--terms {terms} needs a series of degree at least {4 * terms}, "
                              f"past the cap {cap}")
         return gegenbauer.plane_wave_series(spec.kind, spec.parameter, terms)
-    return gegenbauer.expand_entire(
-        gegenbauer.TaylorSeries(spec.coefficients, sigma if sigma is not None else 0.0), tol)
+    # A Taylor file is the polynomial it spells out: its series is whole.
+    degree = len(spec.coefficients) - 1
+    if degree > cap:
+        raise ValueError(f"--function taylor-file has degree {degree}, past the cap {cap}")
+    return gegenbauer.BasisSeries(gegenbauer.taylor_to_basis(spec.coefficients))
 
 
 def reference_integral(spec: FunctionSpec, n: int) -> float:
@@ -259,23 +258,17 @@ def cmd_laplace(args) -> int:
 def cmd_resum(args) -> int:
     from . import operators
 
-    # A NaN tolerance would pass every tail check: tail > nan is False.
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
-    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0):
-        raise ValueError(f"--sigma must be finite and >= 0, got {args.sigma!r}")
+    if args.terms < 0:
+        raise ValueError(f"--terms must be >= 0, got {args.terms}")
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     spec = parse_function_spec(args.function)
-    series = build_series(spec, args.terms, args.sigma, args.tol)
-    # Shown as a plain line: Python's warning display would print the
-    # source path and line of this call.  The passes' own overflow is not
-    # relayed pass by pass: a non-finite result is refused once below.
-    with warnings.catch_warnings(record=True) as caught, \
-            np.errstate(over="ignore", invalid="ignore"):
-        warnings.simplefilter("always")
+    series = build_series(spec, args.terms)
+    # The passes' own overflow is not reported pass by pass: a non-finite
+    # result is refused once below.
+    with np.errstate(over="ignore", invalid="ignore"):
         alphas = operators.correction_functionals(series, args.terms)
         partial = operators.resum_partial_sums(alphas, args.n)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
     if not (np.isfinite(alphas).all() and np.isfinite(partial).all()):
         raise ValueError(f"--terms {args.terms}: the correction passes of {args.function} "
                          "leave the double range")
@@ -287,13 +280,16 @@ def cmd_resum(args) -> int:
         "tail_bound": series.tail_bound,
     }
     if spec.kind == "gauss":
-        threshold = _calibrate_gauss_threshold(spec, alphas)
-        if threshold is not None:
-            payload["calibrated_threshold"] = threshold
-            if args.n < threshold:
-                print(f"warning: N = {args.n} is below the calibrated "
-                      f"convergence threshold {threshold} for {args.function}",
-                      file=sys.stderr)
+        # Exact: every term alpha_g N^{-2g} = sum_k sigma^k/k! eps_g(k) N^{-2g}
+        # is >= 0, the eps_g(k) being Harer-Zagier counts, so by Tonelli the
+        # series sums to int e^{sigma t^2} p_N dt, which is finite if and
+        # only if N > 2 sigma.
+        threshold = int(2.0 * spec.parameter) + 1
+        payload["calibrated_threshold"] = threshold
+        if args.n < threshold:
+            print(f"warning: N = {args.n} is below the calibrated "
+                  f"convergence threshold {threshold} for {args.function}",
+                  file=sys.stderr)
     if args.compare:
         ref = reference_integral(spec, args.n)
         payload["reference"] = ref
@@ -310,26 +306,6 @@ def cmd_resum(args) -> int:
         header = ["k", "alpha", "partial_sum"] + (["error"] if args.compare else [])
         _emit_csv(header, rows)
     return 0
-
-
-def _calibrate_gauss_threshold(spec: FunctionSpec, alphas) -> int | None:
-    from . import operators
-
-    first_finite = max(1, int(2.0 * spec.parameter) + 1)
-
-    def ref(n: int) -> float:
-        # NaN marks sizes whose comparison integral diverges; NaN never
-        # compares as converged, so those N are excluded from the threshold.
-        try:
-            return reference_integral(spec, n)
-        except ValueError:
-            return math.nan
-
-    try:
-        return operators.measure_convergence_threshold(
-            alphas, ref, max_ensemble_size=max(12, first_finite + 7))
-    except (RuntimeError, ValueError):
-        return None
 
 
 def _moment_rows(n: int, rule, powers) -> list[tuple]:
@@ -469,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="highest power of 1/N^2 to include")
     p.add_argument("--compare", action="store_true",
                    help="also compute an independent reference integral")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="order-two type hint for taylor-file input")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="tail tolerance for the basis expansion")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("moments", help="density moments, quadrature vs expansion")

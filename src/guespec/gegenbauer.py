@@ -21,13 +21,10 @@ at any degree.
 
 Entire functions of order <= 2 and finite type sigma admit rapidly
 decaying expansions in this basis: ``plane_wave_series`` gives those of
-e^{at}, cos(at) and e^{sigma t^2} from Bessel values.  ``expand_entire``
-converts Taylor data, keeps every coefficient, bounds for a positive type
-what lies past the input degree on the band |z| <= 3 with the nominal
-envelope |f_n| <= 2 * 3^n, and rejects coefficient growth inconsistent
-with the declared type.  Note the envelope is an honest bound only on the
-real interval; ``growth_bound_report`` measures (and reports, rather than
-hides) how far the complex-circle maxima exceed it.
+e^{at}, cos(at) and e^{sigma t^2} from Bessel values, with a bound on
+what its cut drops.  The series of a polynomial (``taylor_to_basis``) is
+whole.  ``growth_bound_report`` measures how far the maxima of |f_n| on a
+complex circle exceed the envelope 2 * max(r, 3)^n.
 """
 
 from __future__ import annotations
@@ -38,15 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-#: Slack constant absorbed into the coefficient growth check (enters as
-#: GROWTH_SLACK**(2/n), which tends to 1).
-GROWTH_SLACK = 1e8
-
-_GROWTH_FLOOR = 10  # indices below this are absorbed into the constant
-
-#: Largest Taylor degree expand_entire converts.  The exact conversion costs
-#: about n^2/4 big-integer steps whose integers grow with n: at n = 646 it
-#: takes 0.03-0.11 s (2-core Xeon), at 2n 0.4-0.6 s and at 4n about 4 s.
+#: Largest degree of a series: resum refuses a Taylor file or monomial past
+#: it, and plane_wave_series a series of more than _BAND_DEGREE_CAP + 1
+#: coefficients.  The exact Taylor conversion costs about n^2/4 big-integer
+#: steps whose integers grow with n: at n = 646 it takes 0.03-0.11 s (2-core
+#: Xeon), at 2n 0.4-0.6 s and at 4n about 4 s.
 _BAND_DEGREE_CAP = 646
 
 #: plane_wave_series ends a series where every later coefficient, and
@@ -205,30 +198,12 @@ def basis_to_taylor(coefficients, exact: bool = False):
 
 
 @dataclass(frozen=True)
-class TaylorSeries:
-    """Truncated Taylor coefficients plus a declared order-2 growth type.
-
-    type_hint = sigma means the represented entire function satisfies
-    |f(z)| <= C exp(sigma |z|^2); sigma = 0 declares effectively
-    polynomial data (any finite vector qualifies).
-    """
-
-    coefficients: np.ndarray
-    type_hint: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
-        if self.type_hint < 0:
-            raise ValueError("type_hint must be >= 0")
-
-
-@dataclass(frozen=True)
 class BasisSeries:
-    """Coefficients in the f_n basis with a certified real-band tail bound.
+    """Coefficients in the f_n basis and a bound on what they leave out.
 
-    For a positive declared type, tail_bound is a model of the value past
-    the input degree on the band |z| <= 3 under the nominal envelope
-    |f_n| <= 2 * 3^n; it is 0.0 when the input is the whole series.
+    tail_bound bounds on [-2, 2] the terms a cut series drops (see
+    ``plane_wave_series``); it is 0.0 when the coefficients are the whole
+    series, as for a polynomial.
     """
 
     coefficients: np.ndarray
@@ -239,75 +214,6 @@ class BasisSeries:
 
     def __call__(self, t):
         return evaluate_series(self.coefficients, t)
-
-
-def _implied_types(alpha: np.ndarray):
-    """(n, implied order-2 type (n / 2e) |alpha_n|^(2/n)) per nonzero alpha_n, n >= 10."""
-    for n in range(_GROWTH_FLOOR, len(alpha)):
-        if alpha[n] != 0.0:
-            yield n, (n / (2.0 * math.e)) * abs(alpha[n]) ** (2.0 / n)
-
-
-def expand_entire(series: TaylorSeries, tol: float = 1e-12) -> BasisSeries:
-    """Convert Taylor data of an order-<=2 entire function to the f_n basis.
-
-    Checks the coefficient growth |alpha_n| <= C (2 e sigma / n)^{n/2}
-    implied by the declared type (first offending index named in the
-    error) and converts exactly, keeping every coefficient: the
-    correction operator amplifies high-index coefficients pass after
-    pass, so one too small to matter on the band can still matter to a
-    deep functional.  The tail bound is ``_model_tail`` for a positive
-    type and 0.0 for sigma = 0, and must fit inside tol.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    sigma = series.type_hint
-    alpha = series.coefficients
-    if len(alpha) - 1 > _BAND_DEGREE_CAP:
-        raise ValueError(f"Taylor degree {len(alpha) - 1} exceeds {_BAND_DEGREE_CAP}, past which "
-                         "the exact conversion takes too long")
-    if sigma > 0:
-        for n, implied in _implied_types(alpha):
-            if implied > sigma * GROWTH_SLACK ** (2.0 / n):
-                raise ValueError(
-                    f"coefficient index {n} implies order-2 type {implied:.4g}, "
-                    f"inconsistent with declared type {sigma:.4g}"
-                )
-    a = taylor_to_basis(alpha)
-    tail = _model_tail(a, sigma) if sigma > 0 else 0.0
-    if tail > tol:
-        raise ValueError(
-            f"certified tail bound {tail:.3e} exceeds requested tolerance {tol:.3e}; "
-            "supply more Taylor terms"
-        )
-    return BasisSeries(a, tail_bound=tail)
-
-
-def _model_tail(a: np.ndarray, sigma: float) -> float:
-    """Band-envelope estimate for basis coefficients beyond the input degree.
-
-    Calibrates the constant in |a_n| <= C (8 e sigma / n)^{n/2} on the
-    computed upper half of the vector, then sums the envelope terms
-    2 * 3^n * C (8 e sigma / n)^{n/2} past the end (in logs; the terms
-    decay superexponentially once n > 72 e sigma).
-    """
-    degree = len(a) - 1
-    log_c = -math.inf
-    for n in range(max(_GROWTH_FLOOR, degree // 2), degree + 1):
-        if a[n] == 0.0:
-            continue
-        log_c = max(log_c, math.log(abs(a[n])) - 0.5 * n * (math.log(8 * math.e * sigma) - math.log(n)))
-    if log_c == -math.inf:
-        return 0.0
-    total = 0.0
-    for n in range(degree + 1, degree + 1 + 400):
-        log_term = log_c + 0.5 * n * (math.log(8 * math.e * sigma) - math.log(n)) \
-            + math.log(2.0) + n * math.log(3.0)
-        term = math.exp(log_term) if log_term < 700 else math.inf
-        total += term
-        if total > 0 and term < total * 1e-18:
-            break
-    return total
 
 
 def _scaled_bessel(sign: float, b: float, top: int) -> np.ndarray:

@@ -23,11 +23,13 @@ the finite-N eigenvalue density into semicircle data: for polynomial
 
     int f dp_N = sum_k  <T^k f>  N^{-2k},
 
-with each application of T supplying one extra power of N^{-2}.  The
-series converges for every N >= 1 on the function classes this package
-handles; ``measure_convergence_threshold`` checks that claim empirically
-rather than assuming it, and ``norm_probe`` measures the operator's
-amplification in the weighted norms of :class:`guespec.gegenbauer.NormParams`.
+with each application of T supplying one extra power of N^{-2}.  For a
+polynomial the series ends.  For e^{sigma t^2} its threshold is exact:
+alpha_k = sum_j sigma^j/j! eps_k(j), with eps_k(j) >= 0 the Harer-Zagier
+counts of ``laplace._genus_counts``, so every term is nonnegative and by
+Tonelli the series sums to int e^{sigma t^2} p_N dt, finite if and only
+if N > 2 sigma.  ``norm_probe`` measures the operator's amplification in
+the weighted norms of :class:`guespec.gegenbauer.NormParams`.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .gegenbauer import (
 #: Indices of accuracy consumed from the top of a truncated coefficient
 #: vector by one application of the correction operator.
 DEGREE_LOSS_PER_CORRECTION = 4
-
-_CONVERGENCE_TOL = 1e-6  # final relative error of measure_convergence_threshold
 
 
 def _per_row(values, ndim: int) -> np.ndarray:
@@ -220,43 +220,6 @@ def resummed_integral(series, ensemble_size: int, depth: int) -> float:
     """int f dp_N via depth+1 terms of the correction expansion."""
     alphas = correction_functionals(series, depth)
     return float(resum_partial_sums(alphas, ensemble_size)[-1])
-
-
-def measure_convergence_threshold(
-    functionals,
-    reference,
-    max_ensemble_size: int = 12,
-) -> int:
-    """Smallest N0 such that the expansion is observed to converge for all N >= N0.
-
-    For each N in 1..max_ensemble_size the partial sums are compared with
-    ``reference(N)``; convergence at N means the error sequence is
-    non-increasing from index 3 on and finishes below 1e-6
-    relative to max(1, |reference|).  Errors below a few dozen ulps of the
-    reference count as "at the rounding floor" and never break monotonicity:
-    once the sum has converged to machine precision, the residual bounces by
-    single bits.  Raises RuntimeError when not even the largest tested N
-    converges, so a caller never mistakes "no data" for "N0 = max".
-    """
-    a = np.asarray(functionals, dtype=float)
-    if len(a) < 5:
-        raise ValueError("need at least 5 correction functionals")
-    converged = []
-    for n in range(1, max_ensemble_size + 1):
-        ref = float(reference(n))
-        errs = np.abs(resum_partial_sums(a, n) - ref)
-        floor = 64.0 * np.finfo(float).eps * max(1.0, abs(ref))
-        monotone = all(
-            errs[k + 1] <= max(errs[k] * (1.0 + 1e-9), floor)
-            for k in range(3, len(errs) - 1)
-        )
-        converged.append(monotone and errs[-1] <= _CONVERGENCE_TOL * max(1.0, abs(ref)))
-    for n0 in range(1, max_ensemble_size + 1):
-        if all(converged[n0 - 1:]):
-            return n0
-    raise RuntimeError(
-        f"no convergence observed up to ensemble size {max_ensemble_size}"
-    )
 
 
 def norm_probe(params: NormParams, truncation: int = 100) -> tuple[float, int]:

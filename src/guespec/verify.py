@@ -611,11 +611,14 @@ def suite_sampling() -> list[CheckResult]:
     tail_ok, tails = True, []
     for r in (0.5, 0.75, 1.0):
         freq = montecarlo.edge_tail_frequency(batch, 2.0 + r)
-        bound = 8.0 * math.exp(-8.0 * r * r / 2.0)
-        se = math.sqrt(bound * (1.0 - bound) / count) if bound < 1.0 else 0.0
+        # P(largest >= 2 + r) <= E #{eigenvalues >= 2 + r} = N int_{2+r} p_N,
+        # cut 8 past 2 + r as suite_density's tails are.
+        bound = 8.0 * _integrate_interval(lambda x: hermite.density(8, x),
+                                          2.0 + r, 2.0 + r + 8.0, 64)
+        se = math.sqrt(bound * (1.0 - bound) / count)
         tail_ok &= freq <= bound + 4 * se
         tails.append(f"r={r}: freq = {freq:.2e}, bound = {bound:.2e}")
-    out.append(_check("edge tails below Gaussian bound + 4 SE", tail_ok,
+    out.append(_check("edge tails below N int p_N + 4 SE", tail_ok,
                       "; ".join(tails)))
 
     lower_batch = montecarlo.sample_spectra(4, count, seed + 1)

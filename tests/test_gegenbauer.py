@@ -1,5 +1,5 @@
 """Tests for the quadratic-weight orthogonal basis on [-2, 2]:
-values, conversions, entire-function expansion, norms, growth reports.
+values, conversions, plane-wave series, norms, growth reports.
 """
 
 import math
@@ -224,66 +224,6 @@ def test_conversion_round_trip_random(coeffs):
     assert np.max(np.abs(back - np.asarray(coeffs))) < 1e-10 * scale
 
 
-def test_expand_entire_polynomial_tail_zero():
-    series = gegenbauer.TaylorSeries([0.0, 0.0, 0.0, 1.0], 0.0)  # t^3
-    out = gegenbauer.expand_entire(series)
-    assert out.tail_bound == 0.0
-    assert np.allclose(out.coefficients, gegenbauer.taylor_to_basis([0, 0, 0, 1]))
-
-
-def test_expand_entire_exponential_pointwise():
-    taylor = [1.0 / math.factorial(k) for k in range(41)]
-    out = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol=1e-11)
-    assert out.tail_bound <= 1e-11
-    t = np.linspace(-2.0, 2.0, 41)
-    assert np.max(np.abs(out(t) - np.exp(t))) < 1e-10
-
-
-def test_expand_entire_keeps_every_coefficient():
-    # Coefficients far below tol on the band still feed deep functionals.
-    taylor = [1.0 / math.factorial(k) for k in range(81)]
-    out = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, 0.0), tol=1e-10)
-    assert out.coefficients.tolist() == gegenbauer.taylor_to_basis(taylor).tolist()
-    assert out.tail_bound == 0.0
-
-
-def test_expand_entire_growth_rejection_names_index():
-    # constant coefficients imply order-2 type ~ n/(2e), inconsistent with
-    # a tiny declared type; the first bad index is 10 (the check floor)
-    bad = gegenbauer.TaylorSeries([1.0] * 21, 1e-6)
-    with pytest.raises(ValueError, match="index 10"):
-        gegenbauer.expand_entire(bad)
-
-
-def test_expand_entire_degree_cap():
-    # past degree 646 the input is refused before the exact conversion runs
-    at_cap = gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0] + [0.0] * 646, 0.0))
-    assert at_cap.coefficients.tolist() == [1.0] + [0.0] * 646
-    with pytest.raises(ValueError, match="degree 647 exceeds 646"):
-        gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0] + [0.0] * 647, 0.0))
-
-
-def test_expand_entire_model_tail_certificate():
-    sigma = 0.125
-    taylor = [0.0] * 61
-    for j in range(31):
-        taylor[2 * j] = sigma ** j / math.factorial(j)
-    out = gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sigma), tol=1e-9)
-    assert 0.0 < out.tail_bound <= 1e-9
-    # value check on the spectral interval against the closed form
-    t = np.linspace(-2, 2, 21)
-    assert np.max(np.abs(out(t) - np.exp(sigma * t * t))) < 1e-8
-
-
-def test_expand_entire_rejects_unachievable_tolerance():
-    sigma = 0.5
-    taylor = [0.0] * 25
-    for j in range(13):
-        taylor[2 * j] = sigma ** j / math.factorial(j)
-    with pytest.raises(ValueError, match="tail"):
-        gegenbauer.expand_entire(gegenbauer.TaylorSeries(taylor, sigma), tol=1e-14)
-
-
 def _plane_wave_reference(kind, a, length):
     """(n+2) I_{n+2}(2a) / a^2, or (-1)^{n/2} (n+2) J_{n+2}(2a) / a^2 on even
     n and 0 on odd n, by mpmath at 30 digits, rounded once; for gauss, the
@@ -431,13 +371,6 @@ def test_plane_wave_refusals():
             gegenbauer.plane_wave_series("gauss", a, 2)
     with pytest.raises(ValueError, match="kind"):
         gegenbauer.plane_wave_series("sin", 1.0, 2)
-
-
-# tail > nan is False, so a NaN tolerance would pass every tail check.
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
-def test_expand_entire_refuses_a_tolerance_that_is_not_positive(tol):
-    with pytest.raises(ValueError, match="tol must be positive"):
-        gegenbauer.expand_entire(gegenbauer.TaylorSeries([1.0, 0.0, 0.5], 0.0), tol=tol)
 
 
 def test_norm_params_validation():

@@ -122,28 +122,6 @@ def test_truncation_guard_for_inexact_series():
         operators.correction_functionals(np.ones(8), 2)
 
 
-def test_threshold_device_finds_first_good_size():
-    alphas = np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
-
-    def reference(n):
-        true = float(np.sum(alphas * (1.0 / n ** 2) ** np.arange(len(alphas))))
-        return true if n >= 3 else true + 1.0  # sizes 1, 2 can never converge
-
-    n0 = operators.measure_convergence_threshold(alphas, reference, max_ensemble_size=8)
-    assert n0 == 3
-
-
-def test_threshold_device_raises_without_convergence():
-    alphas = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(RuntimeError, match="no convergence"):
-        operators.measure_convergence_threshold(alphas, lambda n: 1e6, max_ensemble_size=6)
-
-
-def test_threshold_device_needs_enough_terms():
-    with pytest.raises(ValueError):
-        operators.measure_convergence_threshold(np.array([1.0, 2.0]), lambda n: 0.0)
-
-
 def test_norm_probe_frozen_values():
     """Amplification of the correction operator in the weighted sup norms.
     The values are rationals (operator entries and weights are rational at
@@ -237,21 +215,19 @@ def _full_loop(coefficients, depth):
 
 
 def test_functionals_stop_at_a_zero_pass_with_the_full_loop_bits():
-    from guespec import cli
-
-    specs = [cli.FunctionSpec("monomial", float(p)) for p in range(41)]
+    polynomials = [[0.0] * p + [1.0] for p in range(41)]
     rng = np.random.default_rng(24)
     taylor = rng.uniform(-1.0, 1.0, 37)
     taylor[5] = -0.0
-    specs.append(cli.FunctionSpec("taylor-file", coefficients=tuple(taylor)))
+    polynomials.append(taylor.tolist())
     # t^4 - 2: alpha_0 is 0.0, alpha_1 is not.
-    specs.append(cli.FunctionSpec("taylor-file", coefficients=(-2.0, 0.0, 0.0, 0.0, 1.0)))
-    for spec in specs:
-        series = cli.build_series(spec, 0, None, 1e-12)
+    polynomials.append([-2.0, 0.0, 0.0, 0.0, 1.0])
+    for i, polynomial in enumerate(polynomials):
+        coefficients = gegenbauer.taylor_to_basis(polynomial)
         for depth in (0, 1, 2, 5, 11, 12, 60):
-            got = operators.correction_functionals(series, depth)
-            want = _full_loop(series.coefficients, depth)
-            assert got.tobytes() == want.tobytes(), (spec.kind, spec.parameter, depth)
+            got = operators.correction_functionals(coefficients, depth)
+            want = _full_loop(coefficients, depth)
+            assert got.tobytes() == want.tobytes(), (i, depth)
 
 
 def test_functionals_of_a_short_polynomial_take_one_pass(monkeypatch):
