@@ -164,11 +164,7 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
     elif spec.kind == "cos":
         value = laplace.characteristic_function(n, spec.parameter)
     elif spec.kind == "gauss":
-        sig = spec.parameter
-        if sig >= n / 2.0:
-            raise ValueError(
-                f"reference integral diverges: gauss type {sig:g} >= N/2 = {n / 2:g}")
-        value = laplace.gauss_average(n, sig)
+        value = laplace.gauss_average(n, spec.parameter)
     elif spec.kind == "monomial":
         value = laplace.polynomial_average(n, [0.0] * int(spec.parameter) + [1.0])
     else:
@@ -263,6 +259,10 @@ def cmd_resum(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     spec = parse_function_spec(args.function)
+    if args.compare and spec.kind == "gauss" and spec.parameter >= args.n / 2.0:
+        # Refused before any work, and before the threshold warning below.
+        raise ValueError(f"--n {args.n} with --function {args.function}: the reference "
+                         f"integral diverges unless N > 2 sigma = {2.0 * spec.parameter:g}")
     series = build_series(spec, args.terms)
     # The passes' own overflow is not reported pass by pass: a non-finite
     # result is refused once below.

@@ -292,8 +292,9 @@ def kernel_diag(n: int, x) -> np.ndarray:
     return square_sums(n, n - 1, x)
 
 
-def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
-    """Two-point correlation kernel K_N(x, y).
+def kernel(n: int, x, y, crossover: float = 1e-6):
+    """Two-point correlation kernel K_N(x, y), vectorized over x and y,
+    which broadcast; a float where both are scalars.
 
     Off the diagonal this is the Christoffel-Darboux ratio
 
@@ -303,16 +304,24 @@ def kernel(n: int, x: float, y: float, crossover: float = 1e-6) -> float:
     psi_N'(m) psi_{N-1}(m) - psi_N(m) psi_{N-1}'(m) at the midpoint m is
     used instead, so the value stays finite and continuous across the
     diagonal.  Symmetric in (x, y); the midpoint is taken as x/2 + y/2,
-    which cannot overflow.
+    which cannot overflow, and an x - y past the double range is inf,
+    where the ratio is 0.0.  One ``_top_rows`` pass serves every point:
+    the far pairs' x and y and the near pairs' midpoints.
     """
     _check_size(n)
-    x = float(x)
-    y = float(y)
-    if abs(x - y) <= crossover:
-        (low, high), (dlow, dhigh) = _top_rows(n, np.float64(0.5 * x + 0.5 * y))
-        return float(dhigh * low - high * dlow)
-    (low, high), _ = _top_rows(n, np.array([x, y]))
-    return float((high[0] * low[1] - low[0] * high[1]) / (x - y))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with np.errstate(over="ignore"):
+        gap = x - y
+    near = np.abs(gap) <= crossover
+    far = ~near
+    split = int(np.count_nonzero(far))
+    mid = 0.5 * x[near] + 0.5 * y[near]
+    (low, high), (dlow, dhigh) = _top_rows(n, np.concatenate([x[far], y[far], mid]))
+    xs, ys, mids = slice(0, split), slice(split, 2 * split), slice(2 * split, None)
+    out = np.empty(x.shape)
+    out[far] = (high[xs] * low[ys] - low[xs] * high[ys]) / gap[far]
+    out[near] = dhigh[mids] * low[mids] - high[mids] * dlow[mids]
+    return float(out) if out.ndim == 0 else out
 
 
 def _top_density(n: int, x, orders: int, squares: bool = False) -> tuple:

@@ -7,7 +7,15 @@ quadrature, coefficient-space operators against pointwise evaluation,
 exact sampling statistics against Monte Carlo.  The kernel transform
 behind ``guespec laplace --verify`` is checked by Gauss sums, exact at
 real s and with a certified remainder at complex s
-(``kernel_pair_transform``).
+(``kernel_pair_transforms``).
+
+A check's independent evaluations run together: the transform's (s,
+offset) pairs at one N and node count share one recurrence pass, the
+kernel values at one N one top-row pass, and the intervals of a panel
+integral one integrand call.  Every recurrence is elementwise and every
+sum runs over its own entries, so the bits are those of one evaluation
+at a time.  What stays per N does so because its recurrence or rule
+depends on N: the density rules, the gap grids, ``characteristic_function``.
 """
 
 from __future__ import annotations
@@ -33,15 +41,19 @@ def _check(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _integrate_interval(f, a: float, b: float, panels: int) -> float:
-    """Integral over [a, b] by ``panels`` equal panels of ``integrate_line``'s
-    15-point rule, all nodes in one call of f."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    vals = f((mid[:, None] + half[:, None] * quadrature._GL_NODES).ravel()).reshape(panels, -1)
-    # Panel sums added left to right (cumsum adds in order, sum pairwise).
-    return float(np.cumsum(half * (quadrature._GL_WEIGHTS * vals).sum(axis=1))[-1])
+def _integrate_interval(f, a, b, panels: int):
+    """Integrals over [a, b] by ``panels`` equal panels of ``integrate_line``'s
+    15-point rule, the nodes of every interval in one call of f: a float for
+    scalar ends, an array shaped like the broadcast ends otherwise."""
+    edges = np.linspace(a, b, panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = mid[..., None] + half[..., None] * quadrature._GL_NODES
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    # Each interval's panel sums added left to right (cumsum adds in order,
+    # sum pairwise).
+    total = np.cumsum(half * (quadrature._GL_WEIGHTS * vals).sum(axis=-1), axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------- density
@@ -73,9 +85,11 @@ def suite_density() -> list[CheckResult]:
 
     worst_tail = -math.inf
     tail_ok = True
+    radii = (0.5, 1.0)
+    starts = 2.0 + np.array(radii)
     for n in (4, 8, 16):
-        for r in (0.5, 1.0):
-            val = _integrate_interval(lambda x: hermite.density(n, x), 2.0 + r, 2.0 + r + 8.0, 64)
+        tails = _integrate_interval(lambda x: hermite.density(n, x), starts, starts + 8.0, 64)
+        for r, val in zip(radii, tails.tolist()):
             bound = math.exp(-n * r * r / 2.0)
             tail_ok &= val <= bound
             worst_tail = max(worst_tail, val / bound)
@@ -93,19 +107,21 @@ def suite_density() -> list[CheckResult]:
                       "(allowance 1.1 up to N=8, scaled by (N/2pi)^(1/4) beyond)"))
 
     worst_slope = 0.0
-    probes = (-1.5, 0.0, 0.3, 1.9)
+    probes, steps = np.array([[-1.5], [0.0], [0.3], [1.9]]), np.array([1e-7, 1e-6])
     for n in (2, 5, 10, 32):
-        for x, diag in zip(probes, hermite.kernel_diag(n, np.array(probes)).tolist()):
-            for h in (1e-7, 1e-6):
-                off = hermite.kernel(n, x, x + h, crossover=1e-9)
-                worst_slope = max(worst_slope, abs(off - diag) / (h * 2 * n))
+        # One kernel pass per N: every probe x against x + h for both steps.
+        off = hermite.kernel(n, probes, probes + steps, crossover=1e-9)
+        slopes = np.abs(off - hermite.kernel_diag(n, probes)) / (steps * 2 * n)
+        worst_slope = max(worst_slope, float(np.max(slopes)))
     out.append(_check("near-diagonal kernel continuity", worst_slope <= 1.0,
                       f"max |K(x,x+h)-K(x,x)| / (2N h) = {worst_slope:.3f} (calibrated C = 2N)"))
 
     worst_sym = 0.0
+    x, y = np.array([0.3, 1.1, -1.7]), np.array([-0.3, 0.2, 0.4])
     for n in (2, 5, 10):
-        for (x, y) in ((0.3, -0.3), (1.1, 0.2), (-1.7, 0.4)):
-            worst_sym = max(worst_sym, abs(hermite.kernel(n, x, y) - hermite.kernel(n, y, x)))
+        # K(x, y) and K(y, x) from one kernel pass.
+        both = hermite.kernel(n, np.concatenate([x, y]), np.concatenate([y, x]))
+        worst_sym = max(worst_sym, float(np.max(np.abs(both[:3] - both[3:]))))
     out.append(_check("kernel symmetry", worst_sym == 0.0,
                       f"max |K(x,y)-K(y,x)| = {worst_sym:.3e}"))
     return out
@@ -166,16 +182,18 @@ _REMAINDER_TARGET, _MAX_NODES = 2.0 ** -44, 1050
 
 def _kernel_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m Gauss nodes u_k for exp(-n u^2/2) and lam_k = 1/sum_{j<m}
-    psi_j(u_k)^2, the weights times e^{n u_k^2/2}: ``_gauss_sum``'s rule,
+    psi_j(u_k)^2, the weights times e^{n u_k^2/2}: ``_gauss_sums``'s rule,
     which depends on (n, m) alone."""
     u = quadrature.gauss_nodes(n, m)
     return u, 1.0 / hermite.square_sums(n, m - 1, u)
 
 
-def _gauss_sum(n: int, s, offset: float, m: int, rule):
-    """The m-node Gauss sum for int e^{s lam} K_n(lam+offset, lam-offset) d lam
-    and a bound on its error (Gautschi, Orthogonal Polynomials, 2004, ch. 1),
-    on ``rule`` = ``_kernel_rule(n, m)``, which it leaves unchanged.
+def _gauss_sums(n: int, m: int, rule, pairs) -> list[tuple]:
+    """The m-node Gauss sums for int e^{s lam} K_n(lam+offset, lam-offset) d lam
+    and bounds on their errors (Gautschi, Orthogonal Polynomials, 2004, ch. 1),
+    one (value, remainder) for each (s, offset) of ``pairs``, from one
+    recurrence pass over all their points, on ``rule`` = ``_kernel_rule(n,
+    m)``, which it leaves unchanged.
 
     s = sigma + i tau, a = sigma/n: the integral is e^{sigma^2/2n - n
     offset^2/2 + i tau a} int e^{-n u^2/2} e^{i tau u} P(u) du, P(u) =
@@ -189,87 +207,133 @@ def _gauss_sum(n: int, s, offset: float, m: int, rule):
     sums, the rest is below (|tau|^L/L!) [2 Q_m(u^L Sbar) + n^{n-1-m}
     m!/(n-1)!] e^{sigma^2/2n - n offset^2/2], the second term the Gauss
     error of u^L Sbar, of degree 2m.
+
+    The recurrence is elementwise and each pair's sums run over its own m
+    entries, so a pair's bits do not depend on the others in the batch.
     """
-    sigma, tau = s.real, s.imag
     u, lam = rule
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = n * (u * u + offset * offset) / 4.0 - sigma * sigma / (4.0 * n)
-        start, lift, x = hermite._weighted_start(
-            n, np.concatenate([u + (sigma / n + offset), u + (sigma / n - offset)]), np.tile(q, 2))
-        cross, squares, work = np.zeros(m), np.zeros(2 * m), np.empty((4, 2 * m))
+    count = len(pairs)
+    h = count * m
+    plus, minus, squared, shift = [], [], [], []
+    for s, offset in pairs:
+        a = s.real / n
+        plus.append(a + offset)
+        minus.append(a - offset)
+        squared.append(offset * offset)
+        shift.append(s.real * s.real / (4.0 * n))
+    # Every pair's u + a + offset block, then every pair's u + a - offset
+    # block: the two halves of a row pair up point by point.
+    columns = np.array([plus + minus, squared + squared, shift + shift])[:, :, None]
+    # divide: the logarithms of the bound below take log(0.0) = -inf.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = n * (u * u + columns[1]) / 4.0 - columns[2]
+        start, lift, x = hermite._weighted_start(n, (u + columns[0]).ravel(), q.ravel())
+        # Only complex s bound a remainder, from the squares of the rows.
+        waves = [i for i, (s, _) in enumerate(pairs) if s.imag]
+        sums, work = np.zeros(3 * h), np.empty((4, 2 * h))
+        cross, squares = sums[:h], sums[h:]
         for _, row in hermite._rows(n, n - 1, x, start, hermite._ring(n - 1, work), work[3]):
-            cross += row[:m] * row[m:]
-            squares += row * row
-        lam = lam * np.exp(-2.0 * lift[:m])
-        if not tau:
-            return float(np.sum(lam * cross)), 0.0
-        phase = np.exp(1j * tau * u)
-        value = complex(np.sum(lam * cross * phase)) * cmath.exp(1j * tau * sigma / n)
+            cross += row[:h] * row[h:]
+            if waves:
+                squares += row * row
+        lam = lam * np.exp(-2.0 * lift[:h]).reshape(count, m)
+        terms = lam * cross.reshape(count, m)
+        squares = squares.reshape(2, count, m)
+        # Row sums: each pair's pairwise sum over its own m entries.
+        if len(waves) < count:
+            out = [(value, 0.0) for value in terms.sum(axis=1).tolist()]
+            if not waves:
+                return out
+            lam, terms, squares = lam[waves], terms[waves], squares[:, waves]
+        else:
+            out = [None] * count
+        taus = [pairs[i][0].imag for i in waves]
+        phase = np.exp(np.array([1j * tau for tau in taus])[:, None] * u)
         order = 2 * (m - n + 1)
-        taylor = order * math.log(abs(tau)) - math.lgamma(order + 1)
         # |tau u|^L / L! alone can pass the double range where its product
         # with the weight does not: multiply as a sum of logarithms.
-        with np.errstate(divide="ignore"):
-            rule_part = np.sum(np.exp(order * np.log(np.abs(u)) + taylor
-                                      + np.log(lam * (squares[:m] + squares[m:]))))
-        gauss_error = np.exp(_gauss_error_log(n, tau, m) + sigma * sigma / (2.0 * n)
-                             - n * offset * offset / 2.0)
-    return value, float(rule_part + gauss_error)
+        taylor = [order * math.log(abs(tau)) - math.lgamma(order + 1) for tau in taus]
+        rule_parts = np.exp(order * np.log(np.abs(u)) + np.array(taylor)[:, None]
+                            + np.log(lam * (squares[0] + squares[1])))
+        for i, value, part in zip(waves, (terms * phase).sum(axis=1).tolist(),
+                                  rule_parts.sum(axis=1).tolist()):
+            s, offset = pairs[i]
+            gauss_error = np.exp(_gauss_error_log(n, s.imag, m) + s.real * s.real / (2.0 * n)
+                                 - n * offset * offset / 2.0)
+            out[i] = value * cmath.exp(1j * s.imag * s.real / n), float(part + gauss_error)
+    return out
 
 
 def _gauss_error_log(n: int, tau: float, m: int) -> float:
     """log of (|tau|^L / L!) n^{n-1-m} m!/(n-1)!, L = 2(m - n + 1): the Gauss
-    error term of the remainder of ``_gauss_sum`` over its exponential."""
+    error term of the remainder of ``_gauss_sums`` over its exponential."""
     order = 2 * (m - n + 1)
     return (order * math.log(abs(tau)) - math.lgamma(order + 1) + (n - 1 - m) * math.log(n)
             + math.lgamma(m + 1) - math.lgamma(n))
 
 
-def kernel_pair_transform(n: int, s, offset: float, rules: dict | None = None):
+def kernel_pair_transforms(n: int, pairs) -> list[tuple]:
     """int e^{s lam} K_n(lam+offset, lam-offset) d lam by Gauss sums,
     independent of the closed form, and a certified bound on its error:
-    (value, remainder).  Real s takes the exact n-node sum; complex s the
-    first of m = n + 1, n + 2, n + 4, ... nodes whose remainder meets the
-    target.  ``rules`` maps (n, m) to the ``_kernel_rule`` built for it: a
-    caller with many s and offsets passes one dict to all its calls, and
-    each rule is built once.
+    (value, remainder) for each (s, offset) of ``pairs``.  Real s takes the
+    exact n-node sum; complex s the first of m = n + 1, n + 2, n + 4, ...
+    nodes whose remainder meets the target, each pair climbing on its own.
+    The pairs at one rung share its ``_kernel_rule``, built once per call,
+    and one ``_gauss_sums`` pass.
     """
-    rules = {} if rules is None else rules
-    m = n + bool(s.imag)
-    while True:
-        # Only time is at stake: skip rungs whose Gauss error term alone,
-        # taken relative to its exponential, is above the target.
-        if not s.imag or _gauss_error_log(n, s.imag, m) <= math.log(_REMAINDER_TARGET):
-            if (n, m) not in rules:
-                rules[n, m] = _kernel_rule(n, m)
-            value, remainder = _gauss_sum(n, s, offset, m, rules[n, m])
+    target = math.log(_REMAINDER_TARGET)
+
+    def climb(i, m):
+        """The first rung from m on that pair i sums: only time is at
+        stake, so skip rungs whose Gauss error term alone, taken relative
+        to its exponential, is above the target."""
+        s = pairs[i][0]
+        while True:
+            if m > _MAX_NODES:
+                raise ValueError(f"--s {s!r}: no Gauss rule of at most {_MAX_NODES} nodes "
+                                 f"certifies the kernel transform at N = {n}")
+            if not s.imag or _gauss_error_log(n, s.imag, m) <= target:
+                return m
+            m = n + 2 * (m - n)
+
+    out = [None] * len(pairs)
+    rungs = {i: climb(i, n + bool(s.imag)) for i, (s, _) in enumerate(pairs)}
+    while rungs:
+        m = min(rungs.values())
+        run = [i for i, rung in rungs.items() if rung == m]
+        for i, (value, remainder) in zip(run, _gauss_sums(n, m, _kernel_rule(n, m),
+                                                          [pairs[i] for i in run])):
             if not cmath.isfinite(value):
-                raise ValueError(f"--s {s!r}: the Gauss sum of the kernel transform at "
-                                 f"N = {n} leaves the double range")
+                raise ValueError(f"--s {pairs[i][0]!r}: the Gauss sum of the kernel "
+                                 f"transform at N = {n} leaves the double range")
             if remainder <= _REMAINDER_TARGET * max(abs(value), n):
-                return value, remainder
-        m = n + 2 * (m - n)
-        if m > _MAX_NODES:
-            raise ValueError(f"--s {s!r}: no Gauss rule of at most {_MAX_NODES} nodes "
-                             f"certifies the kernel transform at N = {n}")
+                out[i] = value, remainder
+                del rungs[i]
+            else:
+                rungs[i] = climb(i, n + 2 * (m - n))
+    return out
+
+
+def kernel_pair_transform(n: int, s, offset: float):
+    """``kernel_pair_transforms`` of the one pair (s, offset)."""
+    return kernel_pair_transforms(n, [(s, offset)])[0]
 
 
 def suite_laplace() -> list[CheckResult]:
     out = []
     worst = 0.0
     worst_at = None
-    rules = {}
+    pairs = [(s, offset) for s in (0.0, 0.5, -0.5, 1.0, 2j) for offset in (0.0, 0.3, 1.0)]
     for n in (1, 2, 5, 10):
-        for s in (0.0, 0.5, -0.5, 1.0, 2j):
-            for offset in (0.0, 0.3, 1.0):
-                closed = laplace.kernel_laplace(n, s, offset)
-                direct, _ = kernel_pair_transform(n, s, offset, rules)
-                diff = abs(closed - direct)
-                # two grid points are exact zeros of the closed form; there
-                # the absolute deviation is the only meaningful measure
-                err = diff / abs(closed) if closed != 0 else diff
-                if err > worst:
-                    worst, worst_at = err, (n, s, offset)
+        # All 15 pairs of an N in one call: one recurrence pass per rung.
+        for (s, offset), (direct, _) in zip(pairs, kernel_pair_transforms(n, pairs)):
+            closed = laplace.kernel_laplace(n, s, offset)
+            diff = abs(closed - direct)
+            # two grid points are exact zeros of the closed form; there
+            # the absolute deviation is the only meaningful measure
+            err = diff / abs(closed) if closed != 0 else diff
+            if err > worst:
+                worst, worst_at = err, (n, s, offset)
     out.append(_check("kernel transform closed form vs quadrature", worst < _TRANSFORM_TOL,
                       f"max rel err = {worst:.3e} at (N, s, offset) = {worst_at} "
                       f"(tol {_TRANSFORM_TOL:g})"))
@@ -298,10 +362,11 @@ def suite_laplace() -> list[CheckResult]:
                       f"max odd |c_l| = {odd:.3e} (must be 0)"))
 
     gaps = {}
-    for kind, s in (("exp", 1.0), ("exp", 2.0), ("cos", 1j), ("cos", 2j)):
-        # The series resum takes, against the genus-count sums at s = a or ia.
-        series = gegenbauer.plane_wave_series(kind, abs(s), 12)
-        alphas = operators.correction_functionals(series, 12)
+    waves = (("exp", 1.0), ("exp", 2.0), ("cos", 1j), ("cos", 2j))
+    # The series resum takes, their passes run as one matrix as moments runs
+    # them, against the genus-count sums at s = a or ia.
+    vectors = [gegenbauer.plane_wave_series(kind, abs(s), 12).coefficients for kind, s in waves]
+    for (kind, s), alphas in zip(waves, operators.batched_functionals(vectors, [12] * 4)):
         c = laplace.laplace_expansion(s, 24)[::2].real
         gaps[kind] = max(gaps.get(kind, 0.0), float(np.max(np.abs(alphas - c) / np.abs(c))))
     # The measured worst gaps are 1.2e-15 (exp) and 1.6e-15 (cos).
@@ -588,8 +653,8 @@ def suite_sampling() -> list[CheckResult]:
     flat = batch.eigenvalues.ravel()
     hist = np.histogram(flat, bins=edges)[0] / flat.size
     worst_sigma = 0.0
-    for i in range(40):
-        prob = _integrate_interval(lambda x: hermite.density(8, x), edges[i], edges[i + 1], 2)
+    probs = _integrate_interval(lambda x: hermite.density(8, x), edges[:-1], edges[1:], 2)
+    for i, prob in enumerate(probs.tolist()):
         # binomial SE over all 8 * count eigenvalues: with K_8 a rank-8
         # projection, a bin's count in one spectrum has variance
         # 8q - tr((P K P)^2) <= 8q(1 - q), so the SE is not optimistic
@@ -609,12 +674,14 @@ def suite_sampling() -> list[CheckResult]:
                       f"z-scores: m2 {z2:.2f}, m4 {z4:.2f}, m6 {z6:.2f}"))
 
     tail_ok, tails = True, []
-    for r in (0.5, 0.75, 1.0):
+    radii = (0.5, 0.75, 1.0)
+    starts = 2.0 + np.array(radii)
+    # P(largest >= 2 + r) <= E #{eigenvalues >= 2 + r} = N int_{2+r} p_N,
+    # cut 8 past 2 + r as suite_density's tails are.
+    masses = _integrate_interval(lambda x: hermite.density(8, x), starts, starts + 8.0, 64)
+    for r, mass in zip(radii, masses.tolist()):
         freq = montecarlo.edge_tail_frequency(batch, 2.0 + r)
-        # P(largest >= 2 + r) <= E #{eigenvalues >= 2 + r} = N int_{2+r} p_N,
-        # cut 8 past 2 + r as suite_density's tails are.
-        bound = 8.0 * _integrate_interval(lambda x: hermite.density(8, x),
-                                          2.0 + r, 2.0 + r + 8.0, 64)
+        bound = 8.0 * mass
         se = math.sqrt(bound * (1.0 - bound) / count)
         tail_ok &= freq <= bound + 4 * se
         tails.append(f"r={r}: freq = {freq:.2e}, bound = {bound:.2e}")

@@ -832,7 +832,9 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
 # naming the argument; it used to surface as a JSON encoder error (--s,
 # --lambda-minus), a failed integer-ratio conversion (the resum parameter),
 # a float conversion message, or the name of a library parameter (--terms
-# -1 said depth, --n 0 ensemble_size).
+# -1 said depth, --n 0 ensemble_size).  A gauss --compare whose reference
+# diverges (N <= 2 sigma) printed the threshold warning and then a refusal
+# naming no option.
 @pytest.mark.parametrize("argv,message", [
     (("laplace", "--n", "4", "--s=nan"), "--s must be finite, got 'nan'"),
     (("laplace", "--n", "4", "--s=0.5,-inf"), "--s must be finite, got '-inf'"),
@@ -855,8 +857,12 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
      "--terms must be >= 0, got -1"),
     (("resum", "--n", "0", "--function", "gauss:1.6", "--terms", "3"),
      "--n must be >= 1, got 0"),
+    (("resum", "--n", "2", "--function", "gauss:1.6", "--terms", "2", "--compare"),
+     "--n 2 with --function gauss:1.6: the reference integral diverges unless "
+     "N > 2 sigma = 3.2"),
 ], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "offset-malformed",
-        "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "terms-negative", "n-zero"])
+        "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "terms-negative", "n-zero",
+        "gauss-compare-diverges"])
 def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -927,6 +933,35 @@ def test_verify_density_runs_one_recurrence_per_gap_grid(monkeypatch, capsys):
                         or rows(n, k_max, x, *args))
     code, _, _ = run(capsys, "verify", "--suite", "density")
     assert code == 0 and sizes.count(2001) == 11, sizes.count(2001)
+
+
+def test_verify_density_runs_one_kernel_pass_per_size(monkeypatch, capsys):
+    """The continuity check (4 sizes) and the symmetry check (3 sizes) take
+    all their kernel values at one size from one ``_top_rows`` pass."""
+    sizes = []
+    top_rows = hermite._top_rows
+    monkeypatch.setattr(hermite, "_top_rows", lambda n, x: sizes.append((n, np.size(x)))
+                        or top_rows(n, x))
+    code, _, _ = run(capsys, "verify", "--suite", "density")
+    assert code == 0
+    assert sizes == [(2, 16), (5, 16), (10, 16), (32, 16), (2, 12), (5, 12), (10, 12)], sizes
+
+
+def test_verify_laplace_runs_one_gauss_pass_per_rung(monkeypatch, capsys):
+    """The transform check sums every pair of an N at one rung of the node
+    ladder in one ``_gauss_sums`` pass: one pass per rule built, with the
+    12 pairs of real s at m = N and those of s = 2i not yet certified at
+    each complex rung (a pair climbs on its own)."""
+    from guespec import verify
+
+    passes = []
+    sums = verify._gauss_sums
+    monkeypatch.setattr(verify, "_gauss_sums", lambda n, m, rule, pairs:
+                        passes.append((n, m, len(pairs))) or sums(n, m, rule, pairs))
+    code, _, _ = run(capsys, "verify", "--suite", "laplace")
+    assert code == 0
+    assert passes == [(1, 1, 12), (1, 17, 3), (1, 33, 3), (2, 2, 12), (2, 18, 3), (2, 34, 2),
+                      (5, 5, 12), (5, 21, 3), (10, 10, 12), (10, 26, 3)]
 
 
 def test_verify_ode_takes_its_residuals_from_its_derivative_passes(monkeypatch, capsys):

@@ -103,6 +103,31 @@ def test_kernel_is_the_frame_formula_bitwise(n, x, y):
     assert repr(hermite.kernel(n, x, y)) == repr(want)
 
 
+def test_kernel_on_arrays_is_the_scalar_loop():
+    """One pass over broadcast x and y gives every pair's scalar value, by
+    repr: off the diagonal and within the crossover, past the edge (where
+    the start lifts at N = 256, and where it underflows), and at +-the
+    largest double, where x - y overflows to inf, the ratio is 0.0 and no
+    warning is raised."""
+    big = 1.7976931348623157e308
+    x = np.array([-1.2, 0.5, 0.5, 5.5, 40.0, big, big, -big, 0.3, 2.1])
+    y = np.array([0.7, 0.5 + 1e-7, 0.5, 5.5 + 5e-7, -40.0, big, -big, big, -1.1, 2.1 - 2e-6])
+    for n in (1, 5, 64, 256):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = hermite.kernel(n, x, y)
+            grid = hermite.kernel(n, x[:, None], y)
+            row = hermite.kernel(n, 0.3, y)
+        assert pairs.shape == x.shape and grid.shape == (x.size, y.size) and row.shape == y.shape
+        loop = [[repr(hermite.kernel(n, a, b)) for b in y.tolist()] for a in x.tolist()]
+        assert [repr(v) for v in pairs.tolist()] == [loop[i][i] for i in range(x.size)], n
+        assert [[repr(v) for v in r] for r in grid.tolist()] == loop, n
+        assert [repr(v) for v in row.tolist()] == loop[8], n
+        assert pairs[6] == pairs[7] == 0.0
+    assert type(hermite.kernel(4, 0.3, 1.1)) is float
+    assert type(hermite.kernel(4, np.float64(0.5), 0.5)) is float
+
+
 def test_pair_transform_holds_no_frame():
     """The Gauss sums stream the rows of the recurrence: at s = 60i the
     ladder reaches 512 nodes, where one (256, 512) frame alone takes 1 MiB.

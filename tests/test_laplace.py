@@ -142,18 +142,30 @@ def test_kernel_laplace_against_quadrature():
         assert abs(laplace.kernel_laplace(n, s, c) - value) <= 1e-13 * scale, (n, s, c)
 
 
-@pytest.mark.parametrize("n,s,c", [(n, s, c) for n in (1, 2, 8, 64, 256) for s in (1 + 2j, 20j)
-                                   for c in (0.0, 0.3, 1.0)])
+def gauss_sums(n, m, pairs):
+    """verify._gauss_sums of the (s, c) pairs at rung m, in one pass."""
+    from guespec import verify
+    return verify._gauss_sums(n, m, verify._kernel_rule(n, m), pairs)
+
+
+LADDER_PAIRS = [(s, c) for s in (1 + 2j, 20j) for c in (0.0, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("n,s,c", [(n, s, c) for n in (1, 2, 8, 64, 256)
+                                   for s, c in LADDER_PAIRS])
 def test_gauss_sum_remainder_is_never_below_its_error(n, s, c):
     """Every rung of the node ladder, up to the certified one: the error of
     the m-node sum, truncation and rounding, lies within its remainder
-    plus rounding."""
-    from guespec import verify
+    plus rounding.  Each rung's sum is also taken in one batch with the
+    other five (s, c) of its N and a real s, with the same bits."""
     want = laguerre_reference(n, s, c)
     m = n
     while True:
-        value, remainder = verify._gauss_sum(n, s, c, m, verify._kernel_rule(n, m))
+        (value, remainder), = gauss_sums(n, m, [(s, c)])
         assert abs(value - want) <= remainder + ROUNDING * max(abs(want), n), (m, remainder)
+        batch = gauss_sums(n, m, LADDER_PAIRS + [(0.5, c)])
+        assert repr(batch[LADDER_PAIRS.index((s, c))]) == repr((value, remainder)), m
+        assert repr(batch[-1]) == repr(gauss_sums(n, m, [(0.5, c)])[0]), m
         if remainder <= 2.0 ** -44 * max(abs(value), n):
             break
         m = n + max(1, 2 * (m - n))
@@ -570,25 +582,34 @@ def test_density_polynomial_route_consistency():
     assert got == pytest.approx(1.0, rel=1e-13)
 
 
-def test_shared_kernel_rules_keep_the_bits_of_fresh_ones():
-    """One rules dict across N, s and offsets, as suite_laplace passes it:
-    every transform equals its call without the dict bit for bit, each rule
-    is keyed by (N, node count) and left as built, and the complex s take
-    two more rungs of the node ladder (the rungs between, whose Gauss error
-    term alone misses the target, are skipped unbuilt)."""
+def test_batched_kernel_transforms_keep_the_bits_of_one_pair_calls(monkeypatch):
+    """All (s, c) pairs of an N in one call, as suite_laplace makes it:
+    every transform equals its one-pair call bit for bit, each rule is
+    built once per call, keyed by (N, node count), and left as built, and
+    the complex s take two more rungs of the node ladder (the rungs
+    between, whose Gauss error term alone misses the target, are skipped
+    unbuilt)."""
     from guespec import verify
-    rules = {}
+    build = verify._kernel_rule
+    built = []
+    monkeypatch.setattr(verify, "_kernel_rule",
+                        lambda n, m: built.append((n, m, build(n, m))) or built[-1][2])
+    keys = []
     # At N = 64, c = 7 the weighted rows start lifted (N c^2 / 4 > 700),
     # and the sum takes e^{-2L} into its weights.
-    for n, c in ((2, 0.0), (2, 0.3), (5, 0.0), (5, 0.3), (64, 7.0)):
-        for s in (0.5, -1.0, 2j, 1 + 3j):
-            shared = verify.kernel_pair_transform(n, s, c, rules)
-            assert repr(shared) == repr(verify.kernel_pair_transform(n, s, c)), (n, s, c)
-    assert sorted(rules) == [(2, 2), (2, 18), (2, 34), (5, 5), (5, 21), (5, 37), (64, 64),
-                             (64, 80)]
-    for (n, m), (u, lam) in rules.items():
-        fresh_u, fresh_lam = verify._kernel_rule(n, m)
-        assert u.tobytes() == fresh_u.tobytes() and lam.tobytes() == fresh_lam.tobytes()
+    for n, offsets in ((2, (0.0, 0.3)), (5, (0.0, 0.3)), (64, (7.0,))):
+        pairs = [(s, c) for c in offsets for s in (0.5, -1.0, 2j, 1 + 3j)]
+        want = [repr(verify.kernel_pair_transform(n, s, c)) for s, c in pairs]
+        built.clear()
+        assert [repr(v) for v in verify.kernel_pair_transforms(n, pairs)] == want, n
+        call_keys = [(k, m) for k, m, _ in built]
+        assert len(set(call_keys)) == len(call_keys), call_keys
+        keys += call_keys
+        for k, m, (u, lam) in built:
+            fresh_u, fresh_lam = build(k, m)
+            assert u.tobytes() == fresh_u.tobytes() and lam.tobytes() == fresh_lam.tobytes()
+    assert sorted(keys) == [(2, 2), (2, 18), (2, 34), (5, 5), (5, 21), (5, 37), (64, 64),
+                            (64, 80)]
 
 
 def test_genus_counts_extend_in_place():

@@ -316,6 +316,17 @@ def test_verify_interval_sum_is_bitwise_the_per_panel_loop(n, a, b, panels):
         want += half * (weights * hermite.density(n, mid + half * nodes)).sum()
     got = verify._integrate_interval(lambda x: hermite.density(n, x), a, b, panels)
     assert repr(got) == repr(float(want))
+    # Array ends: every interval from one call of f, each with the bits of
+    # its scalar call, in the shape of the broadcast ends.
+    calls = []
+    lows = np.array([[a], [a - 1.0], [0.5 * (a + b)]])
+    highs = np.array([b, b + 0.25])
+    got = verify._integrate_interval(lambda x: calls.append(x) or hermite.density(n, x),
+                                     lows, highs, panels)
+    assert got.shape == (3, 2) and len(calls) == 1
+    want = [[repr(verify._integrate_interval(lambda x: hermite.density(n, x), lo, hi, panels))
+             for hi in highs.tolist()] for lo in lows.ravel().tolist()]
+    assert [[repr(v) for v in r] for r in got.tolist()] == want
 
 
 @pytest.mark.parametrize("sig", [0.0, 0.3, 0.999])
