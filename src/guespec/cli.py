@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 #: The names of verify.SUITES, in its order, without importing verify.
 VERIFY_SUITES = ("density", "ode", "laplace", "moments", "operators", "basis",
                  "stirling", "sampling", "probe")
+_MAX_N = 256  # hermite.MAX_ENSEMBLE_SIZE: the largest --n where the work grows with N
 
 
 def _emit_json(obj) -> None:
@@ -211,6 +212,8 @@ def cmd_density(args) -> int:
 def cmd_laplace(args) -> int:
     from . import laplace
 
+    if args.n > _MAX_N:
+        raise ValueError(f"--n {args.n} above the supported maximum {_MAX_N}")
     s = _parse_s(args.s)
     offset = _finite("--lambda-minus", args.lambda_minus)
     value = laplace.kernel_laplace(args.n, s, offset)
@@ -258,6 +261,8 @@ def cmd_resum(args) -> int:
         raise ValueError(f"--terms must be >= 0, got {args.terms}")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.compare and args.n > _MAX_N:
+        raise ValueError(f"--n {args.n} with --compare above the supported maximum {_MAX_N}")
     spec = parse_function_spec(args.function)
     if args.compare and spec.kind == "gauss" and spec.parameter >= args.n / 2.0:
         # Refused before any work, and before the threshold warning below.

@@ -50,6 +50,7 @@ from .gegenbauer import (
 #: Indices of accuracy consumed from the top of a truncated coefficient
 #: vector by one application of the correction operator.
 DEGREE_LOSS_PER_CORRECTION = 4
+_ZERO = np.zeros(())
 
 
 def _per_row(values, ndim: int) -> np.ndarray:
@@ -76,14 +77,14 @@ def differentiate(coefficients) -> np.ndarray:
     # tail[m] = a_m + a_{m+2} + ..., added from the top down (cumsum adds in
     # order): the vector reversed, a_0 dropped if that leaves the length
     # odd, then one cumsum over its pairs runs both parities.  Row j of the
-    # sums is tail[size - 1 - j].  + 0.0 turns an all -0.0 sum into 0.0, as
-    # a zero-started accumulator would.
+    # sums is tail[size - 1 - j].  + 0.0, a 0-d zero (dispatched faster than
+    # a float), turns an all -0.0 sum into 0.0, as a zero-started sum would.
     top = a[::-1][:size - size % 2]
     tail = top.reshape((-1, 2) + a.shape[1:]).cumsum(axis=0).reshape(top.shape)
-    tail += 0.0
+    np.add(tail, _ZERO, tail)
     out = np.empty_like(a)
-    np.multiply(_factors(size, a.ndim)[0], tail[size - 2::-1], out=out[:-1])
-    out[size - 1:] = 0.0
+    np.multiply(_factors(size, a.ndim)[0], tail[size - 2::-1], out[:-1])
+    out[size - 1:] = _ZERO
     return out
 
 

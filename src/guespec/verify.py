@@ -14,8 +14,9 @@ offset) pairs at one N and node count share one recurrence pass, the
 kernel values at one N one top-row pass, and the intervals of a panel
 integral one integrand call.  Every recurrence is elementwise and every
 sum runs over its own entries, so the bits are those of one evaluation
-at a time.  What stays per N does so because its recurrence or rule
-depends on N: the density rules, the gap grids, ``characteristic_function``.
+at a time.  The density rules and gap grids stay per N, as their rule or
+recurrence depends on N; the step of ``characteristic_function`` does not,
+so its 11 sizes share one pass, and five 1/N expansions one count table.
 """
 
 from __future__ import annotations
@@ -351,23 +352,24 @@ def suite_laplace() -> list[CheckResult]:
 
     grid = np.arange(241) * 0.25
     # phi_N(0) = 1, so this is >= 0; np.max keeps a nan, which fails the check.
-    char_worst = float(np.max([np.max(np.abs(laplace.characteristic_function(n, grid)))
-                               for n in (1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256)])) - 1.0
+    phis = laplace._characteristic_functions((1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256), grid)
+    char_worst = float(np.max([np.max(np.abs(phi)) for phi in phis])) - 1.0
     out.append(_check("characteristic function bounded by 1", char_worst <= 1e-12,
                       f"max |phi(w)| - 1 = {char_worst:.3e} over N <= 256, w <= 60"))
 
-    coeffs = laplace.laplace_expansion(1.0, 8)
+    waves = (("exp", 1.0), ("exp", 2.0), ("cos", 1j), ("cos", 2j))
+    coeffs, *expansions = laplace._laplace_expansions([(1.0, 8)] + [(s, 24) for _, s in waves])
     odd = max(abs(coeffs[1]), abs(coeffs[3]), abs(coeffs[5]), abs(coeffs[7]))
     out.append(_check("1/N expansion odd coefficients vanish", odd == 0.0,
                       f"max odd |c_l| = {odd:.3e} (must be 0)"))
 
     gaps = {}
-    waves = (("exp", 1.0), ("exp", 2.0), ("cos", 1j), ("cos", 2j))
     # The series resum takes, their passes run as one matrix as moments runs
     # them, against the genus-count sums at s = a or ia.
     vectors = [gegenbauer.plane_wave_series(kind, abs(s), 12).coefficients for kind, s in waves]
-    for (kind, s), alphas in zip(waves, operators.batched_functionals(vectors, [12] * 4)):
-        c = laplace.laplace_expansion(s, 24)[::2].real
+    for (kind, _), alphas, c in zip(waves, operators.batched_functionals(vectors, [12] * 4),
+                                    expansions):
+        c = c[::2].real
         gaps[kind] = max(gaps.get(kind, 0.0), float(np.max(np.abs(alphas - c) / np.abs(c))))
     # The measured worst gaps are 1.2e-15 (exp) and 1.6e-15 (cos).
     out.append(_check("functionals of e^{at} and cos(at) equal the 1/N expansion",

@@ -834,7 +834,8 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
 # a float conversion message, or the name of a library parameter (--terms
 # -1 said depth, --n 0 ensemble_size).  A gauss --compare whose reference
 # diverges (N <= 2 sigma) printed the threshold warning and then a refusal
-# naming no option.
+# naming no option.  An --n past 256 ran laplace's Laguerre loop and the
+# O(N) reference of resum --compare until killed.
 @pytest.mark.parametrize("argv,message", [
     (("laplace", "--n", "4", "--s=nan"), "--s must be finite, got 'nan'"),
     (("laplace", "--n", "4", "--s=0.5,-inf"), "--s must be finite, got '-inf'"),
@@ -860,12 +861,40 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
     (("resum", "--n", "2", "--function", "gauss:1.6", "--terms", "2", "--compare"),
      "--n 2 with --function gauss:1.6: the reference integral diverges unless "
      "N > 2 sigma = 3.2"),
+    (("laplace", "--n", "99999999999999999999", "--s=0.5"),
+     "--n 99999999999999999999 above the supported maximum 256"),
+    (("resum", "--n", "99999999999999999999", "--function", "exp:1", "--terms", "2",
+      "--compare"), "--n 99999999999999999999 with --compare above the supported maximum 256"),
 ], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "offset-malformed",
         "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "terms-negative", "n-zero",
-        "gauss-compare-diverges"])
+        "gauss-compare-diverges", "laplace-n-past-max", "compare-n-past-max"])
 def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("laplace", "--n", "257", "--s=0.5", "--verify"),
+    ("laplace", "--n", "99999999999999999999", "--s=0.5"),
+    ("resum", "--n", "99999999999999999999", "--function", "cos:1", "--terms", "2", "--compare"),
+    ("resum", "--n", "257", "--function", "gauss:0.3", "--terms", "2", "--compare"),
+], ids=["laplace-257", "laplace-huge", "compare-huge", "compare-257"])
+def test_n_past_the_supported_size_is_refused_before_any_work(capsys, argv):
+    """laplace and resum --compare, whose work grows with N, refuse an --n
+    past 256 in one line naming it, in well under 0.1 s; resum without
+    --compare takes O(1) work in N and keeps accepting any N, and 256 itself
+    runs."""
+    assert cli._MAX_N == hermite.MAX_ENSEMBLE_SIZE
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "") and err.startswith("error: --n ") and err.count("\n") == 1
+    assert elapsed < 0.1
+    if argv[0] == "resum":
+        code, out, _ = run(capsys, *argv[:-1])
+        assert code == 0 and json.loads(out)["n"] == int(argv[2])
+    code, _, _ = run(capsys, *(a if a != argv[2] else "256" for a in argv))
+    assert code == 0
 
 
 # Each refusal of a --function spec is one error line naming the option (and
@@ -962,6 +991,22 @@ def test_verify_laplace_runs_one_gauss_pass_per_rung(monkeypatch, capsys):
     assert code == 0
     assert passes == [(1, 1, 12), (1, 17, 3), (1, 33, 3), (2, 2, 12), (2, 18, 3), (2, 34, 2),
                       (5, 5, 12), (5, 21, 3), (10, 10, 12), (10, 26, 3)]
+
+
+def test_verify_laplace_runs_one_laguerre_pass_and_one_genus_table(monkeypatch, capsys):
+    """The characteristic-function check runs its 11 sizes through one
+    Laguerre pass, and the five 1/N expansions share one genus-count table,
+    built once and extended in place."""
+    passes, builds = [], []
+    phis, counts = laplace._characteristic_functions, laplace._genus_counts
+    monkeypatch.setattr(laplace, "_characteristic_functions", lambda sizes, w:
+                        passes.append(tuple(sizes)) or phis(sizes, w))
+    monkeypatch.setattr(laplace, "_genus_counts", lambda m_max, g_max, rows=None:
+                        builds.append(rows is None) or counts(m_max, g_max, rows))
+    code, _, _ = run(capsys, "verify", "--suite", "laplace")
+    assert code == 0
+    assert passes == [(1, 2, 3, 5, 8, 16, 32, 64, 128, 200, 256)]
+    assert builds.count(True) == 1 and len(builds) > 1
 
 
 def test_verify_ode_takes_its_residuals_from_its_derivative_passes(monkeypatch, capsys):

@@ -354,6 +354,31 @@ def test_sums_equal_the_allocating_recurrence_bitwise(n, span, points):
     _assert_top_row_bits(n, grid)
 
 
+# Zero, the smallest subnormal, points where the start is lifted, where it
+# underflows and where n^2 x^2 overflows (the rows then run at x = 0).
+EXTREME_GRID = np.array([0.0, 5e-324, -5e-324, 1e-300, 0.3, -1.7, 2.0, 2.9, 3.6, -7.5, 40.0,
+                         -60.0, 120.0, 1e100, 1e154, -1e200, 1.7e308])
+
+
+@pytest.mark.parametrize("n", [*range(1, 60), 64, 100, 128, 200, 255, 256])
+def test_in_place_rows_keep_the_reference_bits_at_every_size(n):
+    """square_sums (to row N - 1 and, with its running partial, past it)
+    and p_N with its three derivatives are the bits of the allocating
+    recurrence, one fresh array per operation and Python-float coefficients,
+    on extreme points at every size: the in-place rows with their 0-d
+    coefficients run the same operations in the same order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        start, lift, x = hermite._weighted_start(n, EXTREME_GRID)
+        sums, running = [], 0.0
+        for _, psi in _reference_rows(n, 2 * n + 3, x, start):
+            running = running + psi * psi
+            sums.append(running * np.exp(-2.0 * lift))
+    inner, outer = hermite.square_sums(n, 2 * n + 3, EXTREME_GRID, inner=n - 1)
+    assert _same_bits(inner, sums[n - 1]) and _same_bits(outer, sums[-1])
+    assert _same_bits(hermite.kernel_diag(n, EXTREME_GRID), sums[n - 1])
+    _assert_top_row_bits(n, EXTREME_GRID)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
 def test_rotating_rows_outlive_their_use(n):
     """The ring writes row k over row k - 3.  Each row equals the allocating

@@ -283,6 +283,38 @@ def test_characteristic_function_against_mpmath():
     assert worst <= 2e-13
 
 
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def test_one_laguerre_pass_for_every_size_is_the_scalar_loop():
+    """phi_N for N = 1..256 from one pass over the concatenated blocks has,
+    entry by entry, the bits of the scalar call, whose recurrence is a loop
+    of Python floats: at 0, the smallest subnormal, around the edge where
+    the start underflows (w = 53.8 sqrt(N)), where w * w passes 1e308 and
+    where it overflows.  A block that left the pass one row early or late
+    would differ."""
+    edges = [math.sqrt(2890.3 * n) * f for n in (1, 2, 3, 16, 64, 200, 256)
+             for f in (0.999, 0.9999, 1.0, 1.0001, 1.01)]
+    ws = np.array([0.0, 5e-324, 1e-300, 0.25, 1.0, 2.5, 7.0, 13.0, 25.0, 60.0, 400.0, 1e100,
+                   1e154, 1.3e154, 1e200, *edges])
+    sizes = tuple(range(1, 257))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = laplace._characteristic_functions(sizes, ws)
+    assert len(got) == len(sizes)
+    for n, phi in zip(sizes, got):
+        want = [laplace.characteristic_function(n, w) for w in ws.tolist()]
+        assert [v.hex() for v in phi.tolist()] == [v.hex() for v in want], n
+    # Repeated and single sizes, and 2-D and 0-d w, as the one-size calls.
+    grid = VERIFY_GRID[:240].reshape(12, 20)
+    for sizes in [(3, 3, 7), (256,), (1,)]:
+        for w in (grid, np.array(30.5)):
+            for n, phi in zip(sizes, laplace._characteristic_functions(sizes, w), strict=True):
+                assert _same_bits(phi, laplace.characteristic_function(n, w))
+
+
 def test_verify_sweep_prints_what_the_scalar_route_printed(monkeypatch, capsys):
     # The characteristic-function check of the laplace suite ran one scalar
     # density_laplace(n, 1j * w) call per point; its text must not move.
@@ -290,8 +322,8 @@ def test_verify_sweep_prints_what_the_scalar_route_printed(monkeypatch, capsys):
 
     assert main(["verify", "--suite", "laplace"]) == 0
     array_text = capsys.readouterr().out
-    monkeypatch.setattr(laplace, "characteristic_function", lambda n, ws: np.array(
-        [abs(laplace.density_laplace(n, 1j * w)) for w in ws]))
+    monkeypatch.setattr(laplace, "_characteristic_functions", lambda sizes, ws: [np.array(
+        [abs(laplace.density_laplace(n, 1j * w)) for w in ws]) for n in sizes])
     assert main(["verify", "--suite", "laplace"]) == 0
     assert capsys.readouterr().out == array_text
     assert "characteristic function bounded by 1" in array_text
@@ -301,10 +333,10 @@ def test_verify_sweep_fails_on_a_nan(monkeypatch):
     # Python's max(worst, nan) keeps worst; the sweep must not drop a nan.
     from guespec import verify
 
-    phi = laplace.characteristic_function
-    monkeypatch.setattr(laplace, "characteristic_function",
-                        lambda n, ws: np.where(ws > 30.0, np.nan, phi(n, ws)) if n == 64
-                        else phi(n, ws))
+    phis = laplace._characteristic_functions
+    monkeypatch.setattr(laplace, "_characteristic_functions", lambda sizes, ws: [
+        np.where(ws > 30.0, np.nan, phi) if n == 64 else phi
+        for n, phi in zip(sizes, phis(sizes, ws))])
     check, = (c for c in verify.suite_laplace()
               if c.name == "characteristic function bounded by 1")
     assert not check.passed and "= nan over" in check.detail

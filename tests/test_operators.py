@@ -197,6 +197,16 @@ def test_lean_operators_are_the_reference_bits(size):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_an_all_negative_zero_column_differentiates_to_positive_zeros():
+    """The tail sums of an all -0.0 column are -0.0; the 0-d + 0.0 of
+    ``differentiate`` makes them 0.0, as a zero-started accumulator would,
+    in a matrix as alone, so no pass and no printed alpha shows -0.0."""
+    a = np.column_stack([np.full(9, -0.0), np.arange(9.0), np.full(9, -0.0)])
+    for got in (operators.differentiate(a), operators.differentiate(a[:, 0]),
+                operators.correction(a)[:, ::2], operators.correction_functionals(a[:, 0], 3)):
+        assert got.size and not np.signbit(got).any()
+
+
 def test_cached_factors_are_not_writable():
     operators.differentiate(np.ones(9))
     for factors in operators._factors(9, 1):
