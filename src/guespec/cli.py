@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -212,6 +213,8 @@ def cmd_density(args) -> int:
 def cmd_laplace(args) -> int:
     from . import laplace
 
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.n > _MAX_N:
         raise ValueError(f"--n {args.n} above the supported maximum {_MAX_N}")
     s = _parse_s(args.s)
@@ -376,6 +379,22 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
+    # Sized before anything is allocated: one spectrum's draws (N^2
+    # Gaussians and as many uniforms) and the output (count x N doubles)
+    # must each fit in the machine's memory.
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = f"the {memory / 2 ** 30:.3g} GiB of memory"
+    if 16 * args.n * args.n > memory:
+        raise ValueError(f"--n {args.n}: one spectrum's draws (2 N^2 doubles) exceed {limit}")
+    if 8 * args.count * args.n > memory:
+        raise ValueError(f"--count {args.count} at --n {args.n}: the spectra (count x N "
+                         f"doubles) exceed {limit}")
     from . import montecarlo
 
     batch = montecarlo.sample_spectra(args.n, args.count, args.seed)

@@ -14,21 +14,23 @@ anywhere on the floating-point path.  It runs in place, each row written
 into a row of a frame or of three rotating buffers, so no row allocates.
 Only ``normalized_hermite`` and ``weighted_frame`` build (k_max + 1,
 points) frames; the rest runs all rows on one block of at most ``_BLOCK``
-points before the next, in O(points) memory, a 0-d x as one point.  p_N
-and its derivatives take only the top rows N-2, N-1 and N (confluent
-Christoffel-Darboux); the sums over k that remain, the kernel diagonal
-and the Christoffel sums behind Gauss weights, add rows in the order of
-numpy's axis-0 reduction, so their bits agree with sums over the frames.
+points before the next (``kernel`` on all its points at once), in
+O(points) memory, a 0-d x as one point.  p_N and its derivatives take
+only the top rows N-2, N-1 and N (confluent Christoffel-Darboux); the
+sums over k, the kernel, its diagonal and the Christoffel sums behind
+Gauss weights, add row products in the order of numpy's axis-0
+reduction, so their bits agree with sums over the frames.
 
 Supported range: 1 <= N <= 256, any finite x.  The weighted recurrence
 starts from exp(-N x^2/4 + L), L = clip(N x^2/4 - 700, 0, 350), and takes
 e^L back out at the end, so a value is lost to underflow only where it
 lies below the smallest subnormal anyway: where the clip binds
 (N x^2/4 >= 1050), p_N < 1e-500 and every psi_k < 1e-249 for N <= 256.
-``square_sums`` is the one Christoffel-sum pass: every Gauss weight is
-built from its lifted sums.  The unweighted ``normalized_hermite`` lacks
-the factor exp(-N x^2/4) and passes the double range far sooner; it
-raises ValueError at the first point where a value does.
+Every Gauss weight is built from the lifted sums of ``square_sums``,
+which shares one accumulator, ``_add_products``, with the kernel.  The
+unweighted ``normalized_hermite`` lacks the factor exp(-N x^2/4) and
+passes the double range far sooner; it raises ValueError at the first
+point where a value does.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def square_sums(n: int, k_max: int, x, inner: int | None = None):
     for points, (block, *partial), work in _blocks(x, outs, 4):
         start, lift, points = _weighted_start(n, points)
         rows = _rows(n, k_max, points, start, _ring(k_max, work), work[3])
-        for k, _ in enumerate(_add_squares(rows, k_max, block, work[3])):
+        for k, _ in enumerate(_add_products(rows, k_max, block, work[3])):
             if k == inner:
                 np.copyto(partial[0], block)
         for sums in (block, *partial):
@@ -193,17 +195,35 @@ def square_sums(n: int, k_max: int, x, inner: int | None = None):
     return outs[1][()], total[()]
 
 
-def _add_squares(rows, k_max: int, sums, tmp):
+def _add_products(rows, k_max: int, sums, tmp):
     """Passes the (previous, current) rows of ``_rows`` on, first adding the
-    squares of rows 0..k_max into ``sums`` from 0.0 in row order, so that
-    after row k it holds the sum to k.  ``tmp`` may be the recurrence's
-    scratch, which is free while a row is yielded."""
+    products of the first and last h = sums.size points of rows 0..k_max
+    into ``sums`` from 0.0 in row order, so that after row k it holds the
+    sum to k: squares if h is a row's length, x_i y_i if a row holds x then
+    y.  ``tmp`` may be the recurrence's scratch, free while a row is yielded."""
+    h = sums.size
+    tmp = tmp[:h]
     sums.fill(0.0)
     for k, (prev, row) in enumerate(rows):
         if k <= k_max:
-            np.multiply(row, row, tmp)
+            np.multiply(row[:h], row[row.size - h:], tmp)
             np.add(sums, tmp, sums)
         yield prev, row
+
+
+def _pair_sums(n: int, x: np.ndarray, start, squares=None) -> np.ndarray:
+    """sum_{k<n} row_k[:h] row_k[h:], h = x.size // 2, from one pass of the
+    rows started at ``start`` (lifted as ``_weighted_start`` lifts) at the
+    1-D points x, whose halves pair up point by point.  With ``squares``,
+    shaped like x, the sums of the squares of the same rows go into it."""
+    work = np.empty((4, x.size))
+    sums = np.empty(x.size // 2)
+    rows = _rows(n, n - 1, x, start, _ring(n - 1, work), work[3])
+    rows = _add_products(rows, n - 1, sums, work[3])
+    if squares is not None:
+        rows = _add_products(rows, n - 1, squares, work[3])
+    deque(rows, maxlen=0)
+    return sums
 
 
 def _unlift(lift, out):
@@ -258,72 +278,24 @@ def weighted_frame(n: int, k_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     return psi, dpsi
 
 
-def _top_blocks(n: int, x: np.ndarray, outs, width: int, squares: bool = False):
-    """Yields (points, lift, rows, outputs, work) for the ``_blocks`` of x:
-    rows n-2, n-1 and n at ``points`` (n-2 None at n = 1), lifted by e^lift,
-    and ``width`` scratch rows, the first of them the recurrence's.  With
-    ``squares`` the last output holds the sum of the squares of rows
-    0..n-1, lifted by e^{2 lift}."""
-    for points, block, work in _blocks(x, outs, 3 + width):
-        start, lift, points = _weighted_start(n, points)
-        rows = _rows(n, n, points, start, _ring(n, work), work[3])
-        if squares:
-            rows = _add_squares(rows, n - 1, block[-1], work[3])
-        (below, _), (low, high) = deque(rows, maxlen=2)
-        del start  # row 0 holds it now: free it before the caller's work
-        yield points, lift, (below, low, high), block, work[3:]
-
-
-def _top_rows(n: int, x) -> tuple[tuple, tuple]:
-    """(psi_{n-1}, psi_n) and (psi_{n-1}', psi_n') at x: rows n-1 and n of
-    ``weighted_frame(n, n, x)`` bit for bit, in O(points) memory."""
-    x = _points(n, n, x)
-    top = [np.empty(x.shape) for _ in range(4)]
-    for points, lift, (below, low, high), block, (tmp,) in _top_blocks(n, x, top, 1):
-        half_nx = n * points / 2.0
-        _ladder(n, n - 1, half_nx, below, low, block[2], tmp)
-        _ladder(n, n, half_nx, low, high, block[3], tmp)
-        unlift = np.exp(-lift)
-        for row, out in zip((low, high, block[2], block[3]), block):
-            np.multiply(row, unlift, out=out)
-    low, high, dlow, dhigh = (t[()] for t in top)
-    return (low, high), (dlow, dhigh)
-
-
 def kernel_diag(n: int, x) -> np.ndarray:
     """K_N(x, x) = sum_{k<N} psi_k(x)^2, vectorized over x in O(points) memory."""
     return square_sums(n, n - 1, x)
 
 
-def kernel(n: int, x, y, crossover: float = 1e-6):
-    """Two-point correlation kernel K_N(x, y), vectorized over x and y,
-    which broadcast; a float where both are scalars.
+def kernel(n: int, x, y):
+    """Two-point correlation kernel K_N(x, y) = sum_{k<N} psi_k(x) psi_k(y),
+    vectorized over x and y, which broadcast; a float where both are scalars.
 
-    Off the diagonal this is the Christoffel-Darboux ratio
-
-        (psi_N(x) psi_{N-1}(y) - psi_{N-1}(x) psi_N(y)) / (x - y);
-
-    within |x - y| <= crossover the limiting derivative form
-    psi_N'(m) psi_{N-1}(m) - psi_N(m) psi_{N-1}'(m) at the midpoint m is
-    used instead, so the value stays finite and continuous across the
-    diagonal.  Symmetric in (x, y); the midpoint is taken as x/2 + y/2,
-    which cannot overflow, and an x - y past the double range is inf,
-    where the ratio is 0.0.  One ``_top_rows`` pass serves every point:
-    the far pairs' x and y and the near pairs' midpoints.
+    One lifted pass over the points of x and then y (``_pair_sums``) adds
+    the row products from 0.0 in row order and takes e^{L_x + L_y} out at
+    the end, so K_N(x, x) is ``kernel_diag(n, x)`` and K_N(x, y) is
+    K_N(y, x), bit for bit, in O(points) memory.
     """
-    _check_size(n)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    with np.errstate(over="ignore"):
-        gap = x - y
-    near = np.abs(gap) <= crossover
-    far = ~near
-    split = int(np.count_nonzero(far))
-    mid = 0.5 * x[near] + 0.5 * y[near]
-    (low, high), (dlow, dhigh) = _top_rows(n, np.concatenate([x[far], y[far], mid]))
-    xs, ys, mids = slice(0, split), slice(split, 2 * split), slice(2 * split, None)
-    out = np.empty(x.shape)
-    out[far] = (high[xs] * low[ys] - low[xs] * high[ys]) / gap[far]
-    out[near] = dhigh[mids] * low[mids] - high[mids] * dlow[mids]
+    x, y = np.broadcast_arrays(_points(n, n - 1, x), _points(n, n - 1, y))
+    start, lift, points = _weighted_start(n, np.concatenate([x.reshape(-1), y.reshape(-1)]))
+    unlift = np.exp(-(lift[:x.size] + lift[x.size:]))
+    out = (_pair_sums(n, points, start) * unlift).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -334,8 +306,15 @@ def _top_density(n: int, x, orders: int, squares: bool = False) -> tuple:
     ``kernel_diag``'s bits."""
     x = _points(n, n, x)
     outs = [np.empty(x.shape) for _ in range(orders + squares)]
-    blocks = _top_blocks(n, x, outs, 1 if orders == 1 else 4, squares)
-    for points, lift, (below, low, high), block, (tmp, *work) in blocks:
+    for points, block, work in _blocks(x, outs, 4 if orders == 1 else 7):
+        start, lift, points = _weighted_start(n, points)
+        rows = _rows(n, n, points, start, _ring(n, work), work[3])
+        if squares:
+            rows = _add_products(rows, n - 1, block[-1], work[3])
+        # Rows n-2, n-1 and n (n-2 None at n = 1), lifted by e^lift.
+        (below, _), (low, high) = deque(rows, maxlen=2)
+        del start  # row 0 holds it now: free it before the products
+        tmp, *work = work[3:]
         p, *derivs = block[:orders]
         np.multiply(low, low, out=p)
         if below is not None:

@@ -11,12 +11,13 @@ real s and with a certified remainder at complex s
 
 A check's independent evaluations run together: the transform's (s,
 offset) pairs at one N and node count share one recurrence pass, the
-kernel values at one N one top-row pass, and the intervals of a panel
-integral one integrand call.  Every recurrence is elementwise and every
-sum runs over its own entries, so the bits are those of one evaluation
-at a time.  The density rules and gap grids stay per N, as their rule or
-recurrence depends on N; the step of ``characteristic_function`` does not,
-so its 11 sizes share one pass, and five 1/N expansions one count table.
+kernel values at one N one Christoffel-sum pass (``hermite.kernel``),
+and the intervals of a panel integral one integrand call.  Every
+recurrence is elementwise and every sum runs over its own entries, so
+the bits are those of one evaluation at a time.  The density rules and
+gap grids stay per N, as their rule or recurrence depends on N; the step
+of ``characteristic_function`` does not, so its 11 sizes share one pass,
+and five 1/N expansions one count table.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def suite_density() -> list[CheckResult]:
     probes, steps = np.array([[-1.5], [0.0], [0.3], [1.9]]), np.array([1e-7, 1e-6])
     for n in (2, 5, 10, 32):
         # One kernel pass per N: every probe x against x + h for both steps.
-        off = hermite.kernel(n, probes, probes + steps, crossover=1e-9)
+        off = hermite.kernel(n, probes, probes + steps)
         slopes = np.abs(off - hermite.kernel_diag(n, probes)) / (steps * 2 * n)
         worst_slope = max(worst_slope, float(np.max(slopes)))
     out.append(_check("near-diagonal kernel continuity", worst_slope <= 1.0,
@@ -231,29 +232,23 @@ def _gauss_sums(n: int, m: int, rule, pairs) -> list[tuple]:
         start, lift, x = hermite._weighted_start(n, (u + columns[0]).ravel(), q.ravel())
         # Only complex s bound a remainder, from the squares of the rows.
         waves = [i for i, (s, _) in enumerate(pairs) if s.imag]
-        sums, work = np.zeros(3 * h), np.empty((4, 2 * h))
-        cross, squares = sums[:h], sums[h:]
-        for _, row in hermite._rows(n, n - 1, x, start, hermite._ring(n - 1, work), work[3]):
-            cross += row[:h] * row[h:]
-            if waves:
-                squares += row * row
+        squares = np.empty(2 * h) if waves else None
+        cross = hermite._pair_sums(n, x, start, squares)
         lam = lam * np.exp(-2.0 * lift[:h]).reshape(count, m)
         terms = lam * cross.reshape(count, m)
-        squares = squares.reshape(2, count, m)
-        # Row sums: each pair's pairwise sum over its own m entries.
-        if len(waves) < count:
-            out = [(value, 0.0) for value in terms.sum(axis=1).tolist()]
-            if not waves:
-                return out
-            lam, terms, squares = lam[waves], terms[waves], squares[:, waves]
-        else:
-            out = [None] * count
+        # Row sums: each pair's pairwise sum over its own m entries; those
+        # of complex s are replaced below.
+        out = [(value, 0.0) for value in terms.sum(axis=1).tolist()]
+        if not waves:
+            return out
+        lam, terms = lam[waves], terms[waves]
         taus = [pairs[i][0].imag for i in waves]
         phase = np.exp(np.array([1j * tau for tau in taus])[:, None] * u)
         order = 2 * (m - n + 1)
         # |tau u|^L / L! alone can pass the double range where its product
         # with the weight does not: multiply as a sum of logarithms.
         taylor = [order * math.log(abs(tau)) - math.lgamma(order + 1) for tau in taus]
+        squares = squares.reshape(2, count, m)[:, waves]
         rule_parts = np.exp(order * np.log(np.abs(u)) + np.array(taylor)[:, None]
                             + np.log(lam * (squares[0] + squares[1])))
         for i, value, part in zip(waves, (terms * phase).sum(axis=1).tolist(),

@@ -835,7 +835,9 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
 # -1 said depth, --n 0 ensemble_size).  A gauss --compare whose reference
 # diverges (N <= 2 sigma) printed the threshold warning and then a refusal
 # naming no option.  An --n past 256 ran laplace's Laguerre loop and the
-# O(N) reference of resum --compare until killed.
+# O(N) reference of resum --compare until killed.  laplace --n 0 said
+# "ensemble size must be >= 1", and sample's --n, --count and --seed
+# refusals named no option either.
 @pytest.mark.parametrize("argv,message", [
     (("laplace", "--n", "4", "--s=nan"), "--s must be finite, got 'nan'"),
     (("laplace", "--n", "4", "--s=0.5,-inf"), "--s must be finite, got '-inf'"),
@@ -865,12 +867,49 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
      "--n 99999999999999999999 above the supported maximum 256"),
     (("resum", "--n", "99999999999999999999", "--function", "exp:1", "--terms", "2",
       "--compare"), "--n 99999999999999999999 with --compare above the supported maximum 256"),
+    (("laplace", "--n", "0", "--s=1"), "--n must be >= 1, got 0"),
+    (("laplace", "--n", "-3", "--s=1"), "--n must be >= 1, got -3"),
+    (("sample", "--n", "0", "--count", "1", "--seed", "1", "--out", "no-such-dir/s.bin"),
+     "--n must be >= 1, got 0"),
+    (("sample", "--n", "4", "--count", "0", "--seed", "1", "--out", "no-such-dir/s.bin"),
+     "--count must be >= 1, got 0"),
+    (("sample", "--n", "4", "--count", "1", "--seed=-1", "--out", "no-such-dir/s.bin"),
+     "--seed must be in [0, 2^64), got -1"),
+    (("sample", "--n", "4", "--count", "1", "--seed", str(2 ** 64), "--out", "no-such-dir/s.bin"),
+     f"--seed must be in [0, 2^64), got {2 ** 64}"),
 ], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "offset-malformed",
         "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "terms-negative", "n-zero",
-        "gauss-compare-diverges", "laplace-n-past-max", "compare-n-past-max"])
+        "gauss-compare-diverges", "laplace-n-past-max", "compare-n-past-max",
+        "laplace-n-zero", "laplace-n-negative", "sample-n-zero", "sample-count-zero",
+        "sample-seed-negative", "sample-seed-past-64-bits"])
 def test_non_finite_inputs_are_refused_naming_the_argument(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 0.1
+
+
+# A batch larger than the machine's memory went on to np.empty and exited
+# through numpy's _ArrayMemoryError traceback ("Unable to allocate 2.91
+# TiB").  Both sizes are past the memory of any host: 3.2 TB of spectra,
+# and 1.6 PB of draws for one spectrum.  The sampler is replaced, so a
+# size that is not refused fails here without allocating.
+@pytest.mark.parametrize("argv,option", [
+    (("sample", "--n", "4", "--count", "100000000000"), "--count 100000000000 at --n 4: "),
+    (("sample", "--n", "10000000", "--count", "1"), "--n 10000000: "),
+], ids=["count", "n"])
+def test_sample_past_memory_is_refused_before_any_allocation(monkeypatch, tmp_path, capsys,
+                                                            argv, option):
+    def refuse(*args):
+        raise AssertionError("sample_spectra ran")
+
+    monkeypatch.setattr(montecarlo, "sample_spectra", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--seed", "1", "--out", str(tmp_path / "s.bin"))
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "") and err.startswith(f"error: {option}")
+    assert err.endswith(" GiB of memory\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -966,11 +1005,12 @@ def test_verify_density_runs_one_recurrence_per_gap_grid(monkeypatch, capsys):
 
 def test_verify_density_runs_one_kernel_pass_per_size(monkeypatch, capsys):
     """The continuity check (4 sizes) and the symmetry check (3 sizes) take
-    all their kernel values at one size from one ``_top_rows`` pass."""
+    all their kernel values at one size from one ``_pair_sums`` pass over
+    the points of x and y: 2 x 8 and 2 x 6."""
     sizes = []
-    top_rows = hermite._top_rows
-    monkeypatch.setattr(hermite, "_top_rows", lambda n, x: sizes.append((n, np.size(x)))
-                        or top_rows(n, x))
+    pair_sums = hermite._pair_sums
+    monkeypatch.setattr(hermite, "_pair_sums", lambda n, x, *args: sizes.append((n, x.size))
+                        or pair_sums(n, x, *args))
     code, _, _ = run(capsys, "verify", "--suite", "density")
     assert code == 0
     assert sizes == [(2, 16), (5, 16), (10, 16), (32, 16), (2, 12), (5, 12), (10, 12)], sizes

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import deque
 
 import mpmath as mp
 import numpy as np
@@ -70,44 +71,120 @@ def test_derivative_ladder_against_finite_differences():
 
 def test_kernel_symmetry_and_diag_consistency():
     n = 5
-    assert hermite.kernel(n, 0.4, 1.3) == pytest.approx(hermite.kernel(n, 1.3, 0.4), rel=1e-15)
-    # crossing the crossover: ratio route vs derivative route agree
+    assert hermite.kernel(n, 0.4, 1.3) == hermite.kernel(n, 1.3, 0.4)
     near = hermite.kernel(n, 0.5, 0.5 + 1e-7)
     diag = float(hermite.kernel_diag(n, 0.5))
     assert near == pytest.approx(diag, rel=1e-6)
-    # exactly on the diagonal the derivative form reproduces sum psi_k^2
-    assert hermite.kernel(n, 0.5, 0.5) == pytest.approx(diag, rel=1e-10)
+    # on the diagonal the Christoffel sum is kernel_diag's
+    assert hermite.kernel(n, 0.5, 0.5) == diag
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 256])
 def test_top_rows_are_the_frame_rows_bitwise(n):
+    """Rows n-1 and n of a pass over the three ring buffers, as the density
+    takes them, and their ladders, each times e^{-L}, are the rows of
+    ``weighted_frame``."""
     # |x| = 5.5 at N = 256 lifts the start (N x^2 / 4 > 700)
     x = np.array([-5.5, -1.3, 0.0, 0.4, 2.0, 5.5])
     psi, dpsi = hermite.weighted_frame(n, n, x)
-    (low, high), (dlow, dhigh) = hermite._top_rows(n, x)
+    start, lift, xw = hermite._weighted_start(n, x)
+    work = np.empty((6, x.size))
+    rows = hermite._rows(n, n, xw, start, hermite._ring(n, work), work[3])
+    (below, _), (low, high) = deque(rows, maxlen=2)
+    half_nx = n * xw / 2.0
+    dlow = hermite._ladder(n, n - 1, half_nx, below, low, work[4], work[3])
+    dhigh = hermite._ladder(n, n, half_nx, low, high, work[5], work[3])
+    unlift = np.exp(-lift)
     for got, want in [(low, psi[n - 1]), (high, psi[n]), (dlow, dpsi[n - 1]), (dhigh, dpsi[n])]:
-        assert np.array_equal(got, want)
+        assert np.array_equal(got * unlift, want)
 
 
 @pytest.mark.parametrize("n,x,y", [(1, 0.3, -1.1), (5, 0.4, 1.3), (64, 0.5, 0.5 + 1e-7),
                                    (64, -1.2, -1.2), (256, 0.7, 0.7 + 5e-7), (256, 1.9, -0.2)])
 def test_kernel_is_the_frame_formula_bitwise(n, x, y):
-    """Inside the crossover (|x - y| <= 1e-6) and off it."""
-    if abs(x - y) <= 1e-6:
-        psi, dpsi = hermite.weighted_frame(n, n, np.float64(0.5 * (x + y)))
-        want = float(dpsi[n] * psi[n - 1] - psi[n] * dpsi[n - 1])
-    else:
-        px, _ = hermite.weighted_frame(n, n, np.float64(x))
-        py, _ = hermite.weighted_frame(n, n, np.float64(y))
-        want = float((px[n] * py[n - 1] - px[n - 1] * py[n]) / (x - y))
-    assert repr(hermite.kernel(n, x, y)) == repr(want)
+    """The Christoffel sum of the frame rows, added from 0.0 in row order,
+    near the diagonal, on it and off it (no point here is lifted)."""
+    px, _ = hermite.weighted_frame(n, n - 1, np.float64(x))
+    py, _ = hermite.weighted_frame(n, n - 1, np.float64(y))
+    want = 0.0
+    for k in range(n):
+        want = want + px[k] * py[k]
+    assert repr(hermite.kernel(n, x, y)) == repr(float(want))
+
+
+# The pairs of the mpmath test: x and y - x from these.
+KERNEL_X = (0.0, 0.3, 1.5, -1.5, 1.9, 2.2, 2.6, 3.3)
+KERNEL_GAPS = (0.0, 1e-9, 1e-7, 1e-6, 2e-6, 1e-3, 0.05, 0.7, 2.0)
+
+
+def _mp_rows(n, t):
+    """psi_0(t) .. psi_{n-1}(t) at the working precision of mpmath."""
+    t = mp.mpf(t)
+    rows = [mp.power(2 * mp.pi / n, mp.mpf(-1) / 4) * mp.exp(-n * t * t / 4)]
+    previous = mp.mpf(0)
+    for k in range(n - 1):
+        rows.append(t * mp.sqrt(mp.mpf(n) / (k + 1)) * rows[-1]
+                    - mp.sqrt(mp.mpf(k) / (k + 1)) * previous)
+        previous = rows[-2]
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 32, 64, 128, 256])
+def test_kernel_is_the_christoffel_sum_against_mpmath(n):
+    """Within 1e-13 sqrt(K(x, x) K(y, y)) of sum_k psi_k(x) psi_k(y) at 60
+    digits, near the diagonal too (the Christoffel-Darboux ratio with a
+    midpoint form inside |x - y| <= 1e-6 was off by 1.1e-8 there at
+    N = 256), at the pairs where N x^2/4 and N y^2/4 stay below 1095."""
+    pairs = [(x, x + gap) for x in KERNEL_X for gap in KERNEL_GAPS
+             if max(x * x, (x + gap) ** 2) * n / 4.0 < 1095.0]
+    x, y = (np.array(v) for v in zip(*pairs))
+    with mp.workdps(60):
+        rows = {t: _mp_rows(n, t) for t in set(x.tolist() + y.tolist())}
+        want = np.array([float(mp.fsum(a * b for a, b in zip(rows[s], rows[t])))
+                         for s, t in pairs])
+        # Taken in mpmath: K(x, x) K(y, y) leaves the double range first.
+        allowed = np.array([float(mp.mpf("1e-13") * mp.sqrt(mp.fsum(a * a for a in rows[s])
+                                                           * mp.fsum(b * b for b in rows[t])))
+                            for s, t in pairs])
+    assert np.all(np.abs(hermite.kernel(n, x, y) - want) <= allowed), n
+
+
+def _reference_kernel(n, x, y):
+    """K_N(x, y) from ``_reference_rows`` over x then y, one fresh array per
+    operation, the lifts taken out at the end."""
+    start, lift, points = hermite._weighted_start(n, np.concatenate([x, y]))
+    total = 0.0
+    for _, row in _reference_rows(n, n - 1, points, start):
+        total = total + row[:x.size] * row[x.size:]
+    return total * np.exp(-(lift[:x.size] + lift[x.size:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 256])
+def test_kernel_is_the_allocating_recurrence_bitwise(n):
+    """Every pair of EXTREME_GRID against the grid reversed and halved:
+    lifted, underflowing and overflowing points included."""
+    x = np.repeat(EXTREME_GRID, EXTREME_GRID.size)
+    y = np.tile(EXTREME_GRID[::-1] * 0.5, EXTREME_GRID.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_kernel(n, x, y)
+    assert _same_bits(hermite.kernel(n, x, y), want)
+
+
+def test_kernel_on_the_diagonal_is_kernel_diag_bitwise():
+    """K_N(x, x) is kernel_diag's bits at every size, on a grid past the
+    edge and on EXTREME_GRID, and K_N(x, y) is K_N(y, x) bit for bit."""
+    grid = np.concatenate([np.linspace(-3.5, 3.5, 101), EXTREME_GRID])
+    other = grid[::-1] * 0.75
+    for n in range(1, 257):
+        assert _same_bits(hermite.kernel(n, grid, grid), hermite.kernel_diag(n, grid)), n
+        assert _same_bits(hermite.kernel(n, grid, other), hermite.kernel(n, other, grid)), n
 
 
 def test_kernel_on_arrays_is_the_scalar_loop():
     """One pass over broadcast x and y gives every pair's scalar value, by
-    repr: off the diagonal and within the crossover, past the edge (where
-    the start lifts at N = 256, and where it underflows), and at +-the
-    largest double, where x - y overflows to inf, the ratio is 0.0 and no
+    repr: near the diagonal and off it, past the edge (where the start
+    lifts at N = 256, and where it underflows), and at +-the largest
+    double, where N x^2 overflows, the rows run from a zero start and no
     warning is raised."""
     big = 1.7976931348623157e308
     x = np.array([-1.2, 0.5, 0.5, 5.5, 40.0, big, big, -big, 0.3, 2.1])
@@ -143,8 +220,18 @@ def test_pair_transform_holds_no_frame():
 
 
 def test_kernel_on_the_diagonal_at_the_largest_double():
-    # The midpoint x/2 + y/2 stays finite where (x + y)/2 would overflow.
+    # N x^2 / 4 overflows to inf: the start is 0.0 and no factor is inf.
     assert hermite.kernel(4, 1.7976931348623157e308, 1.7976931348623157e308) == 0.0
+
+
+def test_kernel_refuses_non_finite_points_and_the_removed_crossover():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            hermite.kernel(4, bad, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            hermite.kernel(4, np.array([0.3, 1.0]), np.array([bad, 0.0]))
+    with pytest.raises(TypeError):
+        hermite.kernel(4, 0.3, 0.3, crossover=1e-9)
 
 
 def test_kernel_rank_one_case():
@@ -393,16 +480,15 @@ def test_rotating_rows_outlive_their_use(n):
         assert _same_bits(cur, want_cur)
         assert prev is None or _same_bits(prev, want_prev)
 
-    (low, high), (dlow, dhigh) = hermite._top_rows(n, x)
-    rows = [low, high, dlow, dhigh]
-    psi, dpsi = hermite.weighted_frame(n, n, x)
-    assert all(_same_bits(got, want)
-               for got, want in zip(rows, [psi[n - 1], psi[n], dpsi[n - 1], dpsi[n]]))
+    y = x[::-1] * 0.5
+    rows = [hermite.kernel(n, x, y), hermite.kernel(n, y, x), *hermite.density_derivatives(n, x)]
+    assert _same_bits(rows[0], _reference_kernel(n, x, y)) and _same_bits(rows[1], rows[0])
+    assert all(_same_bits(got, want) for got, want in zip(rows[2:], _reference_top(n, x)))
     diag = hermite.kernel_diag(n, x)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(rows + [diag]) for b in rows[:i])
     kept = [row.copy() for row in rows + [diag]]
     values = [hermite.kernel(n, 0.3, 1.1), hermite.kernel(n, 0.5, 0.5)]
-    hermite._top_rows(n, -x)
+    hermite.kernel(n, -x, x)
     hermite.kernel_diag(n, x[::-1])
     hermite.density_derivatives(n, x + 0.5)
     assert all(_same_bits(row, copy) for row, copy in zip(rows + [diag], kept))

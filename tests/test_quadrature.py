@@ -230,7 +230,8 @@ def pair_integrand(n, s, offset):
         return lambda lam: np.exp(s * lam) * hermite.kernel_diag(n, lam), {}
 
     def integrand(lam):
-        (low, high), _ = hermite._top_rows(n, np.stack([lam + offset, lam - offset]))
+        psi, _ = hermite.weighted_frame(n, n, np.stack([lam + offset, lam - offset]))
+        low, high = psi[n - 1:]
         return np.exp(s * lam) * (high[0] * low[1] - low[0] * high[1]) / (2.0 * offset)
     return integrand, {}
 
