@@ -19,9 +19,8 @@ _EXPORTS = {name: module for module, names in {
     "gegenbauer": "BasisSeries NormParams basis_to_taylor basis_values evaluate_series "
                   "growth_bound_report monomial_to_basis plane_wave_series "
                   "semicircle_functional taylor_to_basis",
-    "hermite": "DensityProfile density density_and_kernel_diag density_derivatives "
-               "density_profile kernel kernel_diag normalized_hermite ode_residual "
-               "square_sums",
+    "hermite": "density density_and_kernel_diag density_derivatives kernel kernel_diag "
+               "normalized_hermite ode_residual square_sums",
     "laplace": "StirlingTable characteristic_function density_laplace gauss_average "
                "kernel_laplace laplace_expansion polynomial_average stirling_table",
     "montecarlo": "SampleBatch empirical_moment read_binary sample_spectra",

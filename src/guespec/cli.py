@@ -5,7 +5,8 @@ All structured output is deterministic: JSON is emitted in canonical form
 (sorted keys, no whitespace) so parse -> reserialize is byte-identical, and
 CSV uses a header row, '.' decimals, and full-precision floats with complex
 values split into re/im columns.  Exit codes: 0 success, 1 numeric failure,
-2 usage error.
+2 usage error.  An integer option outside its ``_LIMITS`` range is refused
+in one line naming it, before its command imports any layer.
 
 Start-up: importing this module loads argparse, json and numpy, and no
 other module of the package.  Each command imports the layers it calls
@@ -38,6 +39,19 @@ if TYPE_CHECKING:
 VERIFY_SUITES = ("density", "ode", "laplace", "moments", "operators", "basis",
                  "stirling", "sampling", "probe")
 _MAX_N = 256  # hermite.MAX_ENSEMBLE_SIZE: the largest --n where the work grows with N
+_MAX_STIRLING = 34  # laplace.STIRLING_CAP: the largest exact table
+
+#: The (low, high) of each integer option per command, high None for none:
+#: ``main`` refuses a value outside it before the command runs.  Bounds that
+#: depend on other options or on the machine are the commands' own.
+_LIMITS = {
+    "density": {"n": (1, _MAX_N), "points": (1, None)},
+    "laplace": {"n": (1, _MAX_N)},
+    "resum": {"terms": (0, None), "n": (1, None)},
+    "moments": {"n": (1, _MAX_N), "max": (0, None)},
+    "stirling": {"max_n": (0, _MAX_STIRLING)},
+    "sample": {"n": (1, None), "count": (1, None)},
+}
 
 
 def _emit_json(obj) -> None:
@@ -82,6 +96,24 @@ def _parse_s(text: str):
             return complex(re_v, im_v)
         return re_v
     return _finite("--s", text)
+
+
+def _check_limits(args) -> None:
+    """Refuses an integer option outside its ``_LIMITS`` range, naming it."""
+    for dest, (low, high) in _LIMITS.get(args.command, {}).items():
+        value, option = getattr(args, dest), "--" + dest.replace("_", "-")
+        if value < low:
+            raise ValueError(f"{option} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{option} {value} above the supported maximum {high}")
+
+
+def _refuse_past_memory(nbytes: int, what: str) -> None:
+    """Refuses, before anything is allocated, arrays of ``nbytes`` bytes past
+    the machine's physical memory; ``what`` names the option and the arrays."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ValueError(f"{what} exceed the {memory / 2 ** 30:.3g} GiB of memory")
 
 
 # ------------------------------------------------------------- functions
@@ -181,13 +213,28 @@ def reference_integral(spec: FunctionSpec, n: int) -> float:
 # ------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
+    start, stop, points = args.start, args.stop, args.points
+    for option, end in (("--from", start), ("--to", stop)):
+        if not math.isfinite(end):
+            raise ValueError(f"{option} must be finite, got {end!r}")
+    width = 5 if args.derivs else 2
+    _refuse_past_memory(8 * width * points, f"--points {points}: {width} columns of "
+                                            f"{points} doubles")
+    if points == 1 and start != stop:
+        raise ValueError(f"--points 1 needs --from equal to --to, got {start!r} and {stop!r}")
+    if points > 1 and not start < stop:
+        raise ValueError(f"--from {start!r} must be below --to {stop!r} for --points {points}")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"--from {start!r} to --to {stop!r}: the span is wider than the "
+                         "double range")
     from . import _floattext, hermite
 
-    profile = hermite.density_profile(args.n, args.start, args.stop, args.points,
-                                      with_derivatives=args.derivs)
-    columns = {"grid": profile.grid, "density": profile.values}
-    if profile.derivatives is not None:
-        columns.update(zip(("d1", "d2", "d3"), profile.derivatives))
+    grid = np.linspace(start, stop, points)
+    if args.derivs:
+        values = hermite.density_derivatives(args.n, grid)
+    else:
+        values = (hermite.density(args.n, grid),)
+    columns = dict(zip(("grid", "density", "d1", "d2", "d3"), (grid, *values)))
     if not all(np.isfinite(column).all() for column in columns.values()):
         raise ValueError("refusing to print a non-finite number")
     # One kernel pass per command, its text written piece by piece: each
@@ -213,10 +260,6 @@ def cmd_density(args) -> int:
 def cmd_laplace(args) -> int:
     from . import laplace
 
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.n > _MAX_N:
-        raise ValueError(f"--n {args.n} above the supported maximum {_MAX_N}")
     s = _parse_s(args.s)
     offset = _finite("--lambda-minus", args.lambda_minus)
     value = laplace.kernel_laplace(args.n, s, offset)
@@ -229,7 +272,14 @@ def cmd_laplace(args) -> int:
     if args.verify:
         from . import verify
 
-        direct, bound = verify.kernel_pair_transform(args.n, s, offset)
+        # The transform depends on (s, c) only through x = N c^2 - s^2/N: at
+        # real s the Gauss sum is taken where s or c is 0, where it does not
+        # cancel by e^{s^2/2N - N c^2/2}.  Complex s, or x past the range, keep (s, c).
+        pair = s, offset
+        x = args.n * offset * offset - s * s / args.n if isinstance(s, float) else math.inf
+        if math.isfinite(x):
+            pair = (0.0, math.sqrt(x / args.n)) if x >= 0 else (math.sqrt(-x * args.n), 0.0)
+        direct, bound = verify.kernel_pair_transform(args.n, *pair)
         scale = args.n
         if args.density:
             direct, bound, scale = direct / args.n, bound / args.n, 1
@@ -260,10 +310,8 @@ def cmd_laplace(args) -> int:
 def cmd_resum(args) -> int:
     from . import operators
 
-    if args.terms < 0:
-        raise ValueError(f"--terms must be >= 0, got {args.terms}")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+    _refuse_past_memory(16 * (args.terms + 1), f"--terms {args.terms}: the alphas and "
+                                               f"partial sums ({args.terms + 1} doubles each)")
     if args.compare and args.n > _MAX_N:
         raise ValueError(f"--n {args.n} with --compare above the supported maximum {_MAX_N}")
     spec = parse_function_spec(args.function)
@@ -305,14 +353,9 @@ def cmd_resum(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     else:
-        rows = []
-        for k, val in enumerate(partial):
-            row = [k, float(alphas[k]), float(val)]
-            if args.compare:
-                row.append(abs(float(val) - payload["reference"]))
-            rows.append(row)
-        header = ["k", "alpha", "partial_sum"] + (["error"] if args.compare else [])
-        _emit_csv(header, rows)
+        keys = ["alphas", "partial_sums"] + (["errors"] if args.compare else [])
+        _emit_csv(["k", "alpha", "partial_sum", "error"][:len(keys) + 1],
+                  zip(range(len(partial)), *(payload[key] for key in keys)))
     return 0
 
 
@@ -379,22 +422,13 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-    # Sized before anything is allocated: one spectrum's draws (N^2
-    # Gaussians and as many uniforms) and the output (count x N doubles)
-    # must each fit in the machine's memory.
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = f"the {memory / 2 ** 30:.3g} GiB of memory"
-    if 16 * args.n * args.n > memory:
-        raise ValueError(f"--n {args.n}: one spectrum's draws (2 N^2 doubles) exceed {limit}")
-    if 8 * args.count * args.n > memory:
-        raise ValueError(f"--count {args.count} at --n {args.n}: the spectra (count x N "
-                         f"doubles) exceed {limit}")
+    # One spectrum's draws (N^2 Gaussians, as many uniforms) and the output.
+    _refuse_past_memory(16 * args.n * args.n, f"--n {args.n}: one spectrum's draws "
+                                              "(2 N^2 doubles)")
+    _refuse_past_memory(8 * args.count * args.n, f"--count {args.count} at --n {args.n}: "
+                                                 "the spectra (count x N doubles)")
     from . import montecarlo
 
     batch = montecarlo.sample_spectra(args.n, args.count, args.seed)
@@ -512,6 +546,7 @@ def main(argv=None) -> int:
     # the long-lived parser, so a later rebinding of cmd_* is seen.
     handler = globals()[f"cmd_{args.command}"]
     try:
+        _check_limits(args)
         return handler(args)
     except (ValueError, KeyError, OverflowError, OSError, RuntimeError) as exc:
         if isinstance(exc, RuntimeError):

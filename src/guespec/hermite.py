@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -377,38 +376,3 @@ def ode_residual(n: int, x, derivatives=None) -> np.ndarray:
     p0, p1, _, p3 = derivatives
     x = np.asarray(x, dtype=float)
     return p3 / (n * n) + (4.0 - x * x) * p1 + x * p0
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Density values (and optional derivatives) on a grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    derivatives: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-def density_profile(n: int, start: float, stop: float, points: int,
-                    with_derivatives: bool = False) -> DensityProfile:
-    """Evaluate p_N on a uniform grid.
-
-    points == 1 is allowed as a degenerate single-point grid (start must
-    equal stop); otherwise start < stop and points >= 2.
-    """
-    _check_size(n)
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if points == 1:
-        if start != stop:
-            raise ValueError("single-point grid requires start == stop")
-        grid = np.array([float(start)])
-    else:
-        if not start < stop:
-            raise ValueError("need start < stop for a multi-point grid")
-        if not math.isfinite(float(stop) - float(start)):
-            raise ValueError(f"grid span {start!r} to {stop!r} is wider than the double range")
-        grid = np.linspace(float(start), float(stop), points)
-    if with_derivatives:
-        p0, p1, p2, p3 = density_derivatives(n, grid)
-        return DensityProfile(grid, p0, (p1, p2, p3))
-    return DensityProfile(grid, density(n, grid))

@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from guespec import (cli, hermite, laplace, montecarlo, quadrature, resummed_integral,
-                     taylor_to_basis, tridiagonal)
+from guespec import (cli, gegenbauer, hermite, laplace, montecarlo, operators, quadrature,
+                     resummed_integral, taylor_to_basis, tridiagonal)
 from guespec.cli import main
 
 
@@ -67,19 +67,38 @@ def test_density_derivatives_payload(capsys):
 
 def test_density_bad_grid_is_numeric_error(capsys):
     code, _, err = run(capsys, "density", "--n", "2", "--from", "1", "--to", "-1", "--points", "5")
-    assert code == 1
-    assert "error:" in err
+    assert (code, err) == (1, "error: --from 1.0 must be below --to -1.0 for --points 5\n")
+
+
+def test_density_rejects_bad_grid(capsys):
+    code, _, err = run(capsys, "density", "--n", "3", "--from", "1", "--to", "-1", "--points", "5")
+    assert (code, err) == (1, "error: --from 1.0 must be below --to -1.0 for --points 5\n")
+    # 1 point needs --from == --to
+    code, _, err = run(capsys, "density", "--n", "3", "--from", "0", "--to", "1", "--points", "1")
+    assert (code, err) == (1, "error: --points 1 needs --from equal to --to, got 0.0 and 1.0\n")
+
+
+def test_density_grid_and_single_point(capsys):
+    payload = json.loads(run(capsys, "density", "--n", "3", "--from", "-1", "--to", "1",
+                             "--points", "5")[1])
+    assert payload["grid"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert set(payload) == {"grid", "density", "n"}
+    single = json.loads(run(capsys, "density", "--n", "3", "--from", "0.5", "--to", "0.5",
+                            "--points", "1")[1])["density"]
+    assert len(single) == 1
+    assert single[0] == pytest.approx(float(hermite.density(3, 0.5)), rel=1e-15)
 
 
 def _density_reference(argv, fmt):
     """The density output built the plain way: json.dumps of the lists,
     or repr cells joined by ','."""
     args = cli.build_parser().parse_args(["density", *argv])
-    profile = hermite.density_profile(args.n, args.start, args.stop, args.points,
-                                      with_derivatives=args.derivs)
-    columns = {"grid": profile.grid, "density": profile.values}
+    grid = np.linspace(args.start, args.stop, args.points)
     if args.derivs:
-        columns.update(zip(("d1", "d2", "d3"), profile.derivatives))
+        values = hermite.density_derivatives(args.n, grid)
+    else:
+        values = [hermite.density(args.n, grid)]
+    columns = dict(zip(["grid", "density", "d1", "d2", "d3"], [grid, *values]))
     if fmt == "json":
         payload = {key: column.tolist() for key, column in columns.items()}
         payload["n"] = args.n
@@ -107,14 +126,14 @@ def test_density_prints_the_repr_of_each_value(capsys, argv, fmt):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_density_refuses_a_non_finite_value(monkeypatch, capsys, bad):
-    compute = hermite.density_profile
+    compute = hermite.density_derivatives
 
-    def profile(*args, **kwargs):
-        result = compute(*args, **kwargs)
-        result.derivatives[1][2] = bad
+    def derivatives(*args):
+        result = compute(*args)
+        result[2][2] = bad
         return result
 
-    monkeypatch.setattr(hermite, "density_profile", profile)
+    monkeypatch.setattr(hermite, "density_derivatives", derivatives)
     argv = ("density", "--n", "4", "--from", "-1", "--to", "1", "--points", "5", "--derivs")
     errors = set()
     for fmt in ("json", "csv"):
@@ -232,14 +251,20 @@ def test_laplace_past_the_double_range(capsys, argv, code, out, err):
 
 # The first two used to be refused: at s = 30 the quadrature's window
 # overflowed np.exp (two RuntimeWarnings) and its widening gave up; at
-# c = 1e-300 its divided difference over 2c returned 0.0.  The Gauss sums
+# c = 1e-300 its divided difference over 2c returned 0.0.  The last two
+# were refused too: the Gauss sum at (s, c) cancelled by e^{s^2/2N - N c^2/2}
+# (0.0307 against 0.0323, and -3.6e36 against -0.0665); at real s it is now
+# taken at the re-paired point with the same N c^2 - s^2/N.  The Gauss sums
 # answer them all, within 1e-13 of the value.
 @pytest.mark.parametrize("argv", [
     ("--n", "4", "--s=30"),
     ("--n", "4", "--s=1,1", "--lambda-minus", "1e-300"),
     ("--n", "256", "--s=0,60"),
     ("--n", "128", "--s=0,30", "--density"),
-], ids=["s-30", "offset-1e-300", "n-256-imaginary", "n-128-density"])
+    ("--n", "256", "--s=30", "--lambda-minus", "1"),
+    ("--n", "128", "--s=100", "--lambda-minus", "1"),
+], ids=["s-30", "offset-1e-300", "n-256-imaginary", "n-128-density", "n-256-repaired",
+        "n-128-repaired"])
 def test_laplace_verify_answers(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -537,8 +562,6 @@ def test_moments_past_the_double_range_are_refused_quickly(capsys, n, top, messa
 def _per_power_moments(n, top):
     """The moments table from one resummed_integral per power, each on its
     own basis vector: the route before the passes ran on one matrix."""
-    from guespec import gegenbauer, operators
-
     rule = quadrature.density_rule(n, top)
     rows = []
     for p in range(top + 1):
@@ -936,6 +959,110 @@ def test_n_past_the_supported_size_is_refused_before_any_work(capsys, argv):
     assert code == 0
 
 
+# One valid command line per command of cli._LIMITS, which the refusal
+# table below changes one option at a time.
+_LIMIT_BASE = {
+    "density": {"--n": 4, "--from": 0.5, "--to": 0.5, "--points": 1},
+    "laplace": {"--n": 4, "--s": 0.5},
+    "resum": {"--n": 4, "--function": "exp:1", "--terms": 2},
+    "moments": {"--n": 4, "--max": 4},
+    "stirling": {"--max-n": 5},
+    "sample": {"--n": 4, "--count": 3, "--seed": 1, "--out": "{tmp}/s.bin"},
+}
+
+# The layer functions each command runs first: replaced by ones that fail,
+# a refusal shows that it came before any work.
+_LIMIT_LAYERS = {
+    "density": [(hermite, "density"), (hermite, "density_derivatives")],
+    "laplace": [(laplace, "kernel_laplace")],
+    "resum": [(gegenbauer, "plane_wave_series"), (operators, "correction_functionals")],
+    "moments": [(quadrature, "density_rule")],
+    "stirling": [(laplace, "stirling_table")],
+    "sample": [(montecarlo, "sample_spectra")],
+}
+
+
+def _limit_argv(command, *changes):
+    """The base command line of ``command`` with each (option, value) of
+    ``changes`` set, a flag where the value is None."""
+    options = {**_LIMIT_BASE[command], **dict(changes)}
+    return [command] + [option if value is None else f"{option}={value}"
+                        for option, value in options.items()]
+
+
+def _limit_cases(edge):
+    """(argv, option) at low - 1 and high + 1 (edge False), or at low and
+    high (edge True), for every integer option of every command."""
+    cases = []
+    for command, limits in cli._LIMITS.items():
+        for dest, (low, high) in limits.items():
+            option = "--" + dest.replace("_", "-")
+            values = [low, high] if edge else [low - 1, None if high is None else high + 1]
+            cases += [(_limit_argv(command, (option, value)), option)
+                      for value in values if value is not None]
+    return cases
+
+
+# Bounds computed from other options or the machine: physical memory
+# (1e11 grid points are 1.6 TB of columns, 1e11 spectra of N = 4 3.2 TB),
+# --compare's N <= 256, the gauss divergence, the seed range, the Catalan
+# bound of --max, and the grid ends.
+_COMPUTED_REFUSALS = [
+    (_limit_argv("density", ("--points", 10 ** 11), ("--to", 1)), "--points"),
+    (_limit_argv("density", ("--points", 10 ** 11), ("--to", 1), ("--derivs", None)),
+     "--points"),
+    (_limit_argv("resum", ("--function", "monomial:3"), ("--terms", 10 ** 11)), "--terms"),
+    (_limit_argv("sample", ("--count", 10 ** 11)), "--count"),
+    (_limit_argv("sample", ("--n", 10 ** 7), ("--count", 1)), "--n"),
+    (_limit_argv("resum", ("--n", 257), ("--compare", None)), "--n"),
+    (_limit_argv("resum", ("--n", 2), ("--function", "gauss:1.6"), ("--compare", None)), "--n"),
+    (_limit_argv("sample", ("--seed", -1)), "--seed"),
+    (_limit_argv("sample", ("--seed", 2 ** 64)), "--seed"),
+    (_limit_argv("moments", ("--n", 256), ("--max", 1040)), "--max"),
+    (_limit_argv("density", ("--from", "nan")), "--from"),
+    (_limit_argv("density", ("--from", "-inf")), "--from"),
+    (_limit_argv("density", ("--to", "inf")), "--to"),
+    (_limit_argv("density", ("--from", 1), ("--to", -1), ("--points", 5)), "--from"),
+    (_limit_argv("density", ("--from", 1), ("--to", 1), ("--points", 5)), "--from"),
+    (_limit_argv("density", ("--from", -1e308), ("--to", 1e308), ("--points", 3)), "--from"),
+    (_limit_argv("density", ("--to", 1)), "--points"),
+]
+
+
+def _params(cases):
+    return [pytest.param(argv, option, id=" ".join(argv)) for argv, option in cases]
+
+
+@pytest.mark.parametrize("argv,option", _params(_limit_cases(False) + _COMPUTED_REFUSALS))
+def test_every_refusal_names_its_option_before_any_work(monkeypatch, tmp_path, capsys, argv,
+                                                        option):
+    """Each integer option outside its range, and each computed bound, is
+    refused with exit 1 in one stderr line that starts with the option,
+    in under 0.1 s, with no warning, and before any layer function runs."""
+    for module, name in _LIMIT_LAYERS[argv[0]]:
+        monkeypatch.setattr(module, name, _raise(AssertionError))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+    assert (code, out, [str(w.message) for w in caught]) == (1, "", [])
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1, err
+    assert elapsed < 0.1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,option", _params(_limit_cases(True)))
+def test_every_limit_itself_answers(tmp_path, capsys, argv, option):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(capsys, *argv)[::2] == (0, "")
+
+
+def test_the_stirling_limit_is_the_table_cap():
+    assert cli._MAX_STIRLING == laplace.STIRLING_CAP
+
+
 # Each refusal of a --function spec is one error line naming the option (and
 # a taylor-file's line): the monomial and gauss refusals named no option (a
 # power past the float range failed converting to float), and a bad
@@ -1135,7 +1262,8 @@ def test_density_refuses_a_span_past_the_double_range(capsys):
         code, out, err = run(capsys, "density", "--n", "4", "--from=-1e308", "--to=1e308",
                              "--points", "3")
     assert (code, out) == (1, "")
-    assert err == "error: grid span -1e+308 to 1e+308 is wider than the double range\n"
+    assert err == ("error: --from -1e+308 to --to 1e+308: the span is wider than the double "
+                   "range\n")
     assert [str(w.message) for w in caught] == []
 
 

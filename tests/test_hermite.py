@@ -564,22 +564,6 @@ def test_sums_over_k_stream_in_output_sized_memory(func, points):
     assert peak <= bound * out_bytes, (peak / out_bytes, bound)
 
 
-def test_density_profile_grid_and_single_point():
-    prof = hermite.density_profile(3, -1.0, 1.0, 5)
-    assert prof.grid.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert prof.derivatives is None
-    single = hermite.density_profile(3, 0.5, 0.5, 1)
-    assert single.values.shape == (1,)
-    assert float(single.values[0]) == pytest.approx(float(hermite.density(3, 0.5)), rel=1e-15)
-
-
-def test_density_profile_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        hermite.density_profile(3, 1.0, -1.0, 5)
-    with pytest.raises(ValueError):
-        hermite.density_profile(3, 0.0, 1.0, 1)  # 1 point needs start == stop
-
-
 def test_size_and_argument_validation():
     with pytest.raises(ValueError):
         hermite.density(0, 0.0)
