@@ -16,12 +16,12 @@ __version__ = "0.1.0"
 
 # Each exported name and the module that defines it.
 _EXPORTS = {name: module for module, names in {
-    "gegenbauer": "BasisSeries NormParams basis_to_taylor basis_values evaluate_series "
+    "gegenbauer": "BasisSeries basis_to_taylor basis_values evaluate_series "
                   "growth_bound_report monomial_to_basis plane_wave_series "
                   "semicircle_functional taylor_to_basis",
     "hermite": "density density_and_kernel_diag density_derivatives kernel kernel_diag "
                "normalized_hermite ode_residual square_sums",
-    "laplace": "StirlingTable characteristic_function density_laplace gauss_average "
+    "laplace": "characteristic_function density_laplace gauss_average "
                "kernel_laplace laplace_expansion polynomial_average stirling_table",
     "montecarlo": "SampleBatch empirical_moment read_binary sample_spectra",
     "operators": "correction correction_functionals differentiate eigenvalue_inverse "

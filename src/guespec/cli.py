@@ -89,13 +89,12 @@ def _finite(name: str, text: str) -> float:
 
 def _parse_s(text: str):
     """Laplace variable: 'RE' or 'RE,IM'; pure-real input stays a float."""
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        re_v, im_v = _finite("--s", re_part), _finite("--s", im_part)
-        if im_v != 0.0:
-            return complex(re_v, im_v)
-        return re_v
-    return _finite("--s", text)
+    re_part, comma, im_part = text.partition(",")
+    if "," in im_part:
+        raise ValueError(f"--s must be RE or RE,IM, got {text!r}")
+    re_v = _finite("--s", re_part)
+    im_v = _finite("--s", im_part) if comma else 0.0
+    return complex(re_v, im_v) if im_v != 0.0 else re_v
 
 
 def _check_limits(args) -> None:
@@ -108,9 +107,16 @@ def _check_limits(args) -> None:
             raise ValueError(f"{option} {value} above the supported maximum {high}")
 
 
+#: Bytes that density and resum hold besides what grows with their sizes:
+#: the work rows of one recurrence block (at most 7 x 16384 doubles) or the
+#: printer's temporaries for one chunk of 8192 cells (2.2 MB, measured).
+_WORKING_SET = 2 ** 22
+
+
 def _refuse_past_memory(nbytes: int, what: str) -> None:
-    """Refuses, before anything is allocated, arrays of ``nbytes`` bytes past
-    the machine's physical memory; ``what`` names the option and the arrays."""
+    """Refuses, before anything is allocated, a command whose peak of
+    ``nbytes`` bytes passes the machine's physical memory; ``what`` names
+    the option and what it holds."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ValueError(f"{what} exceed the {memory / 2 ** 30:.3g} GiB of memory")
@@ -155,12 +161,16 @@ def read_taylor_file(path: str) -> list[float]:
     """One finite coefficient per line, '#' comments and blank lines
     ignored; a refusal names the file and the line."""
     coeffs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for number, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            coeffs.append(_finite(f"--function taylor-file:{path} line {number}", line))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for number, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                coeffs.append(_finite(f"--function taylor-file:{path} line {number}", line))
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not ASCII text"
+        raise ValueError(f"--function taylor-file:{path}: {reason}") from None
     if not coeffs:
         raise ValueError(f"--function taylor-file:{path} holds no coefficients")
     return coeffs
@@ -181,7 +191,13 @@ def build_series(spec: FunctionSpec, terms: int) -> BasisSeries:
         if 4 * terms > cap:
             raise ValueError(f"--terms {terms} needs a series of degree at least {4 * terms}, "
                              f"past the cap {cap}")
-        return gegenbauer.plane_wave_series(spec.kind, spec.parameter, terms)
+        try:
+            return gegenbauer.plane_wave_series(spec.kind, spec.parameter, terms)
+        except ValueError as exc:
+            # Each of its refusals is of the parameter at this depth: e^a
+            # past the double range or the gauss cap, before any Bessel
+            # value, or too many coefficients, found from them.
+            raise ValueError(f"--function {exc}") from None
     # A Taylor file is the polynomial it spells out: its series is whole.
     degree = len(spec.coefficients) - 1
     if degree > cap:
@@ -218,8 +234,11 @@ def cmd_density(args) -> int:
         if not math.isfinite(end):
             raise ValueError(f"{option} must be finite, got {end!r}")
     width = 5 if args.derivs else 2
-    _refuse_past_memory(8 * width * points, f"--points {points}: {width} columns of "
-                                            f"{points} doubles")
+    # The columns and their stacked copy, 16 bytes a cell (np.linspace's
+    # two temporaries come and go before the values).
+    _refuse_past_memory(16 * width * points + _WORKING_SET,
+                        f"--points {points}: {width} columns of {points} doubles and "
+                        "their stacked copy")
     if points == 1 and start != stop:
         raise ValueError(f"--points 1 needs --from equal to --to, got {start!r} and {stop!r}")
     if points > 1 and not start < stop:
@@ -279,7 +298,7 @@ def cmd_laplace(args) -> int:
         x = args.n * offset * offset - s * s / args.n if isinstance(s, float) else math.inf
         if math.isfinite(x):
             pair = (0.0, math.sqrt(x / args.n)) if x >= 0 else (math.sqrt(-x * args.n), 0.0)
-        direct, bound = verify.kernel_pair_transform(args.n, *pair)
+        direct, bound = verify.kernel_pair_transforms(args.n, [pair])[0]
         scale = args.n
         if args.density:
             direct, bound, scale = direct / args.n, bound / args.n, 1
@@ -310,8 +329,15 @@ def cmd_laplace(args) -> int:
 def cmd_resum(args) -> int:
     from . import operators
 
-    _refuse_past_memory(16 * (args.terms + 1), f"--terms {args.terms}: the alphas and "
-                                               f"partial sums ({args.terms + 1} doubles each)")
+    # Per term 5 arrays of doubles (the alphas, the partial sums and the
+    # temporaries of summing them); per printed number (2, or 3 with
+    # --compare) a Python float in a list (32 bytes), the JSON encoder's str
+    # of up to 24 characters and two list slots (89) and two copies of the
+    # text (50), more than a CSV row's share.
+    numbers = 3 if args.compare else 2
+    _refuse_past_memory((args.terms + 1) * (40 + 171 * numbers) + _WORKING_SET,
+                        f"--terms {args.terms}: {numbers} columns of {args.terms + 1} "
+                        "numbers as doubles, Python floats and text")
     if args.compare and args.n > _MAX_N:
         raise ValueError(f"--n {args.n} with --compare above the supported maximum {_MAX_N}")
     spec = parse_function_spec(args.function)
@@ -411,13 +437,12 @@ def cmd_moments(args) -> int:
 def cmd_stirling(args) -> int:
     from . import laplace
 
-    table = laplace.stirling_table(args.max_n)
+    rows = laplace.stirling_table(args.max_n)
     if args.format == "json":
-        _emit_json({"max_n": table.max_n, "rows": [list(r) for r in table.rows]})
+        _emit_json({"max_n": args.max_n, "rows": [list(r) for r in rows]})
     else:
-        rows = [(n, k, table.rows[n][k])
-                for n in range(table.max_n + 1) for k in range(n + 1)]
-        _emit_csv(["n", "k", "value"], rows)
+        _emit_csv(["n", "k", "value"],
+                  [(n, k, value) for n, row in enumerate(rows) for k, value in enumerate(row)])
     return 0
 
 

@@ -23,8 +23,8 @@ Entire functions of order <= 2 and finite type sigma admit rapidly
 decaying expansions in this basis: ``plane_wave_series`` gives those of
 e^{at}, cos(at) and e^{sigma t^2} from Bessel values, with a bound on
 what its cut drops.  The series of a polynomial (``taylor_to_basis``) is
-whole.  ``growth_bound_report`` measures how far the maxima of |f_n| on a
-complex circle exceed the envelope 2 * max(r, 3)^n.
+whole.  ``growth_bound_report`` measures the maximum of |f_n| on a
+complex circle, which the envelope 2 * max(r, 3)^n does not bound.
 """
 
 from __future__ import annotations
@@ -352,47 +352,14 @@ def plane_wave_series(kind: str, a: float, depth: int) -> BasisSeries:
     return BasisSeries(coeffs[:length], tail_bound=total * (1.0 + 2.0 ** -40))
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Parameters of the weighted sup norm sup_n (n/K)^{c n} |a_n|.
-
-    rate is c (must be >= 1/2), index_scale is K (> 0).  The n = 0 term
-    contributes |a_0| (0^0 := 1).
-    """
-
-    rate: float
-    index_scale: float
-
-    def __post_init__(self):
-        if self.rate < 0.5:
-            raise ValueError("rate must be >= 1/2")
-        if self.index_scale <= 0:
-            raise ValueError("index_scale must be positive")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured maximum of |f_n| on a circle vs the nominal envelope.
-
-    The envelope 2 * max(r,3)^n is not achieved on the complex circle for
-    most orders; this report states the measured margin instead of
-    asserting the envelope.
-    """
-
-    max_value: float
-    value_envelope: float
-
-
-def growth_bound_report(order: int, radius: float) -> BoundReport:
-    """Evaluate f_order on |z| = radius and compare to the envelope."""
+def growth_bound_report(order: int, radius: float) -> float:
+    """The maximum of |f_order| on the circle |z| = radius, measured: the
+    nominal envelope 2 * max(r, 3)^n does not bound it for most orders."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     angles = 2.0 * math.pi * np.arange(_GROWTH_SAMPLES) / _GROWTH_SAMPLES
     z = radius * np.exp(1j * angles)
-    return BoundReport(
-        max_value=float(np.max(np.abs(basis_values(order, z)[order]))),
-        value_envelope=2.0 * max(radius, 3.0) ** order,
-    )
+    return float(np.max(np.abs(basis_values(order, z)[order])))
 
 
 def chebyshev_link_residual(order: int, t) -> np.ndarray:

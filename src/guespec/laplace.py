@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-#: Largest table size the Stirling constructor accepts.  Entries of row 34
-#: already exceed 2^122; the cap keeps the table inside the fixed-width
-#: integer budget this module promises (values are checked exact ints).
+#: Largest table size ``stirling_table`` builds.  The rows are Python ints,
+#: exact at any size, so no computation needs the cap: it bounds what the
+#: table promises a reader, every entry of rows 0..34 and each row's sum n!
+#: within an unsigned 128-bit integer (34! < 2^128 < 35!).
 STIRLING_CAP = 34
 
 #: Most terms m of a genus-count sum that laplace_expansion takes.  The
@@ -149,32 +149,10 @@ def _characteristic_functions(sizes, w: np.ndarray) -> list:
         return out
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Unsigned Stirling numbers of the first kind, exact.
-
-    rows[n][k] counts permutations of n elements with exactly k cycles;
-    rows[n] has entries for k = 0..n.  Immutable and safely shareable.
-    """
-
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def count(self, n: int, k: int) -> int:
-        """[n, k]; zero outside 0 <= k <= n."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"n must be in 0..{self.max_n}")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-
-def stirling_table(max_n: int) -> StirlingTable:
-    """Exact table via [n+1, k] = n [n, k] + [n, k-1].
-
-    max_n is capped at STIRLING_CAP; larger requests raise instead of
-    risking silent precision loss downstream.
-    """
+def stirling_table(max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Unsigned Stirling numbers of the first kind, exact: rows[n][k], k = 0..n,
+    counts the permutations of n elements with k cycles, by
+    [n+1, k] = n [n, k] + [n, k-1].  max_n is at most STIRLING_CAP."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if max_n > STIRLING_CAP:
@@ -189,7 +167,7 @@ def stirling_table(max_n: int) -> StirlingTable:
             new[k] += n * value
             new[k + 1] += value
         rows.append(tuple(new))
-    return StirlingTable(max_n=max_n, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _genus_counts(m_max: int, g_max: int, rows=None) -> list[list[int]]:

@@ -29,7 +29,7 @@ alpha_k = sum_j sigma^j/j! eps_k(j), with eps_k(j) >= 0 the Harer-Zagier
 counts of ``laplace._genus_counts``, so every term is nonnegative and by
 Tonelli the series sums to int e^{sigma t^2} p_N dt, finite if and only
 if N > 2 sigma.  ``norm_probe`` measures the operator's amplification in
-the weighted norms of :class:`guespec.gegenbauer.NormParams`.
+the weighted sup norms sup_n (n/K)^{c n} |a_n|.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ import warnings
 
 import numpy as np
 
-from .gegenbauer import (
-    BasisSeries,
-    NormParams,
-    basis_with_derivatives,
-    semicircle_functional,
-)
+from .gegenbauer import BasisSeries, basis_with_derivatives, semicircle_functional
 
 #: Indices of accuracy consumed from the top of a truncated coefficient
 #: vector by one application of the correction operator.
@@ -223,22 +218,27 @@ def resummed_integral(series, ensemble_size: int, depth: int) -> float:
     return float(resum_partial_sums(alphas, ensemble_size)[-1])
 
 
-def norm_probe(params: NormParams, truncation: int = 100) -> tuple[float, int]:
+def norm_probe(rate: float, index_scale: float, truncation: int = 100) -> tuple[float, int]:
     """Worst amplification of the correction operator over basis directions.
 
     Returns (max over n of ||T f_n|| / ||f_n||, the first n attaining it)
-    in the weighted sup norm defined by ``params``, with vectors truncated
+    in the weighted sup norm sup_n (n/K)^{c n} |a_n|, c = rate >= 1/2 and
+    K = index_scale > 0 (the n = 0 term is |a_0|), with vectors truncated
     at the given top index.  Computed in log space as the column maxima of
     L_mn = log|T_mn| + log w_m - log w_n, w_n = (n/K)^{c n} (w_0 = 1); the
     reported value is stable under raising the truncation because T
     lowers index.
     """
+    if rate < 0.5:
+        raise ValueError("rate must be >= 1/2")
+    if index_scale <= 0:
+        raise ValueError("index_scale must be positive")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     # Column n of T applied to the identity is the image of f_n.
     images = correction(np.eye(truncation + 1))
     n = np.arange(1.0, truncation + 1.0)
-    log_w = np.concatenate(([0.0], params.rate * n * np.log(n / params.index_scale)))
+    log_w = np.concatenate(([0.0], rate * n * np.log(n / index_scale)))
     with np.errstate(divide="ignore"):
         ratios = (np.log(np.abs(images)) + log_w[:, None] - log_w).max(axis=0)
     arg = int(np.argmax(ratios))

@@ -310,11 +310,6 @@ def kernel_pair_transforms(n: int, pairs) -> list[tuple]:
     return out
 
 
-def kernel_pair_transform(n: int, s, offset: float):
-    """``kernel_pair_transforms`` of the one pair (s, offset)."""
-    return kernel_pair_transforms(n, [(s, offset)])[0]
-
-
 def suite_laplace() -> list[CheckResult]:
     out = []
     worst = 0.0
@@ -558,7 +553,8 @@ def suite_basis() -> list[CheckResult]:
     out.append(_check("sharp spectral-band envelope, n <= 40", sharp_ok,
                       "|f_n(t)| <= (n+1)(n+2)(n+3)/6 on [-2,2], attained at t = 2"))
 
-    report = gegenbauer.growth_bound_report(4, 3.0)
+    order, radius = 4, 3.0
+    circle = gegenbauer.growth_bound_report(order, radius)
     grid3 = np.linspace(-3.0, 3.0, 601)
     vals3 = gegenbauer.basis_values(60, grid3)
     ratio = max(float(np.max(np.abs(vals3[n]))) / (2.0 * 3.0 ** n) for n in range(61))
@@ -569,8 +565,8 @@ def suite_basis() -> list[CheckResult]:
     # reported, never patched into the basis code.
     out.append(_check("real-interval envelope within 4.1 * 3^n, n <= 60", ratio <= 2.05,
                       f"max |f_n| / (2 * 3^n) on [-3,3] = {ratio:.4f}; complex circle "
-                      f"exceeds the nominal bound outright ({report.max_value:.1f} vs "
-                      f"{report.value_envelope:.1f} at n=4, r=3)"))
+                      f"exceeds the nominal bound outright ({circle:.1f} vs "
+                      f"{2.0 * max(radius, 3.0) ** order:.1f} at n={order}, r={radius:g})"))
     return out
 
 
@@ -578,25 +574,23 @@ def suite_basis() -> list[CheckResult]:
 
 def suite_stirling() -> list[CheckResult]:
     out = []
-    table = laplace.stirling_table(laplace.STIRLING_CAP)
+    cap = laplace.STIRLING_CAP
+    rows = laplace.stirling_table(cap)
 
-    rec_ok = True
-    for n in range(laplace.STIRLING_CAP):
-        for k in range(n + 2):
-            lhs = table.count(n + 1, k)
-            rhs = n * table.count(n, k) + (table.count(n, k - 1) if k >= 1 else 0)
-            rec_ok &= lhs == rhs
+    def count(n, k):
+        """[n, k]; zero outside 0 <= k <= n."""
+        return rows[n][k] if 0 <= k <= n else 0
+
+    rec_ok = all(count(n + 1, k) == n * count(n, k) + count(n, k - 1)
+                 for n in range(cap) for k in range(n + 2))
     out.append(_check("first-kind recurrence exact over the full table", rec_ok,
-                      f"checked n <= {laplace.STIRLING_CAP}"))
+                      f"checked n <= {cap}"))
 
-    edge_ok = all(table.count(n, n) == 1 for n in range(laplace.STIRLING_CAP + 1)) and \
-        all(table.count(n, 0) == 0 for n in range(1, laplace.STIRLING_CAP + 1))
+    edge_ok = all(row[n] == 1 for n, row in enumerate(rows)) and \
+        all(row[0] == 0 for row in rows[1:])
     out.append(_check("boundary values [n,n] = 1 and [n,0] = 0", edge_ok, ""))
 
-    bound_ok = True
-    for k in range(laplace.STIRLING_CAP):
-        for l in range(k + 2):
-            bound_ok &= table.count(k + 1, k + 1 - l) <= math.factorial(k + 1)
+    bound_ok = all(max(row) <= math.factorial(n) for n, row in enumerate(rows))
     out.append(_check("cycle counts bounded by (k+1)!", bound_ok,
                       "the bound holds exactly"))
 
@@ -620,16 +614,15 @@ def suite_stirling() -> list[CheckResult]:
         for perm in permutations(range(n)):
             c = cycle_count(perm)
             counts[c] = counts.get(c, 0) + 1
-        brute_ok &= all(counts.get(k, 0) == table.count(n, k) for k in range(n + 1))
+        brute_ok &= all(counts.get(k, 0) == rows[n][k] for k in range(n + 1))
     out.append(_check("table matches brute-force cycle enumeration, n <= 6", brute_ok, ""))
 
     try:
-        laplace.stirling_table(laplace.STIRLING_CAP + 1)
+        laplace.stirling_table(cap + 1)
         cap_ok = False
     except ValueError:
         cap_ok = True
-    out.append(_check("requests beyond the cap raise", cap_ok,
-                      f"cap = {laplace.STIRLING_CAP}"))
+    out.append(_check("requests beyond the cap raise", cap_ok, f"cap = {cap}"))
     return out
 
 
@@ -708,14 +701,13 @@ def suite_sampling() -> list[CheckResult]:
 
 def suite_probe() -> list[CheckResult]:
     out = []
-    params = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
-    values = [operators.norm_probe(params, tr)[0] for tr in (50, 100, 200)]
+    values = [operators.norm_probe(0.5, 10.0, tr)[0] for tr in (50, 100, 200)]
     out.append(_check("correction amplification stable across truncations",
                       values[0] == values[1] == values[2],
                       f"probe values {values[0]!r} / {values[1]!r} / {values[2]!r} "
                       "at truncations 50/100/200 (must be equal)"))
 
-    strong = operators.norm_probe(gegenbauer.NormParams(rate=1.0, index_scale=10.0), 100)[0]
+    strong = operators.norm_probe(1.0, 10.0, 100)[0]
     out.append(_check("probe finite at the stronger weight", math.isfinite(strong),
                       f"value = {strong:.6f}"))
     return out

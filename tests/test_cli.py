@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main(argv) and checking bytes on stdout."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -443,10 +445,11 @@ def test_resum_cos_30_alpha_0_is_the_bessel_value(capsys):
     ("exp:1", "100000", "--terms 100000 needs a series of degree at least 400000"),
     ("gauss:0.1", "100000", "--terms 100000 needs a series of degree at least 400000"),
     ("cos:1", "200", "--terms 200 needs a series of degree at least 800"),
-    ("cos:1e10", "3", "cos parameter 10000000000.0 at depth 3 needs at least"),
-    ("exp:800", "3", "exp parameter 800.0: the basis coefficients leave the double range"),
+    ("cos:1e10", "3", "--function cos parameter 10000000000.0 at depth 3 needs at least"),
+    ("exp:800", "3", "--function exp parameter 800.0: the basis coefficients leave the "
+                    "double range"),
     ("monomial:5000", "2", "--function monomial:5000 has degree 5000, past the cap 646"),
-    ("gauss:3.3", "3", "gauss parameter 3.3 is outside [0, 3.2]"),
+    ("gauss:3.3", "3", "--function gauss parameter 3.3 is outside [0, 3.2]"),
 ], ids=["exp-terms", "gauss-terms", "cos-terms", "cos-parameter", "exp-parameter",
         "monomial-degree", "gauss-parameter"])
 def test_resum_sizes_are_refused_before_work(capsys, function, terms, message):
@@ -869,6 +872,7 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
     (("laplace", "--n", "4", "--s=1", "--lambda-minus", "nan", "--density", "--verify"),
      "--lambda-minus must be finite, got 'nan'"),
     (("laplace", "--n", "4", "--s=1,x"), "--s must be finite, got 'x'"),
+    (("laplace", "--n", "4", "--s=1,2,3"), "--s must be RE or RE,IM, got '1,2,3'"),
     (("laplace", "--n", "4", "--s=1", "--lambda-minus", "abc"),
      "--lambda-minus must be finite, got 'abc'"),
     (("resum", "--n", "4", "--function", "exp:nan", "--terms", "3"),
@@ -900,7 +904,8 @@ def test_non_finite_results_are_refused(capsys, argv, fmt):
      "--seed must be in [0, 2^64), got -1"),
     (("sample", "--n", "4", "--count", "1", "--seed", str(2 ** 64), "--out", "no-such-dir/s.bin"),
      f"--seed must be in [0, 2^64), got {2 ** 64}"),
-], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "offset-malformed",
+], ids=["s-nan", "s-imag-inf", "offset-inf", "offset-nan", "s-malformed", "s-three-parts",
+        "offset-malformed",
         "exp-nan", "exp-inf", "cos-inf", "gauss-nan", "terms-negative", "n-zero",
         "gauss-compare-diverges", "laplace-n-past-max", "compare-n-past-max",
         "laplace-n-zero", "laplace-n-negative", "sample-n-zero", "sample-count-zero",
@@ -933,6 +938,44 @@ def test_sample_past_memory_is_refused_before_any_allocation(monkeypatch, tmp_pa
     assert (code, out) == (1, "") and err.startswith(f"error: {option}")
     assert err.endswith(" GiB of memory\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# The memory bounds of density --points and resum --terms count what the
+# command holds at its peak, not only its output arrays: those counts were
+# exceeded 2.3 to 2.9 times (density, by the stacked columns and the
+# printer) and 7.8 times (resum, by the Python floats and the JSON text).
+# Each command runs once before it is traced, so imports and cached tables
+# are not counted; stdout is a file, so the printed text is not held.
+_DENSITY_PEAK = ("density", "--from", "-3", "--to", "3", "--points", "50000")
+_RESUM_PEAK = ("resum", "--n", "4", "--function", "monomial:2", "--terms", "20000")
+
+
+@pytest.mark.parametrize("argv", [
+    _DENSITY_PEAK + ("--n", "8"),
+    _DENSITY_PEAK + ("--n", "8", "--format", "csv"),
+    _DENSITY_PEAK + ("--n", "256", "--derivs"),
+    _DENSITY_PEAK + ("--n", "256", "--derivs", "--format", "csv"),
+    _RESUM_PEAK,
+    _RESUM_PEAK + ("--format", "csv"),
+    _RESUM_PEAK + ("--compare",),
+    _RESUM_PEAK + ("--compare", "--format", "csv"),
+], ids=["density-json", "density-csv", "density-derivs-json", "density-derivs-csv",
+        "resum-json", "resum-csv", "resum-compare-json", "resum-compare-csv"])
+def test_memory_bound_counts_the_peak(monkeypatch, argv):
+    counts = []
+    refuse = cli._refuse_past_memory
+    monkeypatch.setattr(cli, "_refuse_past_memory",
+                        lambda nbytes, what: counts.append(nbytes) or refuse(nbytes, what))
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(list(argv)) == 0
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and counts[0] == counts[1]
+    assert peak <= counts[1], (peak, counts[1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -1086,17 +1129,105 @@ def test_the_stirling_limit_is_the_table_cap():
                                  "must be finite, got 'inf'"),
     ("taylor-file:FILE", "# only a comment\n", "--function taylor-file:FILE "
                                               "holds no coefficients"),
+    ("taylor-file:FILE", None, "--function taylor-file:FILE: No such file or directory"),
+    ("taylor-file:FILE", "1.0\n\xff\n", "--function taylor-file:FILE: not ASCII text"),
+    ("gauss:5", None, "--function gauss parameter 5.0 is outside [0, 3.2]"),
+    ("exp:700", None, "--function exp parameter 700.0: the basis coefficients leave the "
+                      "double range"),
 ], ids=["monomial-text", "monomial-float", "monomial-negative", "gauss-negative",
         "monomial-past-float", "unknown-kind", "no-colon", "file-text", "file-nan", "file-inf",
-        "file-empty"])
+        "file-empty", "file-missing", "file-not-ascii", "gauss-past-cap", "exp-past-range"])
 def test_spec_and_sigma_refusals_name_their_option(tmp_path, capsys, function, file_text,
                                                    message):
     path = tmp_path / "coeffs.txt"
     if file_text is not None:
-        path.write_text(file_text)
+        path.write_bytes(file_text.encode("latin-1"))
     code, out, err = run(capsys, "resum", "--n", "4", "--terms", "2",
                          "--function", function.replace("FILE", str(path)))
     assert (code, out, err) == (1, "", f"error: {message.replace('FILE', str(path))}\n")
+
+
+# Every refusal of a non-integer option, --s, --lambda-minus and each kind
+# of --function: (argv, option, taylor-file, up front).  "FILE" is a
+# taylor-file holding the text that _TAYLOR_FILES gives for the row's name
+# (none for "missing") and "DIR" a directory.  An up-front refusal comes
+# before any layer work: the layer functions are replaced by ones that
+# fail.  The others come from what the work found: a transform or
+# coefficients past the double range, a Gauss rule or a series past its
+# cap.  exp:700, exp:800, gauss:5 and cos:300 named no option, a file that
+# could not be read printed the OS or codec message alone, and --s=1,2,3
+# said "--s must be finite, got '2,3'" (its text is checked in
+# test_non_finite_inputs_are_refused_naming_the_argument).
+_TAYLOR_FILES = {"missing": None, "bad-line": "1.0\nabc\n", "not-ascii": "1.0\n\xff\n",
+                 "empty": "", "past-cap": "1.0\n" * 648}
+
+_NON_INTEGER_REFUSALS = [
+    (("laplace", "--n", "4", "--s=nan"), "--s", None, True),
+    (("laplace", "--n", "4", "--s=inf,1"), "--s", None, True),
+    (("laplace", "--n", "4", "--s=1,-inf"), "--s", None, True),
+    (("laplace", "--n", "4", "--s=abc"), "--s", None, True),
+    (("laplace", "--n", "4", "--s="), "--s", None, True),
+    (("laplace", "--n", "4", "--s=1,"), "--s", None, True),
+    (("laplace", "--n", "4", "--s=1,2,3"), "--s", None, True),
+    (("laplace", "--n", "256", "--s=1e200", "--lambda-minus", "3"), "--s", None, False),
+    (("laplace", "--n", "256", "--s=0,1e200", "--verify"), "--s", None, False),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus=inf"), "--lambda-minus", None, True),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus=nan", "--verify"), "--lambda-minus",
+     None, True),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus=1,2"), "--lambda-minus", None, True),
+    (("laplace", "--n", "4", "--s=1", "--lambda-minus="), "--lambda-minus", None, True),
+] + [
+    (("resum", "--n", n, "--terms", "2", "--function", function, *compare), "--function",
+     taylor_file, up_front)
+    for function, n, compare, taylor_file, up_front in [
+        ("monomial:abc", "4", (), None, True),
+        ("monomial:-1", "4", (), None, True),
+        ("monomial:5000", "4", ("--compare",), None, True),
+        ("exp:nan", "4", (), None, True),
+        ("exp:800", "4", (), None, True),
+        ("exp:-800", "4", (), None, True),
+        ("exp:700", "4", (), None, False),
+        ("cos:inf", "4", (), None, True),
+        ("cos:1e10", "4", (), None, True),
+        ("cos:300", "256", ("--compare",), None, False),
+        ("gauss:nan", "4", (), None, True),
+        ("gauss:-1", "4", (), None, True),
+        ("gauss:5", "4", (), None, True),
+        ("sinh:1", "4", (), None, True),
+        ("exp", "4", (), None, True),
+        ("taylor-file:DIR", "4", (), None, True),
+    ] + [("taylor-file:FILE", "4", ("--compare",), name, True) for name in _TAYLOR_FILES]
+]
+
+_NON_INTEGER_LAYERS = {
+    "laplace": [(laplace, "kernel_laplace")],
+    "resum": [(gegenbauer, "_scaled_bessel"), (gegenbauer, "monomial_to_basis"),
+              (gegenbauer, "taylor_to_basis"), (operators, "correction_functionals")],
+}
+
+
+@pytest.mark.parametrize("argv,option,taylor_file,up_front", [
+    pytest.param(*case, id=" ".join(case[0]) + (f" {case[2]}" if case[2] else ""))
+    for case in _NON_INTEGER_REFUSALS])
+def test_every_non_integer_refusal_names_its_option(monkeypatch, tmp_path, capsys, argv,
+                                                     option, taylor_file, up_front):
+    """Exit 1 with one stderr line that starts with the option, in under
+    0.1 s in process, with no warning."""
+    if up_front:
+        for module, name in _NON_INTEGER_LAYERS[argv[0]]:
+            monkeypatch.setattr(module, name, _raise(AssertionError))
+    path = tmp_path / "coeffs.txt"
+    if _TAYLOR_FILES.get(taylor_file) is not None:
+        path.write_bytes(_TAYLOR_FILES[taylor_file].encode("latin-1"))
+    argv = [a.replace("FILE", str(path)).replace("DIR", str(tmp_path)) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+    assert (code, out, [str(w.message) for w in caught]) == (1, "", [])
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1, err
+    assert elapsed < 0.1
 
 
 # Each command builds each quadrature rule once: one Jacobi eigenproblem per

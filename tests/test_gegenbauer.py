@@ -374,31 +374,24 @@ def test_plane_wave_refusals():
 
 
 def test_norm_params_validation():
-    with pytest.raises(ValueError):
-        gegenbauer.NormParams(rate=0.25, index_scale=5.0)
-    with pytest.raises(ValueError):
-        gegenbauer.NormParams(rate=1.0, index_scale=0.0)
+    with pytest.raises(ValueError, match="^rate must be >= 1/2$"):
+        operators.norm_probe(rate=0.25, index_scale=5.0)
+    with pytest.raises(ValueError, match="^index_scale must be positive$"):
+        operators.norm_probe(rate=1.0, index_scale=0.0)
 
 
 def test_growth_bound_report_measures_not_asserts():
     """The nominal complex-circle envelope fails; the report must say so
     honestly rather than clip: max |f_4| on |z| = 3 is 516 (at z = +/-3i,
     where f_4(it) = 5t^4 + 12t^2 + 3), envelope 2 * 3^4 = 162."""
-    rep = gegenbauer.growth_bound_report(4, 3.0)
-    assert rep.max_value == pytest.approx(516.0, rel=1e-12)
-    assert rep.value_envelope == pytest.approx(162.0)
-
-    rep2 = gegenbauer.growth_bound_report(10, 5.0)
-    assert rep2.value_envelope == pytest.approx(2.0 * 5.0 ** 10)
-    assert rep2.max_value > rep2.value_envelope  # measured margin, reported
+    assert gegenbauer.growth_bound_report(4, 3.0) == pytest.approx(516.0, rel=1e-12)
+    assert gegenbauer.growth_bound_report(10, 5.0) > 2.0 * 5.0 ** 10  # measured margin
 
 
 def test_growth_bound_report_low_orders():
-    rep0 = gegenbauer.growth_bound_report(0, 3.0)
-    assert (rep0.max_value, rep0.value_envelope) == (1.0, 2.0)  # |f_0| = 1 <= 2
+    assert gegenbauer.growth_bound_report(0, 3.0) == 1.0  # |f_0| = 1 <= 2
     # order 1 sits exactly on the envelope: |2z| = 6 = 2 * 3^1
-    rep1 = gegenbauer.growth_bound_report(1, 3.0)
-    assert rep1.max_value == pytest.approx(rep1.value_envelope, rel=1e-12)
+    assert gegenbauer.growth_bound_report(1, 3.0) == pytest.approx(2.0 * 3.0, rel=1e-12)
 
 
 def test_real_interval_envelope_constant():

@@ -212,7 +212,7 @@ def test_pair_transform_holds_no_frame():
     for s in (1.0, 60j):
         tracemalloc.start()
         try:
-            verify.kernel_pair_transform(256, s, 0.3)
+            verify.kernel_pair_transforms(256, [(s, 0.3)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

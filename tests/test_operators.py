@@ -127,18 +127,15 @@ def test_norm_probe_frozen_values():
     The values are rationals (operator entries and weights are rational at
     these parameters) frozen bit for bit, with the first index attaining
     them."""
-    weak = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
-    value, arg = operators.norm_probe(weak, truncation=100)
+    value, arg = operators.norm_probe(rate=0.5, index_scale=10.0, truncation=100)
     assert (value, arg) == (153.80859374999994, 8)
 
-    strong = gegenbauer.NormParams(rate=1.0, index_scale=10.0)
-    value2, arg2 = operators.norm_probe(strong, truncation=100)
+    value2, arg2 = operators.norm_probe(rate=1.0, index_scale=10.0, truncation=100)
     assert (value2, arg2) == (482.2530864197533, 6)
 
 
 def test_norm_probe_stable_under_truncation():
-    params = gegenbauer.NormParams(rate=0.5, index_scale=10.0)
-    vals = [operators.norm_probe(params, truncation=k)[0] for k in (50, 100, 200)]
+    vals = [operators.norm_probe(0.5, 10.0, truncation=k)[0] for k in (50, 100, 200)]
     assert vals[0] == vals[1] == vals[2]
 
 
